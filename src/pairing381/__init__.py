@@ -23,7 +23,7 @@ from .encoding import (
 from .fields import Engine, FieldElement
 from .hashing import CsprngState, expand_message_xmd, hash_to_g1
 from .jubjub import JubjubPoint, jubjub_ecsm
-from .pairing import final_exp, miller_loop, multi_pairing, pairing
+from .pairing import final_exp, gt_pow, miller_loop, multi_pairing, pairing
 from .params import cios_cost_model, system_params
 from .protocol import (
     CountermeasureConfig,
@@ -70,6 +70,7 @@ __all__ = [
     "g2_ecsm_split",
     "g2_from_bytes",
     "g2_to_bytes",
+    "gt_pow",
     "gt_to_bytes",
     "hardened_ecsm",
     "hardened_pairing",

@@ -171,7 +171,8 @@ class _CurvePoint:
                     and self.y * other.z == other.y * self.z)
 
     def __hash__(self):
-        a = self.to_affine()
+        with self.engine.uncounted():
+            a = self.to_affine()
         return hash((a.x, a.y, a.is_identity()))
 
     @classmethod
@@ -262,16 +263,15 @@ class G2Point(_CurvePoint):
         return Fp2El(e.select(flag, a.c0, b.c0), e.select(flag, a.c1, b.c1))
 
 
-def ecsm(k: int, point, bits: int = 255):
-    """Constant-time k*P by double-and-add-always over a fixed bit width.
+def ecsm(k: int, point):
+    """Constant-time k*P by double-and-add-always over the 255-bit width of q.
 
-    Exactly `bits` iterations run regardless of k. The addition executes every
+    Exactly 255 iterations run regardless of k. The addition executes every
     iteration; a masked select keeps or discards it. The result is affine (the
     one inversion the cost anchors include). Identity input short-circuits:
     there is no affine base to add.
     """
-    order = params.Q if bits == 255 else 1 << bits
-    if not 0 <= k < order:
+    if not 0 <= k < params.Q:
         raise ValueError("scalar out of range")
     with point.engine.uncounted():
         if not point.on_curve():
@@ -280,7 +280,7 @@ def ecsm(k: int, point, bits: int = 255):
         return point
     base = point if point.z == point._coord_one(point.engine) else point.to_affine()
     acc = type(point).identity(point.engine)
-    for i in range(bits - 1, -1, -1):
+    for i in range(254, -1, -1):
         acc = acc.double()
         cand = acc.add_mixed(base)
         acc = type(point).select((k >> i) & 1, cand, acc)

@@ -11,8 +11,9 @@ Counting rules (the whole artifact depends on these):
   * multiplications executed inside an inversion's exponentiation chain go to
     inv_m1/inv_mq, never to m1/mq, so an inversion's full fixed cost is
     carried by its i-counter exactly once;
-  * Fp work nested inside an Fp2 operation is counted twice on purpose: raw
-    (m1, ...) and shadowed (m1_in2, ...); reports subtract the shadows;
+  * Fp work nested inside an Fp2 operation goes to its own buckets
+    (m1_in2, ...), never to m1/s1/a1/i1, which count direct Fp work only;
+    the raw Fp view is the sum of the two, and the trace names both m1, ...;
   * conversions into and out of Montgomery form are I/O boundary work and are
     not counted;
   * constant-time selects are bit logic, not arithmetic, and are not counted.
@@ -76,6 +77,20 @@ class FieldElement:
         return f"<{self.spec.name} 0x{self.to_int():x}>"
 
 
+def pow_public(x, exp: int):
+    """x^exp by MSB-first square-and-multiply, for a public exponent exp >= 1.
+
+    Works on any element with square() and *. The sequence of operations
+    depends on exp, so exp must never be secret.
+    """
+    acc = x
+    for bit in bin(exp)[3:]:
+        acc = acc.square()
+        if bit == "1":
+            acc = acc * x
+    return acc
+
+
 class Engine:
     """Field arithmetic context: parameters, counters, trace, backend."""
 
@@ -104,42 +119,15 @@ class Engine:
     def fq(self, value: int) -> FieldElement:
         return self._make(self.fq_spec, value % self.fq_spec.modulus)
 
-    def to_mont(self, value: int, field: str) -> FieldElement:
-        spec = self._spec_by_name(field)
-        if not 0 <= value < spec.modulus:
-            raise ValueError(f"value out of range for {field}")
-        return self._make(spec, value)
-
     def from_mont(self, x: FieldElement) -> int:
         v = from_limbs(x.val, x.spec) if self.backend == "words" else x.val
         return v * x.spec.rinv % x.spec.modulus
-
-    def fp_from_bytes(self, data: bytes) -> FieldElement:
-        return self._from_bytes(self.fp_spec, data)
-
-    def fq_from_bytes(self, data: bytes) -> FieldElement:
-        return self._from_bytes(self.fq_spec, data)
-
-    def _from_bytes(self, spec, data: bytes) -> FieldElement:
-        if len(data) != spec.byte_len:
-            raise ValueError(f"expected {spec.byte_len} bytes, got {len(data)}")
-        v = int.from_bytes(data, "big")
-        if v >= spec.modulus:
-            raise ValueError("non-canonical field encoding")
-        return self._make(spec, v)
 
     def _make(self, spec, reduced: int) -> FieldElement:
         mont = reduced * spec.r1 % spec.modulus
         if self.backend == "words":
             mont = to_limbs(mont, spec)
         return FieldElement(self, spec, mont)
-
-    def _spec_by_name(self, field: str):
-        if field == "fp":
-            return self.fp_spec
-        if field == "fq":
-            return self.fq_spec
-        raise ValueError(f"unknown field {field!r}")
 
     # ----- counted arithmetic -----
 
@@ -196,18 +184,12 @@ class Engine:
         """
         if x.is_zero():
             raise ZeroDivisionError(f"inversion of zero in {x.spec.name}")
-        spec = x.spec
-        self._bump(spec, "i")
+        self._bump(x.spec, "i")
         self._in_inv += 1
         try:
-            acc = x
-            for bit in spec.inv_bits:
-                acc = self.mont_sqr(acc)
-                if bit:
-                    acc = self.mont_mul(acc, x)
+            return pow_public(x, x.spec.modulus - 2)
         finally:
             self._in_inv -= 1
-        return acc
 
     def _raw_mul(self, a, b, spec):
         if self.backend == "words":
@@ -248,10 +230,9 @@ class Engine:
             else:
                 c.inv_mq += 1
             return
-        setattr(c, name, getattr(c, name) + 1)
         if self._fp2_depth and spec.name == "fp":
-            shadow = name + "_in2"
-            setattr(c, shadow, getattr(c, shadow) + 1)
+            name += "_in2"
+        setattr(c, name, getattr(c, name) + 1)
 
     def _bump2(self, kind: str) -> None:
         if self._suspend:

@@ -17,7 +17,8 @@ import hashlib
 from . import _iso_g1 as iso
 from . import params
 from .curve import G1Point, plain_mul
-from .fields import FieldElement
+from .fields import FieldElement, pow_public
+from .tower import fp_sqrt
 
 
 def sha256(msg: bytes) -> bytes:
@@ -94,12 +95,10 @@ def expand_message_xmd(msg: bytes, dst: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def hash_to_field(msg: bytes, dst: bytes, count: int = 2):
-    """count integers modulo p with 128 bits of oversampling each."""
-    L = 64
-    raw = expand_message_xmd(msg, dst, count * L)
-    return [int.from_bytes(raw[i * L:(i + 1) * L], "big") % params.P
-            for i in range(count)]
+def hash_to_field(msg: bytes, dst: bytes):
+    """Two integers modulo p with 128 bits of oversampling each."""
+    raw = expand_message_xmd(msg, dst, 128)
+    return [int.from_bytes(raw[i:i + 64], "big") % params.P for i in (0, 64)]
 
 
 def _sgn0(v: FieldElement) -> int:
@@ -116,10 +115,10 @@ def _sswu(engine, u: FieldElement):
     zu2 = Z * u2
     t = zu2.square() + zu2                 # Z^2 u^4 + Z u^2
     if t.is_zero():
-        # u = 0 corner: x = B / (Z A)
+        # u = 0 corner: x = B / (Z A); Z was picked so that g(x) is square
         x = B * (Z * A).inverse()
         gx = (x.square() + A) * x + B
-        y = _sqrt(e, gx)
+        y = fp_sqrt(gx)
         if _sgn0(u) != _sgn0(y):
             y = -y
         return x, y
@@ -131,7 +130,7 @@ def _sswu(engine, u: FieldElement):
     # one-exponentiation square root of gn/gd
     w = gn * gd
     s = w * gd.square()
-    y = w * _pow_fp(s, (params.P - 3) // 4)
+    y = w * pow_public(s, (params.P - 3) // 4)
     if (y.square() * gd) == gn:
         x = n1 * d1.inverse()
     else:
@@ -141,22 +140,6 @@ def _sswu(engine, u: FieldElement):
     if _sgn0(u) != _sgn0(y):
         y = -y
     return x, y
-
-
-def _pow_fp(base: FieldElement, exp: int) -> FieldElement:
-    acc = base
-    for bit in bin(exp)[3:]:
-        acc = acc.square()
-        if bit == "1":
-            acc = acc * base
-    return acc
-
-
-def _sqrt(engine, v: FieldElement) -> FieldElement:
-    r = _pow_fp(v, (params.P + 1) // 4)
-    if r.square() == v:
-        return r
-    raise ValueError("not a square")
 
 
 def _iso_eval(engine, x: FieldElement, y: FieldElement) -> G1Point:

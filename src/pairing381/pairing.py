@@ -20,6 +20,7 @@ and the dropped vertical lines.
 """
 
 from . import params
+from .fields import pow_public
 from .tower import Fp2El, Fp6El, Fp12El
 
 
@@ -189,12 +190,7 @@ def gt_pow(x: Fp12El, k: int) -> Fp12El:
     """
     if k < 0:
         return gt_pow(x.inverse(), -k)
-    acc = Fp12El.one(x.engine)
-    for bit in bin(k)[2:] if k else "":
-        acc = acc.square()
-        if bit == "1":
-            acc = acc * x
-    return acc
+    return pow_public(x, k) if k else Fp12El.one(x.engine)
 
 
 MULTI_PAIRING_MODES = ("naive", "sharedfe", "sharedmlfe")

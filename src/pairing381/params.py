@@ -119,12 +119,6 @@ class FieldSpec:
         self.mod_limbs = tuple(
             (modulus >> (i * word_size)) & self.word_mask for i in range(self.limbs)
         )
-        # fixed Fermat chain on modulus-2, MSB first after the leading bit
-        e = modulus - 2
-        self.inv_bits = tuple(int(b) for b in bin(e)[3:])
-        self.inv_sqr_count = e.bit_length() - 1
-        self.inv_extra_mul_count = bin(e).count("1") - 1
-        self.inv_mul_count = self.inv_sqr_count + self.inv_extra_mul_count
         # per-multiplication word-operation law
         s = self.limbs
         self.words_per_mul = s * (2 * s + 1)
@@ -140,40 +134,6 @@ class SystemParams:
         self.word_size = word_size
         self.fp = FieldSpec("fp", P, 384, word_size)
         self.fq = FieldSpec("fq", Q, 256, word_size)
-        self.u = U
-        self.abs_u = ABS_U
-        self.u_bits = tuple(int(b) for b in bin(ABS_U)[3:])  # 63 after leading bit
-        self.u_sq = U_SQ
-        self.lambda_g1 = LAMBDA_G1
-        self.h1 = H1
-        self.h2 = _twist_cofactor()
-        self.h_eff_g1 = H_EFF_G1
-        self.hard_part_exp = HARD_PART_EXP
-
-
-@lru_cache(maxsize=None)
-def _twist_cofactor() -> int:
-    # #E'(Fp2) = p^2 + 1 - tr for the sextic twist with q | order; derived, not
-    # transcribed: tr comes from t2 = t^2 - 2p and 3 f2^2 = 4p^2 - t2^2.
-    t2 = TRACE * TRACE - 2 * P
-    f2sq, rem = divmod(4 * P * P - t2 * t2, 3)
-    if rem:
-        raise AssertionError("twist discriminant not divisible by 3")
-    f2 = _isqrt(f2sq)
-    if 3 * f2 * f2 != 4 * P * P - t2 * t2:
-        raise AssertionError("twist discriminant is not a square")
-    for tr in (t2, -t2, (t2 + 3 * f2) // 2, (t2 - 3 * f2) // 2,
-               (-t2 + 3 * f2) // 2, (-t2 - 3 * f2) // 2):
-        order = P * P + 1 - tr
-        if order % Q == 0:
-            return order // Q
-    raise AssertionError("no sextic twist order divisible by q")
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ constituents. Multiplying an Fp2 element by a plain Fp scalar is charged as
 two direct Fp muls, not as an Fp2 op.
 """
 
-from .fields import FieldElement
+from .fields import FieldElement, pow_public
 from .params import P
 
 
@@ -95,19 +95,6 @@ class Fp2El:
     def mul_fp(self, k: FieldElement) -> "Fp2El":
         return Fp2El(self.c0 * k, self.c1 * k)
 
-    def pow(self, exp: int) -> "Fp2El":
-        """Square-and-multiply over a public exponent."""
-        if exp < 0:
-            return self.inverse().pow(-exp)
-        if exp == 0:
-            return Fp2El.one(self.engine)
-        acc = self
-        for bit in bin(exp)[3:]:
-            acc = acc.square()
-            if bit == "1":
-                acc = acc * self
-        return acc
-
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
 
@@ -129,20 +116,8 @@ class Fp2El:
 
 def fp_sqrt(x: FieldElement):
     """Square root in Fp (p = 3 mod 4), or None. Fixed public-exponent chain."""
-    e = x.engine
-    cand = _fp_pow(x, (P + 1) // 4)
+    cand = pow_public(x, (P + 1) // 4)
     return cand if cand.square() == x else None
-
-
-def _fp_pow(x: FieldElement, exp: int) -> FieldElement:
-    if exp == 0:
-        return x.engine.fp(1)
-    acc = x
-    for bit in bin(exp)[3:]:
-        acc = acc.square()
-        if bit == "1":
-            acc = acc * x
-    return acc
 
 
 def fp2_sqrt(a: Fp2El):
@@ -150,7 +125,7 @@ def fp2_sqrt(a: Fp2El):
     e = a.engine
     if a.is_zero():
         return Fp2El.zero(e)
-    a1 = a.pow((P - 3) // 4)
+    a1 = pow_public(a, (P - 3) // 4)
     x0 = a1 * a
     alpha = a1 * x0                       # a^((p-1)/2)
     minus_one = Fp2El.of(e, P - 1, 0)
@@ -158,7 +133,7 @@ def fp2_sqrt(a: Fp2El):
         # sqrt = alpha_gen * x0 where alpha_gen^2 = -1
         cand = Fp2El(-x0.c1, x0.c0)       # multiply by alpha: (a0+a1*al)*al
     else:
-        cand = (alpha + Fp2El.one(e)).pow((P - 1) // 2) * x0
+        cand = pow_public(alpha + Fp2El.one(e), (P - 1) // 2) * x0
     return cand if cand.square() == a else None
 
 
@@ -254,10 +229,6 @@ class Fp12El:
         return self.c0.engine
 
     @staticmethod
-    def zero(engine) -> "Fp12El":
-        return Fp12El(Fp6El.zero(engine), Fp6El.zero(engine))
-
-    @staticmethod
     def one(engine) -> "Fp12El":
         return Fp12El(Fp6El.one(engine), Fp6El.zero(engine))
 
@@ -326,19 +297,6 @@ class Fp12El:
             Fp6El(im_part(c1.mul_by_xi(), x1), im_part(a1, x3), im_part(b1, x5)),
         )
 
-    def pow(self, exp: int) -> "Fp12El":
-        """Generic square-and-multiply over a public exponent."""
-        if exp < 0:
-            return self.inverse().pow(-exp)
-        if exp == 0:
-            return Fp12El.one(self.engine)
-        acc = self
-        for bit in bin(exp)[3:]:
-            acc = acc.square()
-            if bit == "1":
-                acc = acc * self
-        return acc
-
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
 
@@ -384,7 +342,7 @@ class TowerCtx:
         self.engine = engine
         with engine.uncounted():
             xi = Fp2El.of(engine, 1, 1)
-            zeta = xi.pow((P - 1) // 6)
+            zeta = pow_public(xi, (P - 1) // 6)
             self.frob1 = [Fp2El.one(engine)]
             for _ in range(5):
                 self.frob1.append(self.frob1[-1] * zeta)

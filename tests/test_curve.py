@@ -4,7 +4,7 @@ constant-time ladder, and the endomorphism-based scalar split."""
 
 import pytest
 
-from pairing381 import Engine
+from pairing381 import Engine, OpCounter
 from pairing381.curve import (
     G1Point,
     G2Point,
@@ -169,3 +169,11 @@ def test_ladder_trace_is_scalar_independent(engine, rng):
         traces.append(tuple(sink))
     assert traces[0] == traces[1] == traces[2]
     assert len(traces[0]) == 19481
+
+
+def test_hash_and_equality_leave_counters_untouched(engine):
+    for g in (engine.curve.g1_gen, engine.curve.g2_gen, engine.jubjub.generator):
+        p, q = g.double(), g.add(g)      # projective forms of one point
+        before = engine.counter.snapshot()
+        assert hash(p) == hash(q) and p == q
+        assert engine.counter.delta(before) == OpCounter()

@@ -2,9 +2,11 @@
 
 import pytest
 
+from pairing381 import _iso_g1 as iso
 from pairing381.curve import subgroup_check_canonical
 from pairing381.hashing import (
     CsprngState,
+    _sswu,
     expand_message_xmd,
     hash_to_field,
     hash_to_g1,
@@ -94,3 +96,10 @@ def test_hash_to_g1_cost_is_stable(engine):
     d = engine.counter.delta(before)
     assert d.i1 <= 5
     assert 900 <= d.m1 + d.s1 <= 2200   # reported against the 1,897 anchor
+
+
+def test_sswu_zero_input_lands_on_the_domain_curve(engine):
+    # u = 0 takes the exceptional branch, x = B / (Z A), with its own root
+    x, y = _sswu(engine, engine.fp(0))
+    a, b = engine.fp(iso.A1), engine.fp(iso.B1)
+    assert y.square() == (x.square() + a) * x + b
