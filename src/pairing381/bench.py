@@ -31,15 +31,30 @@ from .protocol import (
     CountermeasureConfig,
     hardened_ecsm,
     hardened_pairing,
-    ipe_encrypt_benchmark,
 )
 from . import params
 
 CONVENTION = (
-    "m1_equivalent = m1 + s1 + 3*m2 + 2*s2 + 608*i1 + 612*i2 over direct ops; "
+    f"m1_equivalent = m1 + s1 + 3*m2 + 2*s2 + {FP_INV_MULS}*i1 + "
+    f"{FP2_INV_M1}*i2 over direct ops; "
     "Fp work inside Fp2 ops and inversion-chain multiplications are not "
     "double-counted"
 )
+
+# The paper's cost figures as (value, relative tolerance) for the CLI
+# selftest and the reports: 0 means the implementation must land exactly,
+# None that the figure is informational. The test suite keeps its own copies
+# as an independent spec.
+PAPER_ANCHORS = {
+    "miller": (7050, 0.05),
+    "finalexp": (8339, 0.05),
+    "pairing": (15389, 0.05),
+    "ecsm-g1-mul": (4847, 0),
+    "ecsm-g1-add": (14025, 0),
+    "hash-g1": (1897, None),
+}
+
+IPE_MODES = ("plain", "splitscalar")
 
 BENCH_OPS = (
     "pairing",
@@ -115,14 +130,14 @@ def run_bench(op: str, word_size: int = 64, seed: bytes | None = None) -> dict:
         msg = rng.bytes(32)
         _, counters, wall = _measure(
             engine, lambda: hash_to_g1(engine, msg, DEFAULT_DST))
-        extra["m1_informational_anchor"] = 1897
+        extra["m1_informational_anchor"] = PAPER_ANCHORS["hash-g1"][0]
     elif op.startswith("multipairing:"):
         n, mode = _parse_sized_op(op, MULTI_PAIRING_MODES)
         pairs = [(_rand_g1(engine, rng), _rand_g2(engine, rng)) for _ in range(n)]
         _, counters, wall = _measure(engine, lambda: multi_pairing(pairs, mode))
         extra.update(n=n, mode=mode)
     elif op.startswith("ipe:"):
-        n, mode = _parse_sized_op(op, ("plain", "splitscalar"))
+        n, mode = _parse_sized_op(op, IPE_MODES)
         t0 = time.perf_counter()
         report = ipe_encrypt_benchmark(engine, n, mode, rng)
         report.update(op=op, word_size=word_size, seed=seed.hex(),
@@ -154,6 +169,46 @@ def run_bench(op: str, word_size: int = 64, seed: bytes | None = None) -> dict:
     report["convention"] = CONVENTION
     report.update(extra)
     return report
+
+
+def ipe_encrypt_benchmark(engine, vector_len: int, mode: str,
+                          rng: CsprngState) -> dict:
+    """Cost report for a vector of G2 scalar multiplications.
+
+    Both strategies run on the same drawn scalars: the requested one is the
+    headline number, the other serves as the measured baseline for the ratio.
+    The two result vectors are compared point by point.
+    """
+    mode = mode.lower()
+    if mode not in IPE_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if vector_len < 1:
+        raise ValueError("vector_len must be at least 1")
+    scalars = [rng.nonzero_below(params.Q) for _ in range(vector_len)]
+    base = engine.curve.g2_gen
+    totals = {}
+    results = {}
+    for m in IPE_MODES:
+        before = engine.counter.snapshot()
+        if m == "plain":
+            pts = [ecsm(k, base) for k in scalars]
+        else:
+            pts = [g2_ecsm_split(k, base) for k in scalars]
+        totals[m] = engine.counter.delta(before).m1_equivalent()
+        results[m] = pts
+    agree = all(a == b for a, b in zip(results["plain"], results["splitscalar"]))
+    per = {m: totals[m] / vector_len for m in IPE_MODES}
+    return {
+        "op": "ipe-encrypt",
+        "mode": mode,
+        "vector_len": vector_len,
+        "m1_equivalent": totals[mode],
+        "per_element_m1_equivalent": per[mode],
+        "per_element_plain": per["plain"],
+        "per_element_splitscalar": per["splitscalar"],
+        "ratio_plain_over_split": per["plain"] / per["splitscalar"],
+        "values_agree": agree,
+    }
 
 
 def _parse_sized_op(op: str, modes) -> tuple[int, str]:

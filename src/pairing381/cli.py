@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import params
-from .bench import BENCH_OPS, run_bench, sweep
+from .bench import BENCH_OPS, PAPER_ANCHORS, run_bench, sweep
 from .curve import ecsm, plain_mul, subgroup_check_canonical
 from .encoding import (
     EncodingError,
@@ -138,10 +138,12 @@ def _suite_exact_ecsm_counts(e, rng):
     before = e.counter.snapshot()
     ecsm(k, e.curve.g1_gen)
     d = e.counter.delta(before)
-    assert d.m1 + d.s1 == 4847, f"G1 ladder ran {d.m1 + d.s1} mul+sqr"
-    assert d.a1 == 14025, f"G1 ladder ran {d.a1} additions"
+    muls = PAPER_ANCHORS["ecsm-g1-mul"][0]
+    adds = PAPER_ANCHORS["ecsm-g1-add"][0]
+    assert d.m1 + d.s1 == muls, f"G1 ladder ran {d.m1 + d.s1} mul+sqr"
+    assert d.a1 == adds, f"G1 ladder ran {d.a1} additions"
     assert d.i1 == 1
-    return "G1 ladder: 4847 mul+sqr, 14025 add, 1 inversion"
+    return f"G1 ladder: {muls} mul+sqr, {adds} add, 1 inversion"
 
 
 def _suite_pairing_costs(e, rng):
@@ -156,9 +158,9 @@ def _suite_pairing_costs(e, rng):
     before = e.counter.snapshot()
     pairing(p, q)
     total = e.counter.delta(before).m1_equivalent()
-    for got, anchor, name in ((ml, 7050, "miller"), (fe, 8339, "finalexp"),
-                              (total, 15389, "pairing")):
-        assert abs(got - anchor) / anchor <= 0.05, f"{name}: {got} vs {anchor}"
+    for got, name in ((ml, "miller"), (fe, "finalexp"), (total, "pairing")):
+        anchor, tol = PAPER_ANCHORS[name]
+        assert abs(got - anchor) / anchor <= tol, f"{name}: {got} vs {anchor}"
     return f"miller {ml}, finalexp {fe}, pairing {total} m1-equivalents"
 
 
@@ -344,22 +346,6 @@ def cmd_sign(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    engine = Engine()
-    try:
-        with open(args.pk[0], "rb") as fh:
-            pk = PublicKey.from_bytes(engine, fh.read())
-        with open(args.sig, "rb") as fh:
-            sig = Signature.from_bytes(engine, fh.read())
-        (msg,) = _read_msgs(args)
-        ok = verify(pk, msg, sig)
-        reason = None if ok else "pairing equation does not hold"
-    except EncodingError as exc:
-        ok, reason = False, f"{type(exc).__name__}: {exc}"
-    _emit({"verified": ok, **({"reason": reason} if reason else {})}, args.human)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
 def cmd_aggregate(args) -> int:
     engine = Engine()
     sigs = []
@@ -440,9 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_keygen)
 
     # repeated flags append one value per occurrence, so the i-th --pk is
-    # verified against the i-th --msg / --msg-file
+    # verified against the i-th --msg / --msg-file; verify is the one-key case
     for name, fn, multi in (("sign", cmd_sign, False),
-                            ("verify", cmd_verify, False),
+                            ("verify", cmd_aggregate_verify, False),
                             ("aggregate-verify", cmd_aggregate_verify, True)):
         p = sub.add_parser(name, parents=[common])
         if name == "sign":

@@ -78,11 +78,6 @@ class OpCounter:
             + FP2_INV_M1 * self.i2
         )
 
-    def as_dict(self) -> dict[str, int]:
-        d = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        d["m1_equivalent"] = self.m1_equivalent()
-        return d
-
     def __str__(self) -> str:
         parts = [
             f"{f.name}={getattr(self, f.name)}"

@@ -15,16 +15,22 @@ A1 total, which is expected (the two strategies do not mirror each other).
 
 ECSM is double-and-add-always: 255 fixed iterations, one doubling plus one
 mixed addition each, masked select of the addition result, final conversion
-to affine. Input validation runs outside the counters; the algorithm itself
-is fully counted.
+to affine. The loop, `ladder`, also serves the hardened and Jubjub scalar
+multiplications. Input validation runs outside the counters; the algorithm
+itself is fully counted.
 """
 
 from . import params
 from .tower import Fp2El
 
 
-class _CurvePoint:
-    """Shared complete-formula machinery; subclasses bind the coordinate type."""
+class ProjectivePoint:
+    """Coordinates (X : Y : Z), equality, hashing and masked select.
+
+    Shared by the Weierstrass points below and by the Edwards points in
+    jubjub.py; subclasses supply identity, is_identity, to_affine and the
+    group law.
+    """
 
     __slots__ = ("x", "y", "z")
 
@@ -35,7 +41,41 @@ class _CurvePoint:
 
     @property
     def engine(self):
-        return self._engine_of(self.x)
+        return self.x.engine
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # cross-multiplied projective equality
+        if self.is_identity() or other.is_identity():
+            return self.is_identity() and other.is_identity()
+        with self.engine.uncounted():
+            return (self.x * other.z == other.x * self.z
+                    and self.y * other.z == other.y * self.z)
+
+    def __hash__(self):
+        with self.engine.uncounted():
+            a = self.to_affine()
+        return hash((a.x, a.y, a.is_identity()))
+
+    @staticmethod
+    def _el_select(flag, a, b):
+        return a.engine.select(flag, a, b)
+
+    @classmethod
+    def select(cls, flag: int, a, b):
+        """Masked point select: a if flag else b. Bit logic only."""
+        return cls(
+            cls._el_select(flag, a.x, b.x),
+            cls._el_select(flag, a.y, b.y),
+            cls._el_select(flag, a.z, b.z),
+        )
+
+
+class _CurvePoint(ProjectivePoint):
+    """Shared complete-formula machinery; subclasses bind the coordinate type."""
+
+    __slots__ = ()
 
     def is_identity(self) -> bool:
         return self.z.is_zero()
@@ -149,6 +189,10 @@ class _CurvePoint:
         one = self._coord_one(self.engine)
         return type(self)(self.x * zinv, self.y * zinv, one)
 
+    def normalized(self):
+        """self when already affine (z = 1), else to_affine()."""
+        return self if self.z == self._coord_one(self.engine) else self.to_affine()
+
     def on_curve(self) -> bool:
         if self.is_identity():
             return True
@@ -159,38 +203,9 @@ class _CurvePoint:
             rhs = self.x.square() * self.x + self._mb(zc)
             return lhs == rhs
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # cross-multiplied projective equality
-        if self.is_identity() or other.is_identity():
-            return self.is_identity() and other.is_identity()
-        e = self.engine
-        with e.uncounted():
-            return (self.x * other.z == other.x * self.z
-                    and self.y * other.z == other.y * self.z)
-
-    def __hash__(self):
-        with self.engine.uncounted():
-            a = self.to_affine()
-        return hash((a.x, a.y, a.is_identity()))
-
-    @classmethod
-    def select(cls, flag: int, a, b):
-        """Masked point select: a if flag else b. Bit logic only."""
-        return cls(
-            cls._el_select(flag, a.x, b.x),
-            cls._el_select(flag, a.y, b.y),
-            cls._el_select(flag, a.z, b.z),
-        )
-
 
 class G1Point(_CurvePoint):
     __slots__ = ()
-
-    @staticmethod
-    def _engine_of(el):
-        return el.engine
 
     @staticmethod
     def _coord_one(engine):
@@ -218,17 +233,9 @@ class G1Point(_CurvePoint):
         t = v + v
         return t + t
 
-    @staticmethod
-    def _el_select(flag, a, b):
-        return a.engine.select(flag, a, b)
-
 
 class G2Point(_CurvePoint):
     __slots__ = ()
-
-    @staticmethod
-    def _engine_of(el):
-        return el.engine
 
     @staticmethod
     def _coord_one(engine):
@@ -278,12 +285,22 @@ def ecsm(k: int, point):
             raise ValueError("point not on curve")
     if point.is_identity():
         return point
-    base = point if point.z == point._coord_one(point.engine) else point.to_affine()
-    acc = type(point).identity(point.engine)
-    for i in range(254, -1, -1):
+    return ladder(k, point.normalized(), 255, type(point).add_mixed)
+
+
+def ladder(k: int, base, bits: int, add):
+    """The fixed double-and-add-always loop over the low `bits` bits of k.
+
+    Every iteration runs one doubling and one add(acc, base); a masked select
+    keeps or discards the sum, so the operation trace does not depend on k.
+    Returns the affine result.
+    """
+    cls = type(base)
+    acc = cls.identity(base.engine)
+    for i in range(bits - 1, -1, -1):
         acc = acc.double()
-        cand = acc.add_mixed(base)
-        acc = type(point).select((k >> i) & 1, cand, acc)
+        cand = add(acc, base)
+        acc = cls.select((k >> i) & 1, cand, acc)
     return acc.to_affine()
 
 

@@ -58,13 +58,12 @@ def _int_be(b: bytes) -> int:
 
 
 def g1_to_bytes(point: G1Point, compressed: bool = True) -> bytes:
-    e = point.engine
-    with e.uncounted():
+    with point.engine.uncounted():
         if point.is_identity():
             if compressed:
                 return bytes([FLAG_COMPRESSED | FLAG_INFINITY]) + b"\x00" * 47
             return bytes([FLAG_INFINITY]) + b"\x00" * 95
-        aff = point if point.z == e.fp(1) else point.to_affine()
+        aff = point.normalized()
         x, y = aff.x.to_int(), aff.y.to_int()
         if compressed:
             out = bytearray(x.to_bytes(48, "big"))
@@ -116,13 +115,12 @@ def _fp2_bytes(v: Fp2El) -> bytes:
 
 
 def g2_to_bytes(point: G2Point, compressed: bool = True) -> bytes:
-    e = point.engine
-    with e.uncounted():
+    with point.engine.uncounted():
         if point.is_identity():
             if compressed:
                 return bytes([FLAG_COMPRESSED | FLAG_INFINITY]) + b"\x00" * 95
             return bytes([FLAG_INFINITY]) + b"\x00" * 191
-        aff = point if point.z == Fp2El.one(e) else point.to_affine()
+        aff = point.normalized()
         if compressed:
             out = bytearray(_fp2_bytes(aff.x))
             out[0] |= FLAG_COMPRESSED

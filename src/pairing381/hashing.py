@@ -39,9 +39,6 @@ class CsprngState:
         self.seed = seed
         self.counter = 0
 
-    def clone_with_reseed(self, tag: bytes) -> "CsprngState":
-        return CsprngState(sha256(self.seed + tag))
-
     def _block(self) -> bytes:
         out = sha256(self.seed + self.counter.to_bytes(8, "big"))
         self.counter += 1
@@ -67,15 +64,6 @@ class CsprngState:
             v = self.below(bound)
             if v:
                 return v
-
-
-def random_field_element(state: CsprngState, field_tag: str):
-    """Uniform element of Fp or Fq as a plain integer."""
-    if field_tag == "fp":
-        return state.below(params.P)
-    if field_tag == "fq":
-        return state.below(params.Q)
-    raise ValueError(f"unknown field tag {field_tag!r}")
 
 
 def expand_message_xmd(msg: bytes, dst: bytes, length: int) -> bytes:

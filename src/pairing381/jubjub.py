@@ -9,20 +9,12 @@ both over Fq. The 252-bit fixed loop plus the final affine conversion gives
 252*19 + 2 = 4,790 Fq mul/sqr operations and one Fq inversion.
 """
 
+from .curve import ProjectivePoint, ladder
 from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
 
 
-class JubjubPoint:
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    @property
-    def engine(self):
-        return self.x.engine
+class JubjubPoint(ProjectivePoint):
+    __slots__ = ()
 
     @classmethod
     def identity(cls, engine):
@@ -74,6 +66,8 @@ class JubjubPoint:
     __add__ = add
 
     def to_affine(self) -> "JubjubPoint":
+        # always inverts, identity included, so the ladder's trace ends the
+        # same way for every scalar
         zinv = self.z.inverse()
         return JubjubPoint(self.x * zinv, self.y * zinv, self.engine.fq(1))
 
@@ -89,27 +83,6 @@ class JubjubPoint:
             rhs = z2.square() + e.jubjub.d * x2 * y2
             return lhs == rhs
 
-    def __eq__(self, other):
-        if not isinstance(other, JubjubPoint):
-            return NotImplemented
-        with self.engine.uncounted():
-            return (self.x * other.z == other.x * self.z
-                    and self.y * other.z == other.y * self.z)
-
-    def __hash__(self):
-        with self.engine.uncounted():
-            a = self.to_affine()
-        return hash((a.x, a.y))
-
-    @staticmethod
-    def select(flag: int, a: "JubjubPoint", b: "JubjubPoint") -> "JubjubPoint":
-        e = a.engine
-        return JubjubPoint(
-            e.select(flag, a.x, b.x),
-            e.select(flag, a.y, b.y),
-            e.select(flag, a.z, b.z),
-        )
-
 
 def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
     """Constant-time k*P over the 252-bit subgroup order, always-add loop."""
@@ -117,13 +90,7 @@ def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
         raise ValueError("scalar out of range")
     if not point.on_curve():
         raise ValueError("point not on jubjub")
-    e = point.engine
-    acc = JubjubPoint.identity(e)
-    for i in range(JUBJUB_ELL.bit_length() - 1, -1, -1):
-        acc = acc.double()
-        cand = acc.add(point)
-        acc = JubjubPoint.select((k >> i) & 1, cand, acc)
-    return acc.to_affine()
+    return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add)
 
 
 def _tonelli_shanks(n: int, p: int):

@@ -100,19 +100,14 @@ def _prep_pair(p, q):
     """Boundary validation; returns affine (p, q) or None for a degenerate pair."""
     from .curve import g1_subgroup_check, g2_subgroup_check
 
-    e = p.engine
     if p.is_identity() or q.is_identity():
         return None
-    with e.uncounted():
+    with p.engine.uncounted():
         if not (p.on_curve() and g1_subgroup_check(p)):
             raise ValueError("left pairing input invalid")
         if not (q.on_curve() and g2_subgroup_check(q)):
             raise ValueError("right pairing input invalid")
-        if p.z != e.fp(1):
-            p = p.to_affine()
-        if q.z != Fp2El.one(e):
-            q = q.to_affine()
-    return p, q
+        return p.normalized(), q.normalized()
 
 
 def multi_miller_loop(pairs) -> Fp12El:
@@ -177,10 +172,7 @@ def final_exp(f: Fp12El) -> Fp12El:
 
 def pairing(p, q) -> Fp12El:
     """e(p, q): Miller loop then final exponentiation."""
-    pq = _prep_pair(p, q)
-    if pq is None:
-        return Fp12El.one(p.engine)
-    return final_exp(multi_miller_loop([pq]))
+    return multi_pairing([(p, q)])
 
 
 def gt_pow(x: Fp12El, k: int) -> Fp12El:

@@ -46,9 +46,6 @@ G2_GEN_Y = (
     0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
 )
 
-CURVE_B = 4                     # E:  y^2 = x^3 + 4
-TWIST_B = (4, 4)                # E': y^2 = x^3 + 4(1 + alpha)
-
 # Jubjub: twisted Edwards curve a x^2 + y^2 = 1 + d x^2 y^2 over Fq with a = -1
 # and d = -10240/10241. Subgroup order ELL is rechecked prime at import; the
 # deterministic generator derivation lives in jubjub.py.

@@ -9,7 +9,8 @@ generator side negated,
 so one shared Miller loop and one final exponentiation decide it. Aggregation
 is plain G1 addition; aggregate verification is the (n+1)-entry version of
 the same product and insists on distinct messages (the standard rogue-key
-defense when possession proofs are out of scope).
+defense when possession proofs are out of scope). Single verification is
+aggregate verification with n = 1.
 
 The hardened wrappers re-randomize the computation, never the result:
 
@@ -33,6 +34,7 @@ from .curve import (
     g1_subgroup_check,
     g2_ecsm_split,
     g2_subgroup_check,
+    ladder,
     multi_exp,
 )
 from .encoding import g1_from_bytes, g1_to_bytes, g2_from_bytes, g2_to_bytes
@@ -118,12 +120,7 @@ def _valid_sig(sig: Signature) -> bool:
 
 
 def verify(pk: PublicKey, msg: bytes, sig: Signature, dst: bytes = DEFAULT_DST) -> bool:
-    if not (_valid_pk(pk) and _valid_sig(sig)):
-        return False
-    e = pk.point.engine
-    h = hash_to_g1(e, msg, dst)
-    pairs = [(h, pk.point), (sig.point, -e.curve.g2_gen)]
-    return multi_pairing(pairs, mode="sharedmlfe").is_one()
+    return aggregate_verify([pk], [msg], sig, dst)
 
 
 def aggregate(sigs: list) -> Signature:
@@ -190,8 +187,7 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
         raise ValueError("scalar out of range")
     if not (config.randomized_projective or config.scalar_splitting):
         return ecsm(k, point)
-    e = point.engine
-    with e.uncounted():
+    with point.engine.uncounted():
         if not point.on_curve():
             raise ValueError("point not on curve")
     if point.is_identity():
@@ -203,12 +199,7 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
     if config.scalar_splitting:
         r = config.rng.below(params.Q)
         return multi_exp(r, base, (k - r) % params.Q, base, bits=255)
-    acc = type(point).identity(e)
-    for i in range(254, -1, -1):
-        acc = acc.double()
-        cand = acc.add(base)
-        acc = type(point).select((k >> i) & 1, cand, acc)
-    return acc.to_affine()
+    return ladder(k, base, 255, type(point).add)
 
 
 def hardened_pairing(p: G1Point, q: G2Point, config: CountermeasureConfig):
@@ -224,47 +215,3 @@ def hardened_pairing(p: G1Point, q: G2Point, config: CountermeasureConfig):
     b = e.fq(a).inverse().to_int()
     return pairing(ecsm(a, p), ecsm(b, q))
 
-
-# ----- split-scalar G2 benchmark (the encryption hot loop) -----
-
-IPE_MODES = ("plain", "splitscalar")
-
-
-def ipe_encrypt_benchmark(engine, vector_len: int, mode: str,
-                          rng: CsprngState) -> dict:
-    """Cost report for a vector of G2 scalar multiplications.
-
-    Both strategies run on the same drawn scalars: the requested one is the
-    headline number, the other serves as the measured baseline for the ratio.
-    The two result vectors are compared point by point.
-    """
-    mode = mode.lower()
-    if mode not in IPE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if vector_len < 1:
-        raise ValueError("vector_len must be at least 1")
-    scalars = [rng.nonzero_below(params.Q) for _ in range(vector_len)]
-    base = engine.curve.g2_gen
-    totals = {}
-    results = {}
-    for m in IPE_MODES:
-        before = engine.counter.snapshot()
-        if m == "plain":
-            pts = [ecsm(k, base) for k in scalars]
-        else:
-            pts = [g2_ecsm_split(k, base) for k in scalars]
-        totals[m] = engine.counter.delta(before).m1_equivalent()
-        results[m] = pts
-    agree = all(a == b for a, b in zip(results["plain"], results["splitscalar"]))
-    per = {m: totals[m] / vector_len for m in IPE_MODES}
-    return {
-        "op": "ipe-encrypt",
-        "mode": mode,
-        "vector_len": vector_len,
-        "m1_equivalent": totals[mode],
-        "per_element_m1_equivalent": per[mode],
-        "per_element_plain": per["plain"],
-        "per_element_splitscalar": per["splitscalar"],
-        "ratio_plain_over_split": per["plain"] / per["splitscalar"],
-        "values_agree": agree,
-    }

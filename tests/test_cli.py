@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pairing381.bench import run_bench
 from pairing381.cli import main
 from pairing381.params import EXECUTABLE_WORD_SIZES, cios_cost_model
 
@@ -134,6 +135,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     code, _ = run(capsys, "sign", "--sk", str(tmp_path / "missing.sk"),
                   "--msg", "x", "--sig-out", str(tmp_path / "o.sig"))
     assert code == 2
+
+
+@pytest.mark.parametrize("op", ["multipairing:0:naive", "multipairing:2:bogus",
+                                "ipe:x:plain", "multipairing:2"])
+def test_bench_rejects_malformed_sized_ops(capsys, op):
+    code, _ = run(capsys, "bench", "--op", op)
+    assert code == 2
+
+
+def test_bench_hardened_ecsm_overhead():
+    r = run_bench("hardened-ecsm", 64, b"\x33" * 32)
+    assert r["m1_equivalent"] == 5725
+    assert r["baseline_m1_equivalent"] == 5455
+    assert r["overhead_ratio"] <= 1.15
+
+
+def test_bench_ipe_split_scalar():
+    r = run_bench("ipe:1:splitscalar", 64, b"\x33" * 32)
+    assert r["m1_equivalent"] == 8090
+    assert r["values_agree"] is True
 
 
 def test_human_output_is_not_json(capsys):

@@ -10,10 +10,9 @@ from pairing381.hashing import (
     expand_message_xmd,
     hash_to_field,
     hash_to_g1,
-    random_field_element,
     sha256,
 )
-from pairing381.params import P, Q
+from pairing381.params import P
 
 
 def test_sha256_known_answers():
@@ -46,20 +45,8 @@ def test_csprng_determinism_and_bounds():
         v = a.below(1000)
         assert 0 <= v < 1000
     assert a.nonzero_below(2) == 1
-    c = a.clone_with_reseed(b"tag")
-    d = a.clone_with_reseed(b"tag")
-    assert c.bytes(32) == d.bytes(32)
-    assert c.bytes(32) != a.bytes(32)
     with pytest.raises(ValueError):
         CsprngState(b"short")
-
-
-def test_random_field_element_ranges():
-    s = CsprngState(b"\x11" * 32)
-    assert 0 <= random_field_element(s, "fp") < P
-    assert 0 <= random_field_element(s, "fq") < Q
-    with pytest.raises(ValueError):
-        random_field_element(s, "f3")
 
 
 def test_hash_to_field_range():

@@ -3,6 +3,7 @@ countermeasure wrappers with their cost envelopes."""
 
 import pytest
 
+from pairing381.bench import ipe_encrypt_benchmark
 from pairing381.curve import G1Point, ecsm
 from pairing381.hashing import CsprngState
 from pairing381.pairing import pairing
@@ -16,7 +17,6 @@ from pairing381.protocol import (
     aggregate_verify,
     hardened_ecsm,
     hardened_pairing,
-    ipe_encrypt_benchmark,
     keygen,
     sign,
     verify,
