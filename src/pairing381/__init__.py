@@ -18,6 +18,7 @@ from .encoding import (
     g1_to_bytes,
     g2_from_bytes,
     g2_to_bytes,
+    gt_from_bytes,
     gt_to_bytes,
 )
 from .fields import Engine, FieldElement
@@ -70,6 +71,7 @@ __all__ = [
     "g2_ecsm_split",
     "g2_from_bytes",
     "g2_to_bytes",
+    "gt_from_bytes",
     "gt_pow",
     "gt_to_bytes",
     "hardened_ecsm",

@@ -6,6 +6,12 @@ Montgomery reduction on Python integers and charges the word counters from the
 CIOS law, "words" executes the instrumented word-array loops in cios.py.
 
 Counting rules (the whole artifact depends on these):
+  * every counted operation, Fp or Fp2, is one tally plus arithmetic on raw
+    values. The tally applies a record built once per operation kind and field
+    spec from the operation's steps (STEPS below): its counter increments and
+    its trace tuple, in the order the operation runs its Fp-level steps. On
+    bigint the record also holds the word-law increments; on words the cios.py
+    loops charge the word counters as they run;
   * every mul/sqr/add/sub/neg/inv on a field element bumps exactly one
     base counter, unconditionally;
   * multiplications executed inside an inversion's exponentiation chain go to
@@ -14,16 +20,84 @@ Counting rules (the whole artifact depends on these):
   * Fp work nested inside an Fp2 operation goes to its own buckets
     (m1_in2, ...), never to m1/s1/a1/i1, which count direct Fp work only;
     the raw Fp view is the sum of the two, and the trace names both m1, ...;
+  * under uncounted() a tally does nothing and the word loops charge a scratch
+    counter;
   * conversions into and out of Montgomery form are I/O boundary work and are
     not counted;
   * constant-time selects are bit logic, not arithmetic, and are not counted.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 
 from .cios import cios_mont_mul, from_limbs, to_limbs, word_mod_add, word_mod_sub
 from .counters import OpCounter
 from .params import system_params
+
+# Fp-level steps of each counted operation, in execution order: "m" mul,
+# "s" square, "+" add, "-" sub or neg, "i" inversion (its i-counter, then the
+# Fermat chain). An Fp2 operation first bumps its own counter, named here.
+# The Fp2 bodies in tower.py run their steps in exactly this order.
+STEPS = {
+    "add": (None, "+"),
+    "sub": (None, "-"),
+    "neg": (None, "-"),
+    "mul": (None, "m"),
+    "sqr": (None, "s"),
+    "inv": (None, "i"),
+    "mul_fp": (None, "mm"),           # Fp2 times an Fp scalar: direct Fp work
+    "add2": ("a2", "++"),
+    "sub2": ("a2", "--"),
+    "neg2": ("a2", "--"),
+    "conj2": ("a2", "-"),
+    "xi2": ("a2", "-+"),
+    "mul2": ("m2", "mm++-m--"),       # v0 - v1 runs before s*t
+    "sqr2": ("s2", "+-mm+"),
+    "inv2": ("i2", "mm+imm-"),
+}
+
+
+def _record(spec, outer, steps, word_law):
+    """(counter increments, trace tuple) of one operation over spec."""
+    f = "1" if spec.name == "fp" else "q"
+    nested = "_in2" if outer and spec.name == "fp" else ""
+    chain = tuple(k + f for bit in bin(spec.modulus - 2)[3:]
+                  for k in ("sm" if bit == "1" else "s"))
+    mul_law = (spec.words_per_mul, spec.word_adds_per_mul)
+    law = {"m": mul_law, "s": mul_law,
+           "+": (0, spec.word_adds_per_modadd),
+           "-": (0, spec.word_adds_per_modsub),
+           "i": (len(chain) * mul_law[0], len(chain) * mul_law[1])}
+    incs = Counter()
+    trace = []
+    if outer:
+        incs[outer] += 1
+        trace.append(outer)
+    for step in steps:
+        name = ("a" if step in "+-" else step) + f
+        incs[name + nested] += 1
+        trace.append(name)
+        if step == "i":
+            incs["inv_m" + f] += len(chain)
+            trace += chain
+        if word_law:
+            incs["word_mul"] += law[step][0]
+            incs["word_add"] += law[step][1]
+    return tuple((k, n) for k, n in incs.items() if n), tuple(trace)
+
+
+class _Records(dict):
+    """spec -> {operation: record}, built on first use of each spec."""
+
+    def __init__(self, word_law: bool):
+        super().__init__()
+        self.word_law = word_law
+
+    def __missing__(self, spec):
+        recs = {op: _record(spec, outer, steps, self.word_law)
+                for op, (outer, steps) in STEPS.items()}
+        self[spec] = recs
+        return recs
 
 
 class FieldElement:
@@ -91,8 +165,37 @@ def pow_public(x, exp: int):
     return acc
 
 
+def _big_mul(a, b, spec):
+    n, mask = spec.modulus, spec.full_mask
+    t = a * b
+    m = (t & mask) * spec.np_full & mask     # only t mod R matters for m
+    t = (t + m * n) >> spec.rbits
+    return t - n * (t >= n)
+
+
+def _big_add(a, b, spec):
+    v = a + b
+    return v - spec.modulus * (v >= spec.modulus)
+
+
+def _big_sub(a, b, spec):
+    v = a - b
+    return v + spec.modulus * (v < 0)
+
+
+def _big_neg(a, spec):
+    v = -a
+    return v + spec.modulus * (v < 0)
+
+
 class Engine:
-    """Field arithmetic context: parameters, counters, trace, backend."""
+    """Field arithmetic context: parameters, counters, trace, backend.
+
+    raw_mul(a, b, spec), raw_add, raw_sub and raw_neg(a, spec) are the
+    backend's arithmetic on raw Montgomery values (ints on bigint, limb tuples
+    on words). They count nothing themselves, except that the words versions
+    run the cios.py loops, which charge their word operations as they go.
+    """
 
     def __init__(self, word_size: int = 64, backend: str = "bigint"):
         if backend not in ("bigint", "words"):
@@ -104,9 +207,14 @@ class Engine:
         self.fp_spec = self.params.fp
         self.fq_spec = self.params.fq
         self._suspend = 0
-        self._in_inv = 0
-        self._fp2_depth = 0
         self._scratch = OpCounter()  # sink for word ops while suspended
+        self._records = _Records(word_law=backend == "bigint")
+        if backend == "words":
+            self.raw_mul, self.raw_add = self._word_mul, self._word_add
+            self.raw_sub, self.raw_neg = self._word_sub, self._word_neg
+        else:
+            self.raw_mul, self.raw_add = _big_mul, _big_add
+            self.raw_sub, self.raw_neg = _big_sub, _big_neg
         self._tower = None
         self._curve = None
         self._jubjub = None
@@ -132,48 +240,24 @@ class Engine:
     # ----- counted arithmetic -----
 
     def mod_add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self._common_spec(x, y)
-        self._bump(spec, "a")
-        if self.backend == "words":
-            val = word_mod_add(x.val, y.val, spec, self._wsink())
-        else:
-            val = x.val + y.val
-            val -= spec.modulus * (val >= spec.modulus)
-            self._charge_words(0, spec.word_adds_per_modadd)
-        return FieldElement(self, spec, val)
+        spec = self.charge("add", x, y)
+        return FieldElement(self, spec, self.raw_add(x.val, y.val, spec))
 
     def mod_sub(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self._common_spec(x, y)
-        self._bump(spec, "a")
-        if self.backend == "words":
-            val = word_mod_sub(x.val, y.val, spec, self._wsink())
-        else:
-            val = x.val - y.val
-            val += spec.modulus * (val < 0)
-            self._charge_words(0, spec.word_adds_per_modsub)
-        return FieldElement(self, spec, val)
+        spec = self.charge("sub", x, y)
+        return FieldElement(self, spec, self.raw_sub(x.val, y.val, spec))
 
     def mod_neg(self, x: FieldElement) -> FieldElement:
-        spec = x.spec
-        self._bump(spec, "a")
-        if self.backend == "words":
-            zero = (0,) * spec.limbs
-            val = word_mod_sub(zero, x.val, spec, self._wsink())
-        else:
-            val = -x.val
-            val += spec.modulus * (val < 0)
-            self._charge_words(0, spec.word_adds_per_modsub)
-        return FieldElement(self, spec, val)
+        spec = self.charge("neg", x)
+        return FieldElement(self, spec, self.raw_neg(x.val, spec))
 
     def mont_mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self._common_spec(x, y)
-        self._bump(spec, "m")
-        return FieldElement(self, spec, self._raw_mul(x.val, y.val, spec))
+        spec = self.charge("mul", x, y)
+        return FieldElement(self, spec, self.raw_mul(x.val, y.val, spec))
 
     def mont_sqr(self, x: FieldElement) -> FieldElement:
-        spec = x.spec
-        self._bump(spec, "s")
-        return FieldElement(self, spec, self._raw_mul(x.val, x.val, spec))
+        spec = self.charge("sqr", x)
+        return FieldElement(self, spec, self.raw_mul(x.val, x.val, spec))
 
     def mont_inv(self, x: FieldElement) -> FieldElement:
         """x^(modulus-2) by fixed MSB-first square-and-multiply.
@@ -184,22 +268,30 @@ class Engine:
         """
         if x.is_zero():
             raise ZeroDivisionError(f"inversion of zero in {x.spec.name}")
-        self._bump(x.spec, "i")
-        self._in_inv += 1
-        try:
-            return pow_public(x, x.spec.modulus - 2)
-        finally:
-            self._in_inv -= 1
+        spec = self.charge("inv", x)
+        return FieldElement(self, spec, self.raw_inv(x.val, spec))
 
-    def _raw_mul(self, a, b, spec):
-        if self.backend == "words":
-            return cios_mont_mul(a, b, spec, self._wsink())
-        t = a * b
-        m = (t * spec.np_full) & spec.full_mask
-        t = (t + m * spec.modulus) >> spec.rbits
-        t -= spec.modulus * (t >= spec.modulus)
-        self._charge_words(spec.words_per_mul, spec.word_adds_per_mul)
-        return t
+    def raw_inv(self, a, spec):
+        """a^(modulus-2) on a raw nonzero value: the fixed Fermat chain."""
+        mul = self.raw_mul
+        acc = a
+        for bit in bin(spec.modulus - 2)[3:]:
+            acc = mul(acc, acc, spec)
+            if bit == "1":
+                acc = mul(acc, a, spec)
+        return acc
+
+    def _word_mul(self, a, b, spec):
+        return cios_mont_mul(a, b, spec, self._wsink())
+
+    def _word_add(self, a, b, spec):
+        return word_mod_add(a, b, spec, self._wsink())
+
+    def _word_sub(self, a, b, spec):
+        return word_mod_sub(a, b, spec, self._wsink())
+
+    def _word_neg(self, a, spec):
+        return word_mod_sub((0,) * spec.limbs, a, spec, self._wsink())
 
     # ----- constant-time select (bit logic, uncounted) -----
 
@@ -217,48 +309,32 @@ class Engine:
 
     # ----- counter plumbing -----
 
-    def _bump(self, spec, kind: str) -> None:
+    def charge(self, op: str, *xs: FieldElement):
+        """Tally op once for operands that share one field and this engine.
+
+        Returns their spec; operands from different fields or engines raise
+        TypeError before anything is counted.
+        """
+        spec = xs[0].spec
+        for x in xs:
+            if x.spec is not spec or x.engine is not self:
+                raise TypeError("operands from different fields or engines")
+        self._tally(self._records[spec][op])
+        return spec
+
+    def _tally(self, record) -> None:
+        """Apply a record's counter increments and trace tuple."""
         if self._suspend:
             return
-        name = kind + ("1" if spec.name == "fp" else "q")
+        incs, trace = record
+        c = self.counter.__dict__
+        for name, n in incs:
+            c[name] += n
         if self.trace is not None:
-            self.trace.append(name)
-        c = self.counter
-        if self._in_inv and kind in ("m", "s"):
-            if spec.name == "fp":
-                c.inv_m1 += 1
-            else:
-                c.inv_mq += 1
-            return
-        if self._fp2_depth and spec.name == "fp":
-            name += "_in2"
-        setattr(c, name, getattr(c, name) + 1)
-
-    def _bump2(self, kind: str) -> None:
-        if self._suspend:
-            return
-        name = kind + "2"
-        if self.trace is not None:
-            self.trace.append(name)
-        setattr(self.counter, name, getattr(self.counter, name) + 1)
-
-    @contextmanager
-    def _fp2_scope(self, kind: str):
-        self._bump2(kind)
-        self._fp2_depth += 1
-        try:
-            yield
-        finally:
-            self._fp2_depth -= 1
+            self.trace.extend(trace)
 
     def _wsink(self):
         return self._scratch if self._suspend else self.counter
-
-    def _charge_words(self, muls: int, adds: int) -> None:
-        if self._suspend:
-            return
-        self.counter.word_mul += muls
-        self.counter.word_add += adds
 
     @contextmanager
     def uncounted(self):
@@ -277,11 +353,6 @@ class Engine:
             yield sink
         finally:
             self.trace = prev
-
-    def _common_spec(self, x: FieldElement, y: FieldElement):
-        if x.spec is not y.spec or x.engine is not y.engine:
-            raise TypeError("operands from different fields or engines")
-        return x.spec
 
     # ----- lazily built higher-layer contexts -----
 

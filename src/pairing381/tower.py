@@ -10,9 +10,12 @@ operations work on that degree grid.
 
 Counter contract: an Fp2 mul is 3 Fp muls and 5 adds (Karatsuba), a squaring
 is 2 muls and 3 adds (complex method), an inversion is 4 muls, 2 adds and one
-Fp inversion via the norm map. Fp6/Fp12 operations bump only their Fp2-level
-constituents. Multiplying an Fp2 element by a plain Fp scalar is charged as
-two direct Fp muls, not as an Fp2 op.
+Fp inversion via the norm map. An Fp2 add, sub or neg is one a2 and 2 Fp adds,
+a conjugate one a2 and 1 Fp add, a multiplication by xi one a2 and 2 Fp adds.
+Fp6/Fp12 operations bump only their Fp2-level constituents. Multiplying an
+Fp2 element by a plain Fp scalar is charged as two direct Fp muls, not as an
+Fp2 op. Each Fp2 op charges all of this in one engine tally
+(fields.STEPS) and then computes on raw values.
 """
 
 from .fields import FieldElement, pow_public
@@ -42,58 +45,82 @@ class Fp2El:
     def one(engine) -> "Fp2El":
         return Fp2El.of(engine, 1, 0)
 
+    # Each operation is one engine tally plus raw arithmetic, in the step
+    # order of its fields.STEPS entry.
+
     def __add__(self, other: "Fp2El") -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("a"):
-            return Fp2El(self.c0 + other.c0, self.c1 + other.c1)
+        e = self.c0.engine
+        spec = e.charge("add2", self.c0, self.c1, other.c0, other.c1)
+        add = e.raw_add
+        return _fp2(e, spec, add(self.c0.val, other.c0.val, spec),
+                    add(self.c1.val, other.c1.val, spec))
 
     def __sub__(self, other: "Fp2El") -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("a"):
-            return Fp2El(self.c0 - other.c0, self.c1 - other.c1)
+        e = self.c0.engine
+        spec = e.charge("sub2", self.c0, self.c1, other.c0, other.c1)
+        sub = e.raw_sub
+        return _fp2(e, spec, sub(self.c0.val, other.c0.val, spec),
+                    sub(self.c1.val, other.c1.val, spec))
 
     def __neg__(self) -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("a"):
-            return Fp2El(-self.c0, -self.c1)
+        e = self.c0.engine
+        spec = e.charge("neg2", self.c0, self.c1)
+        neg = e.raw_neg
+        return _fp2(e, spec, neg(self.c0.val, spec), neg(self.c1.val, spec))
 
     def __mul__(self, other: "Fp2El") -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("m"):
-            v0 = self.c0 * other.c0
-            v1 = self.c1 * other.c1
-            s = self.c0 + self.c1
-            t = other.c0 + other.c1
-            return Fp2El(v0 - v1, s * t - v0 - v1)
+        # Karatsuba: v0 = a0 b0, v1 = a1 b1, c1 = (a0 + a1)(b0 + b1) - v0 - v1
+        e = self.c0.engine
+        spec = e.charge("mul2", self.c0, self.c1, other.c0, other.c1)
+        mul, add, sub = e.raw_mul, e.raw_add, e.raw_sub
+        a0, a1, b0, b1 = self.c0.val, self.c1.val, other.c0.val, other.c1.val
+        v0 = mul(a0, b0, spec)
+        v1 = mul(a1, b1, spec)
+        s = add(a0, a1, spec)
+        t = add(b0, b1, spec)
+        c0 = sub(v0, v1, spec)
+        return _fp2(e, spec, c0, sub(sub(mul(s, t, spec), v0, spec), v1, spec))
 
     def square(self) -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("s"):
-            t = (self.c0 + self.c1) * (self.c0 - self.c1)
-            c1 = self.c0 * self.c1
-            return Fp2El(t, c1 + c1)
+        # complex method: (a0 + a1)(a0 - a1) + 2 a0 a1 alpha
+        e = self.c0.engine
+        spec = e.charge("sqr2", self.c0, self.c1)
+        mul, add = e.raw_mul, e.raw_add
+        a0, a1 = self.c0.val, self.c1.val
+        t = mul(add(a0, a1, spec), e.raw_sub(a0, a1, spec), spec)
+        c1 = mul(a0, a1, spec)
+        return _fp2(e, spec, t, add(c1, c1, spec))
 
     def inverse(self) -> "Fp2El":
         # norm descent: 1/(a0 + a1 alpha) = (a0 - a1 alpha) / (a0^2 + a1^2)
-        e = self.engine
-        with e._fp2_scope("i"):
-            n = self.c0 * self.c0 + self.c1 * self.c1
-            t = n.inverse()
-            return Fp2El(self.c0 * t, -(self.c1 * t))
+        if self.is_zero():
+            raise ZeroDivisionError("inversion of zero in fp2")
+        e = self.c0.engine
+        spec = e.charge("inv2", self.c0, self.c1)
+        mul = e.raw_mul
+        a0, a1 = self.c0.val, self.c1.val
+        n = e.raw_add(mul(a0, a0, spec), mul(a1, a1, spec), spec)
+        t = e.raw_inv(n, spec)
+        return _fp2(e, spec, mul(a0, t, spec), e.raw_neg(mul(a1, t, spec), spec))
 
     def conjugate(self) -> "Fp2El":
-        e = self.engine
-        with e._fp2_scope("a"):
-            return Fp2El(self.c0, -self.c1)
+        e = self.c0.engine
+        spec = e.charge("conj2", self.c0, self.c1)
+        return Fp2El(self.c0, FieldElement(e, spec, e.raw_neg(self.c1.val, spec)))
 
     def mul_by_xi(self) -> "Fp2El":
         # (1 + alpha)(a0 + a1 alpha) = (a0 - a1) + (a0 + a1) alpha
-        e = self.engine
-        with e._fp2_scope("a"):
-            return Fp2El(self.c0 - self.c1, self.c0 + self.c1)
+        e = self.c0.engine
+        spec = e.charge("xi2", self.c0, self.c1)
+        a0, a1 = self.c0.val, self.c1.val
+        return _fp2(e, spec, e.raw_sub(a0, a1, spec), e.raw_add(a0, a1, spec))
 
     def mul_fp(self, k: FieldElement) -> "Fp2El":
-        return Fp2El(self.c0 * k, self.c1 * k)
+        e = self.c0.engine
+        spec = e.charge("mul_fp", self.c0, self.c1, k)
+        mul = e.raw_mul
+        return _fp2(e, spec, mul(self.c0.val, k.val, spec),
+                    mul(self.c1.val, k.val, spec))
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
@@ -112,6 +139,11 @@ class Fp2El:
     def __repr__(self):
         a, b = self.to_ints()
         return f"<fp2 0x{a:x} + 0x{b:x}*a>"
+
+
+
+def _fp2(e, spec, v0, v1) -> Fp2El:
+    return Fp2El(FieldElement(e, spec, v0), FieldElement(e, spec, v1))
 
 
 def fp_sqrt(x: FieldElement):

@@ -12,6 +12,12 @@ def engine():
     return Engine()
 
 
+@pytest.fixture(scope="session")
+def twin_engines():
+    """A bigint engine and a words engine at w = 64, shared like engine."""
+    return Engine(), Engine(word_size=64, backend="words")
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

@@ -3,6 +3,7 @@ rejection taxonomy (malformed bytes, off-curve points, wrong subgroup)."""
 
 import pytest
 
+import pairing381
 from pairing381.curve import G1Point, plain_mul, subgroup_check_canonical
 from pairing381.encoding import (
     EncodingError,
@@ -161,3 +162,14 @@ def test_gt_round_trip(engine):
     assert gt_from_bytes(engine, raw) == v
     with pytest.raises(MalformedEncoding):
         gt_from_bytes(engine, raw[:-1])
+
+
+def test_gt_coefficient_out_of_range_rejected(engine):
+    raw = bytearray(gt_to_bytes(
+        pairing(engine.curve.g1_gen, engine.curve.g2_gen)))
+    assert "gt_from_bytes" in pairing381.__all__
+    for i in (0, 11):                  # first and last Fp coefficient
+        bad = bytearray(raw)
+        bad[48 * i:48 * (i + 1)] = P.to_bytes(48, "big")
+        with pytest.raises(MalformedEncoding):
+            gt_from_bytes(engine, bytes(bad))

@@ -1,9 +1,9 @@
-"""Base field arithmetic: values against the integer model, exact inversion
-costs, Montgomery sanity, and the fault-injection hook."""
+"""Base field arithmetic: values against the integer model, exact per-op
+costs and traces, Montgomery sanity, and the fault-injection hook."""
 
 import pytest
 
-from pairing381 import Engine
+from pairing381 import Engine, OpCounter
 from pairing381.params import P, Q
 
 
@@ -111,3 +111,55 @@ def test_field_element_bytes_round_trip(engine, rng):
     raw = x.to_bytes()
     assert len(raw) == 48
     assert int.from_bytes(raw, "big") == x.to_int()
+
+
+def _chain(modulus, f):
+    return tuple(k + f for bit in bin(modulus - 2)[3:]
+                 for k in ("s", "sm")[bit == "1"])
+
+
+# At w = 64 Fp has six limbs (mont mul 78 word muls and 170 word adds, mod add
+# 13 word adds, sub or neg 12) and Fq four (36 and 82, 9, 8).
+FIELD_CONTRACT = {
+    ("fp", "add"): ({"a1": 1, "word_add": 13}, ("a1",)),
+    ("fp", "sub"): ({"a1": 1, "word_add": 12}, ("a1",)),
+    ("fp", "neg"): ({"a1": 1, "word_add": 12}, ("a1",)),
+    ("fp", "mul"): ({"m1": 1, "word_mul": 78, "word_add": 170}, ("m1",)),
+    ("fp", "square"): ({"s1": 1, "word_mul": 78, "word_add": 170}, ("s1",)),
+    ("fp", "inverse"): ({"i1": 1, "inv_m1": 608, "word_mul": 47424,
+                         "word_add": 103360}, ("i1",) + _chain(P, "1")),
+    ("fq", "add"): ({"aq": 1, "word_add": 9}, ("aq",)),
+    ("fq", "sub"): ({"aq": 1, "word_add": 8}, ("aq",)),
+    ("fq", "neg"): ({"aq": 1, "word_add": 8}, ("aq",)),
+    ("fq", "mul"): ({"mq": 1, "word_mul": 36, "word_add": 82}, ("mq",)),
+    ("fq", "square"): ({"sq": 1, "word_mul": 36, "word_add": 82}, ("sq",)),
+    ("fq", "inverse"): ({"iq": 1, "inv_mq": 417, "word_mul": 15012,
+                         "word_add": 34194}, ("iq",) + _chain(Q, "q")),
+}
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["bigint", "words"])
+@pytest.mark.parametrize("field,op", list(FIELD_CONTRACT))
+def test_field_op_contract(field, op, backend, twin_engines, rng):
+    """The exact counter delta in every field, the exact trace and the value
+    of each Fp and Fq op, on both backends."""
+    e = twin_engines[backend]
+    mod = {"fp": P, "fq": Q}[field]
+    a, b = rng.randrange(1, mod), rng.randrange(1, mod)
+    x, y = getattr(e, field)(a), getattr(e, field)(b)
+    call, want = {
+        "add": (lambda: x + y, a + b),
+        "sub": (lambda: x - y, a - b),
+        "neg": (lambda: -x, -a),
+        "mul": (lambda: x * y, a * b),
+        "square": (x.square, a * a),
+        "inverse": (x.inverse, pow(a, -1, mod)),
+    }[op]
+    delta, trace = FIELD_CONTRACT[field, op]
+    sink = []
+    before = e.counter.snapshot()
+    with e.tracing(sink):
+        out = call()
+    assert e.counter.delta(before) == OpCounter(**delta)
+    assert tuple(sink) == trace
+    assert out.to_int() == want % mod

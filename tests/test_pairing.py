@@ -1,8 +1,11 @@
 """Optimal ate pairing: bilinearity, degeneracy rules, the published
 operation budgets, product-of-pairings modes, and input validation."""
 
+import hashlib
+
 import pytest
 
+from pairing381 import Engine, OpCounter
 from pairing381.curve import G1Point, G2Point, plain_mul
 from pairing381.pairing import (
     MULTI_PAIRING_MODES,
@@ -150,3 +153,24 @@ def test_pairing_trace_is_input_independent(engine, rng):
             pairing(p, q)
         traces.append(tuple(sink))
     assert traces[0] == traces[1]
+
+
+GENERATOR_PAIRING_DELTA = OpCounter(
+    m1=292, m2=2531, s2=3304, a2=20667, i2=1, word_mul=1178190,
+    word_add=3372574, inv_m1=608, m1_in2=14205, a1_in2=63897, i1_in2=1)
+
+
+@pytest.mark.parametrize("backend", ["bigint", "words"])
+def test_generator_pairing_trace_and_counters_pinned(backend):
+    """e(G1, G2) at w = 64: the whole op trace by length and SHA-256, and the
+    counter delta in every field, equal on both backends."""
+    e = Engine(word_size=64, backend=backend)
+    g1, g2 = e.curve.g1_gen, e.curve.g2_gen
+    sink = []
+    before = e.counter.snapshot()
+    with e.tracing(sink):
+        pairing(g1, g2)
+    assert e.counter.delta(before) == GENERATOR_PAIRING_DELTA
+    assert len(sink) == 105506
+    assert hashlib.sha256(" ".join(sink).encode()).hexdigest() == (
+        "43cbb95ab310c87073ea9df7c49b9523a3515f2e6265614057d3cb0fd35d11dd")
