@@ -280,9 +280,8 @@ def ecsm(k: int, point):
     """
     if not 0 <= k < params.Q:
         raise ValueError("scalar out of range")
-    with point.engine.uncounted():
-        if not point.on_curve():
-            raise ValueError("point not on curve")
+    if not point.on_curve():
+        raise ValueError("point not on curve")
     if point.is_identity():
         return point
     return ladder(k, point.normalized(), 255, type(point).add_mixed)
@@ -315,9 +314,8 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
         raise ValueError("scalar out of range for fixed width")
     cls = type(p1)
     e = p1.engine
-    with e.uncounted():
-        if not (p1.on_curve() and p2.on_curve()):
-            raise ValueError("point not on curve")
+    if not (p1.on_curve() and p2.on_curve()):
+        raise ValueError("point not on curve")
     t0 = cls.identity(e)
     table = (t0, p1, p2, p1.add(p2))
     acc = cls.identity(e)

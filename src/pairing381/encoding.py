@@ -1,14 +1,18 @@
 """Point and Gt serialization.
 
-Compressed points carry three flag bits in the most significant byte:
-0x80 compression, 0x40 infinity, 0x20 sign (set when y is the
-lexicographically larger of the two square roots). G2 field elements are
-written c1 first, and the sign of an Fp2 value compares (c1, c0) as a tuple
-of canonical integers. Deserialization validates field-element range,
-flag consistency, curve membership and subgroup membership, raising a
-distinct error for each failure kind; all of that work is uncounted
-boundary validation.
+One codec serves both groups: `_point_to_bytes` and `_point_from_bytes` hold
+the whole point wire format, and a group descriptor (`_G1`, `_G2`) supplies
+only what differs, the coordinate field. Coordinates are written as 48-byte
+big-endian Fp limbs, an Fp2 value c1 first. Compressed points carry three
+flag bits in the most significant byte: 0x80 compression, 0x40 infinity,
+0x20 sign (set when y, as a tuple of wire-order limbs, is lexicographically
+larger than -y). Deserialization validates field-element range, flag
+consistency, curve membership and subgroup membership, raising a distinct
+error for each failure kind; all of that work is uncounted boundary
+validation.
 """
+
+from typing import Callable, NamedTuple
 
 from .curve import G1Point, G2Point, g1_subgroup_check, g2_subgroup_check
 from .params import P
@@ -35,19 +39,20 @@ class WrongSubgroup(EncodingError):
     pass
 
 
-def _fp_is_larger(y: int) -> bool:
-    return y > P - y
+class _Group(NamedTuple):
+    limbs: int                    # Fp limbs per coordinate
+    to_wire: Callable             # coordinate -> wire-order ints
+    from_wire: Callable           # (engine, wire-order ints) -> coordinate
+    sqrt: Callable
 
 
-def _fp2_is_larger(c0: int, c1: int) -> bool:
-    neg = ((P - c1) % P, (P - c0) % P)
-    return (c1, c0) > neg
+_G1 = _Group(1, lambda v: (v.to_int(),), lambda e, w: e.fp(w[0]), fp_sqrt)
+_G2 = _Group(2, lambda v: v.to_ints()[::-1],
+             lambda e, w: Fp2El.of(e, w[1], w[0]), fp2_sqrt)
 
 
-def _split_flags(data: bytes):
-    flags = data[0] & 0xE0
-    body = bytes([data[0] & 0x1F]) + data[1:]
-    return flags, body
+def _is_larger(ints: tuple) -> bool:
+    return ints > tuple((P - v) % P for v in ints)
 
 
 def _int_be(b: bytes) -> int:
@@ -57,117 +62,78 @@ def _int_be(b: bytes) -> int:
     return v
 
 
-def g1_to_bytes(point: G1Point, compressed: bool = True) -> bytes:
+def _point_to_bytes(point, group: _Group, compressed: bool) -> bytes:
+    size = (48 if compressed else 96) * group.limbs
     with point.engine.uncounted():
         if point.is_identity():
-            if compressed:
-                return bytes([FLAG_COMPRESSED | FLAG_INFINITY]) + b"\x00" * 47
-            return bytes([FLAG_INFINITY]) + b"\x00" * 95
+            flags = FLAG_INFINITY | (FLAG_COMPRESSED if compressed else 0)
+            return bytes([flags]) + bytes(size - 1)
         aff = point.normalized()
-        x, y = aff.x.to_int(), aff.y.to_int()
+        x, y = group.to_wire(aff.x), group.to_wire(aff.y)
+        out = bytearray(b"".join(v.to_bytes(48, "big")
+                                 for v in (x if compressed else x + y)))
         if compressed:
-            out = bytearray(x.to_bytes(48, "big"))
-            out[0] |= FLAG_COMPRESSED
-            if _fp_is_larger(y):
-                out[0] |= FLAG_SIGN
-            return bytes(out)
-        return x.to_bytes(48, "big") + y.to_bytes(48, "big")
+            out[0] |= FLAG_COMPRESSED | (FLAG_SIGN if _is_larger(y) else 0)
+        return bytes(out)
+
+
+def _point_from_bytes(cls, group: _Group, engine, data: bytes):
+    n = group.limbs
+    if len(data) not in (48 * n, 96 * n):
+        raise MalformedEncoding(f"encoding must be {48 * n} or {96 * n} bytes")
+    flags = data[0] & 0xE0
+    body = bytes([data[0] & 0x1F]) + data[1:]
+    compressed = bool(flags & FLAG_COMPRESSED)
+    if compressed != (len(data) == 48 * n):
+        raise MalformedEncoding("compression flag disagrees with length")
+    with engine.uncounted():
+        if flags & FLAG_INFINITY:
+            if (flags & FLAG_SIGN) or any(body):
+                raise MalformedEncoding("infinity encoding must be otherwise zero")
+            return cls.identity(engine)
+        if not compressed and flags & FLAG_SIGN:
+            raise MalformedEncoding("sign flag set on uncompressed encoding")
+        ints = tuple(_int_be(body[i:i + 48]) for i in range(0, len(body), 48))
+        one = cls._coord_one(engine)
+        x = group.from_wire(engine, ints[:n])
+        if compressed:
+            y = group.sqrt(x * x.square() + cls._mb(one))
+            if y is None:
+                raise NotOnCurve("x has no matching y")
+            if bool(flags & FLAG_SIGN) != _is_larger(group.to_wire(y)):
+                y = -y
+            pt = cls(x, y, one)
+        else:
+            pt = cls(x, group.from_wire(engine, ints[n:]), one)
+            if not pt.on_curve():
+                raise NotOnCurve("point not on curve")
+        # read from this module's globals at call time, so a patched
+        # attribute (a tracing wrapper) takes effect
+        if not (g1_subgroup_check if n == 1 else g2_subgroup_check)(pt):
+            raise WrongSubgroup("point not in the order-q subgroup")
+        return pt
+
+
+def g1_to_bytes(point: G1Point, compressed: bool = True) -> bytes:
+    return _point_to_bytes(point, _G1, compressed)
 
 
 def g1_from_bytes(engine, data: bytes) -> G1Point:
-    if len(data) not in (48, 96):
-        raise MalformedEncoding("G1 encoding must be 48 or 96 bytes")
-    flags, body = _split_flags(data)
-    compressed = bool(flags & FLAG_COMPRESSED)
-    if compressed != (len(data) == 48):
-        raise MalformedEncoding("compression flag disagrees with length")
-    with engine.uncounted():
-        if flags & FLAG_INFINITY:
-            if (flags & FLAG_SIGN) or any(body):
-                raise MalformedEncoding("infinity encoding must be otherwise zero")
-            return G1Point.identity(engine)
-        if compressed:
-            x = _int_be(body)
-            xe = engine.fp(x)
-            y = fp_sqrt(xe * xe.square() + engine.fp(4))
-            if y is None:
-                raise NotOnCurve("x has no matching y")
-            yi = y.to_int()
-            if bool(flags & FLAG_SIGN) != _fp_is_larger(yi):
-                yi = P - yi
-            pt = G1Point.affine(engine, x, yi)
-        else:
-            if flags & FLAG_SIGN:
-                raise MalformedEncoding("sign flag set on uncompressed encoding")
-            x = _int_be(body[:48])
-            y = _int_be(body[48:])
-            pt = G1Point.affine(engine, x, y)
-            if not pt.on_curve():
-                raise NotOnCurve("point not on curve")
-        if not g1_subgroup_check(pt):
-            raise WrongSubgroup("point not in the order-q subgroup")
-        return pt
-
-
-def _fp2_bytes(v: Fp2El) -> bytes:
-    c0, c1 = v.to_ints()
-    return c1.to_bytes(48, "big") + c0.to_bytes(48, "big")
+    return _point_from_bytes(G1Point, _G1, engine, data)
 
 
 def g2_to_bytes(point: G2Point, compressed: bool = True) -> bytes:
-    with point.engine.uncounted():
-        if point.is_identity():
-            if compressed:
-                return bytes([FLAG_COMPRESSED | FLAG_INFINITY]) + b"\x00" * 95
-            return bytes([FLAG_INFINITY]) + b"\x00" * 191
-        aff = point.normalized()
-        if compressed:
-            out = bytearray(_fp2_bytes(aff.x))
-            out[0] |= FLAG_COMPRESSED
-            c0, c1 = aff.y.to_ints()
-            if _fp2_is_larger(c0, c1):
-                out[0] |= FLAG_SIGN
-            return bytes(out)
-        return _fp2_bytes(aff.x) + _fp2_bytes(aff.y)
+    return _point_to_bytes(point, _G2, compressed)
 
 
 def g2_from_bytes(engine, data: bytes) -> G2Point:
-    if len(data) not in (96, 192):
-        raise MalformedEncoding("G2 encoding must be 96 or 192 bytes")
-    flags, body = _split_flags(data)
-    compressed = bool(flags & FLAG_COMPRESSED)
-    if compressed != (len(data) == 96):
-        raise MalformedEncoding("compression flag disagrees with length")
-    with engine.uncounted():
-        if flags & FLAG_INFINITY:
-            if (flags & FLAG_SIGN) or any(body):
-                raise MalformedEncoding("infinity encoding must be otherwise zero")
-            return G2Point.identity(engine)
-        if compressed:
-            xc1, xc0 = _int_be(body[:48]), _int_be(body[48:])
-            x = Fp2El.of(engine, xc0, xc1)
-            y = fp2_sqrt(x * x.square() + Fp2El.of(engine, 4, 4))
-            if y is None:
-                raise NotOnCurve("x has no matching y")
-            yc0, yc1 = y.to_ints()
-            if bool(flags & FLAG_SIGN) != _fp2_is_larger(yc0, yc1):
-                yc0, yc1 = (P - yc0) % P, (P - yc1) % P
-            pt = G2Point.affine(engine, (x.to_ints()), (yc0, yc1))
-        else:
-            if flags & FLAG_SIGN:
-                raise MalformedEncoding("sign flag set on uncompressed encoding")
-            xc1, xc0 = _int_be(body[:48]), _int_be(body[48:96])
-            yc1, yc0 = _int_be(body[96:144]), _int_be(body[144:])
-            pt = G2Point.affine(engine, (xc0, xc1), (yc0, yc1))
-            if not pt.on_curve():
-                raise NotOnCurve("point not on twist")
-        if not g2_subgroup_check(pt):
-            raise WrongSubgroup("point not in the order-q subgroup")
-        return pt
+    return _point_from_bytes(G2Point, _G2, engine, data)
 
 
 def gt_to_bytes(value: Fp12El) -> bytes:
-    return value.to_bytes()
+    """Twelve 48-byte Fp encodings, c0.c0.c0 first (tower coefficient order)."""
+    return b"".join(fp.to_bytes() for six in (value.c0, value.c1)
+                    for two in (six.c0, six.c1, six.c2) for fp in (two.c0, two.c1))
 
 
 def gt_from_bytes(engine, data: bytes) -> Fp12El:

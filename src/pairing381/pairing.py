@@ -20,17 +20,9 @@ and the dropped vertical lines.
 """
 
 from . import params
+from .curve import G2Point, g1_subgroup_check, g2_subgroup_check
 from .fields import pow_public
 from .tower import Fp2El, Fp6El, Fp12El
-
-
-def _twelve_xi(v: Fp2El) -> Fp2El:
-    """12*(1+alpha)*v by additions, matching the group-law constant strategy."""
-    t = v + v
-    t = t + v
-    t = t + t
-    t = t + t
-    return t.mul_by_xi()
 
 
 def _dbl_step(X, Y, Z, xp, yp):
@@ -42,7 +34,7 @@ def _dbl_step(X, Y, Z, xp, yp):
     C = Z.square()
     J = X.square()
     A2 = (X + Y).square() - J - B          # 2XY
-    E = _twelve_xi(C)                      # 3 b' Z^2
+    E = G2Point._mb3(C)                    # 3 b' Z^2
     F = E + E + E
     X3 = A2 * (B - F)
     E2 = E.square()
@@ -98,8 +90,6 @@ def _sparse_mul(f: Fp12El, line) -> Fp12El:
 
 def _prep_pair(p, q):
     """Boundary validation; returns affine (p, q) or None for a degenerate pair."""
-    from .curve import g1_subgroup_check, g2_subgroup_check
-
     if p.is_identity() or q.is_identity():
         return None
     with p.engine.uncounted():

@@ -103,20 +103,11 @@ def sign(engine, sk: SecretKey, msg: bytes, dst: bytes = DEFAULT_DST) -> Signatu
     return Signature(ecsm(sk.scalar, hash_to_g1(engine, msg, dst)))
 
 
-def _valid_pk(pk: PublicKey) -> bool:
-    pt = pk.point
-    if pt.is_identity():
+def _valid(point, subgroup_check) -> bool:
+    if point.is_identity():
         return False
-    with pt.engine.uncounted():
-        return pt.on_curve() and g2_subgroup_check(pt)
-
-
-def _valid_sig(sig: Signature) -> bool:
-    pt = sig.point
-    if pt.is_identity():
-        return False
-    with pt.engine.uncounted():
-        return pt.on_curve() and g1_subgroup_check(pt)
+    with point.engine.uncounted():
+        return point.on_curve() and subgroup_check(point)
 
 
 def verify(pk: PublicKey, msg: bytes, sig: Signature, dst: bytes = DEFAULT_DST) -> bool:
@@ -138,7 +129,8 @@ def aggregate_verify(pks: list, msgs: list, agg_sig: Signature,
         raise ValueError("need equally many public keys and messages, at least one")
     if len(set(msgs)) != len(msgs):
         raise ValueError("aggregate verification requires distinct messages")
-    if not _valid_sig(agg_sig) or not all(_valid_pk(pk) for pk in pks):
+    if not _valid(agg_sig.point, g1_subgroup_check) or not all(
+            _valid(pk.point, g2_subgroup_check) for pk in pks):
         return False
     e = pks[0].point.engine
     pairs = [(hash_to_g1(e, m, dst), pk.point) for pk, m in zip(pks, msgs)]
@@ -187,9 +179,8 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
         raise ValueError("scalar out of range")
     if not (config.randomized_projective or config.scalar_splitting):
         return ecsm(k, point)
-    with point.engine.uncounted():
-        if not point.on_curve():
-            raise ValueError("point not on curve")
+    if not point.on_curve():
+        raise ValueError("point not on curve")
     if point.is_identity():
         return point
     base = point

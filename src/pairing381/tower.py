@@ -237,9 +237,6 @@ class Fp6El:
         # multiply by beta: (c0, c1, c2) -> (xi*c2, c0, c1)
         return Fp6El(self.c2.mul_by_xi(), self.c0, self.c1)
 
-    def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero() and self.c2.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, Fp6El):
             return NotImplemented
@@ -329,9 +326,6 @@ class Fp12El:
             Fp6El(im_part(c1.mul_by_xi(), x1), im_part(a1, x3), im_part(b1, x5)),
         )
 
-    def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero()
-
     def is_one(self) -> bool:
         return self == Fp12El.one(self.engine)
 
@@ -351,15 +345,6 @@ class Fp12El:
     @staticmethod
     def from_coeffs(cs) -> "Fp12El":
         return Fp12El(Fp6El(cs[0], cs[2], cs[4]), Fp6El(cs[1], cs[3], cs[5]))
-
-    def to_bytes(self) -> bytes:
-        """48-byte Fp encodings, c0.c0.c0 first (tower coefficient order)."""
-        out = bytearray()
-        for six in (self.c0, self.c1):
-            for two in (six.c0, six.c1, six.c2):
-                out += two.c0.to_bytes()
-                out += two.c1.to_bytes()
-        return bytes(out)
 
 
 class TowerCtx:

@@ -4,7 +4,10 @@ benchmark reproducibility. Commands run in-process through main()."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pairing381 import CsprngState, Engine, keygen, sign
 from pairing381.bench import run_bench
 from pairing381.cli import main
 from pairing381.params import EXECUTABLE_WORD_SIZES, cios_cost_model
@@ -53,6 +56,33 @@ def test_verify_rejects_malformed_signature_file(tmp_path, capsys):
                     "--sig", str(bad))
     assert code == 1
     assert out[0]["verified"] is False and "reason" in out[0]
+
+
+@pytest.fixture(scope="module")
+def real_pk_sig():
+    e = Engine()
+    sk, pk = keygen(e, CsprngState(bytes.fromhex(SEED_A)))
+    return pk.to_bytes(), sign(e, sk, b"x").to_bytes()
+
+
+@settings(max_examples=12, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_on_random_files_exits_1_or_2_with_one_json_line(
+        tmp_path, capsys, real_pk_sig, wire_input, data):
+    pk_bytes, sig_bytes = real_pk_sig
+    files = {name: tmp_path / name for name in ("pk1", "pk2", "sig")}
+    files["pk1"].write_bytes(wire_input(data, [pk_bytes]))
+    files["pk2"].write_bytes(wire_input(data, [pk_bytes]))
+    files["sig"].write_bytes(wire_input(data, [sig_bytes]))
+    for argv in (("verify", "--pk", files["pk1"], "--msg", "y"),
+                 ("aggregate-verify", "--pk", files["pk1"], "--msg", "y",
+                  "--pk", files["pk2"], "--msg", "z")):
+        code = main([str(a) for a in argv] + ["--sig", str(files["sig"])])
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert code in (1, 2)
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
 def test_aggregate_lifecycle(tmp_path, capsys):

@@ -1,7 +1,10 @@
-"""Point and target-group serialization: round trips, flag handling, and the
-rejection taxonomy (malformed bytes, off-curve points, wrong subgroup)."""
+"""Point and target-group serialization: published wire vectors, round
+trips, flag handling, and the rejection taxonomy (malformed bytes, off-curve
+points, wrong subgroup), also as properties over arbitrary input."""
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import pairing381
 from pairing381.curve import G1Point, plain_mul, subgroup_check_canonical
@@ -18,8 +21,46 @@ from pairing381.encoding import (
     gt_to_bytes,
 )
 from pairing381.pairing import pairing
-from pairing381.params import P, Q
+from pairing381.params import G1_GEN_X, G1_GEN_Y, G2_GEN_X, G2_GEN_Y, P, Q
+from pairing381.protocol import PublicKey, Signature
 from pairing381.tower import Fp2El, fp2_sqrt
+
+
+def _wire(*ints):
+    return b"".join(v.to_bytes(48, "big") for v in ints)
+
+
+# Generator encodings of the common ZCash/zkcrypto BLS12-381 format, also
+# given in draft-irtf-cfrg-pairing-friendly-curves, appendix C: compressed,
+# uncompressed (Fp2 values c1 first) and the lead bytes of the negation.
+GOLDEN = {
+    "g1": (g1_to_bytes, g1_from_bytes,
+           "97f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac58"
+           "6c55e83ff97a1aeffb3af00adb22c6bb",
+           _wire(G1_GEN_X, G1_GEN_Y), "b7f1"),
+    "g2": (g2_to_bytes, g2_from_bytes,
+           "93e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049"
+           "334cf11213945d57e5ac7d055d042b7e024aa2b2f08f0a91260805272dc51051"
+           "c6e47ad4fa403b02b4510b647ae3d1770bac0326a805bbefd48056c8c121bdb8",
+           _wire(G2_GEN_X[1], G2_GEN_X[0], G2_GEN_Y[1], G2_GEN_Y[0]), "b3e0"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_published_wire_vectors(group, engine):
+    to_bytes, from_bytes, compressed_hex, uncompressed, negated_lead = GOLDEN[group]
+    gen = getattr(engine.curve, group + "_gen")
+    ident = type(gen).identity(engine)
+    compressed = bytes.fromhex(compressed_hex)
+    negated = bytes([compressed[0] | 0x20]) + compressed[1:]
+    assert negated[:2].hex() == negated_lead
+    n = len(compressed)
+    for pt, comp, raw in ((gen, True, compressed), (gen, False, uncompressed),
+                          (-gen, True, negated),
+                          (ident, True, b"\xc0" + bytes(n - 1)),
+                          (ident, False, b"\x40" + bytes(2 * n - 1))):
+        assert to_bytes(pt, comp) == raw
+        assert from_bytes(engine, raw) == pt
 
 
 @pytest.mark.parametrize("compressed,size", [(True, 48), (False, 96)])
@@ -173,3 +214,41 @@ def test_gt_coefficient_out_of_range_rejected(engine):
         bad[48 * i:48 * (i + 1)] = P.to_bytes(48, "big")
         with pytest.raises(MalformedEncoding):
             gt_from_bytes(engine, bytes(bad))
+
+
+# name: (decoder returning the point, encoder of its group, Fp limbs per coordinate)
+DECODERS = {
+    "g1_from_bytes": (g1_from_bytes, g1_to_bytes, 1),
+    "g2_from_bytes": (g2_from_bytes, g2_to_bytes, 2),
+    "Signature.from_bytes":
+        (lambda e, raw: Signature.from_bytes(e, raw).point, g1_to_bytes, 1),
+    "PublicKey.from_bytes":
+        (lambda e, raw: PublicKey.from_bytes(e, raw).point, g2_to_bytes, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_encodings(engine):
+    """Per limb count: ±generator, another multiple and the identity, both forms."""
+    out = {}
+    for limbs, gen, to_bytes in ((1, engine.curve.g1_gen, g1_to_bytes),
+                                 (2, engine.curve.g2_gen, g2_to_bytes)):
+        pts = (gen, -gen, plain_mul(gen, 0x5EED), type(gen).identity(engine))
+        out[limbs] = [to_bytes(pt, comp) for pt in pts for comp in (True, False)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_decoders_yield_canonical_points_or_encoding_errors(
+        name, data, engine, valid_encodings, wire_input):
+    decode, encode, limbs = DECODERS[name]
+    raw = wire_input(data, valid_encodings[limbs])
+    try:
+        pt = decode(engine, raw)
+    except EncodingError as exc:
+        event(type(exc).__name__)
+        return
+    event("point")
+    assert encode(pt, len(raw) == 48 * limbs) == raw
