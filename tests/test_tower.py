@@ -1,12 +1,14 @@
 """Extension tower: ring laws against random samples, inverse correctness,
 Frobenius structure, and the Fp2 operation-counting conventions."""
 
+import hashlib
 import random
 
 import pytest
 
-from pairing381 import Engine, OpCounter
-from pairing381.pairing import pairing
+from pairing381 import Engine, FieldElement, OpCounter
+from pairing381.pairing import (_add_step, _dbl_step, _sparse_mul,
+                                pairing)
 from pairing381.params import P
 from pairing381.tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
@@ -282,3 +284,161 @@ def test_backends_agree_on_counts_and_traces(name, twin_engines):
     (db, tb), (dw, tw) = runs
     assert db == dw
     assert tb == tw and tb
+
+
+COMPOSITE_OPS = ("fp6_mul", "fp6_square", "fp6_inverse", "fp12_mul",
+                 "fp12_square", "cyclotomic_square", "fp12_inverse",
+                 "fp12_conjugate", "frobenius1", "frobenius2", "frobenius3",
+                 "sparse_mul", "dbl_step", "add_step")
+
+
+def _composite_call(op, e, rng):
+    """A thunk running one composite op on inputs drawn from rng; inputs are
+    prepared uncounted."""
+    a, b = rand_fp6(e, rng), rand_fp6(e, rng)
+    f, g = rand_fp12(e, rng), rand_fp12(e, rng)
+    X, Y, Z, xq, yq = (rand_fp2(e, rng) for _ in range(5))
+    xp, yp = e.fp(rng.randrange(P)), e.fp(rng.randrange(P))
+    with e.uncounted():
+        tw = e.tower
+        z = f.conjugate() * f.inverse()
+        z = tw.frobenius(z, 2) * z                 # cyclotomic subgroup
+    return {
+        "fp6_mul": lambda: a * b,
+        "fp6_square": a.square,
+        "fp6_inverse": a.inverse,
+        "fp12_mul": lambda: f * g,
+        "fp12_square": f.square,
+        "cyclotomic_square": z.cyclotomic_square,
+        "fp12_inverse": f.inverse,
+        "fp12_conjugate": f.conjugate,
+        "frobenius1": lambda: tw.frobenius(f, 1),
+        "frobenius2": lambda: tw.frobenius(f, 2),
+        "frobenius3": lambda: tw.frobenius(f, 3),
+        "sparse_mul": lambda: _sparse_mul(f, (X, Y, Z)),
+        "dbl_step": lambda: _dbl_step(X, Y, Z, xp, yp),
+        "add_step": lambda: _add_step(X, Y, Z, xq, yq, xp, yp),
+    }[op]
+
+
+def _value_digest(v) -> str:
+    """SHA-256 of the Fp coefficients of a tower value, or of a tuple of
+    them, in layout order, each as 48 big-endian bytes."""
+    def ints(v):
+        if isinstance(v, tuple):
+            return [i for x in v for i in ints(x)]
+        if isinstance(v, Fp2El):
+            return list(v.to_ints())
+        if isinstance(v, FieldElement):
+            return [v.to_int()]
+        return [i for c in (v.c0, v.c1, getattr(v, "c2", None))
+                if c is not None for i in ints(c)]
+    return hashlib.sha256(b"".join(i.to_bytes(48, "big")
+                                   for i in ints(v))).hexdigest()
+
+
+# Each composite op at w = 64 on inputs from random.Random(0xC0FFEE): the
+# counter delta in every field, the trace length and SHA-256, and the value's
+# SHA-256; equal on both backends.
+COMPOSITE_CONTRACT = {
+    "fp6_mul": (
+        {"m2": 6, "a2": 17, "word_mul": 1404, "word_add": 3860, "m1_in2": 18,
+         "a1_in2": 64},
+        105,
+        "8e7e50e461d8d54bd5af22ac9f30b3776b0ad2131b89dc90fd2f5eb7681646fc",
+        "17b58aba2c88571d94b25b1c2c5eccde20249aadc7e7fdb586bd25b3eb473371"),
+    "fp6_square": (
+        {"m2": 2, "s2": 3, "a2": 12, "word_mul": 936, "word_add": 2582,
+         "m1_in2": 12, "a1_in2": 43},
+        72,
+        "6d89816247b2e031731060bd92665d07dfce1ae6c07c6b7a159f970f4430373c",
+        "833a61adb52d65f63d5bd4052e353120740c227b7cb232128a131d607857b993"),
+    "fp6_inverse": (
+        {"m2": 9, "s2": 3, "a2": 8, "i2": 1, "word_mul": 50310,
+         "word_add": 110546, "inv_m1": 608, "m1_in2": 37, "a1_in2": 72,
+         "i1_in2": 1},
+        739,
+        "8f573255bc0b7661886091d6f9a0b0cdf1f40c15ffef7bf4f7c898d3b7e290bd",
+        "764b3530a2b080743c1f56b0a5fdacf76d3667d81b6db808877595e59bf82b86"),
+    "fp12_mul": (
+        {"m2": 18, "a2": 67, "word_mul": 4212, "word_add": 11983,
+         "m1_in2": 54, "a1_in2": 224},
+        363,
+        "a33c203126f1983234c602ef208033525dbe5255a4d0082eb244f0bdc38b1f7f",
+        "4b5fea5e29f9a3bdd5bb1d71f9e0f8fe44bb9b955553ffd1acecdf4b82b62aef"),
+    "fp12_square": (
+        {"m2": 12, "a2": 51, "word_mul": 2808, "word_add": 8148, "m1_in2": 36,
+         "a1_in2": 162},
+        261,
+        "b4ebf48b0e91c0c551d1baa3eaba4ec0cd03b21acb023a8db1ed11f577f665c1",
+        "6161b97f87f126bd27ca5063b5a9cc956d20d6debaed3900f4d065450857e8dd"),
+    "cyclotomic_square": (
+        {"s2": 9, "a2": 34, "word_mul": 1404, "word_add": 4264, "m1_in2": 18,
+         "a1_in2": 95},
+        156,
+        "9c8fd9ac3cda8d3a3eb8580ff3914d4b8a8b0a6a0d26d56e5a09c08783d15aa8",
+        "634c690798ee366788c85bcd89e2603bae071125f4917e22f0e7f2252e9c2562"),
+    "fp12_inverse": (
+        {"m2": 25, "s2": 9, "a2": 73, "i2": 1, "word_mul": 54990,
+         "word_add": 123599, "inv_m1": 608, "m1_in2": 97, "a1_in2": 300,
+         "i1_in2": 1},
+        1114,
+        "0f1974f2a0fc05a9d992383f4e63f9141c709f59894ea8ba69996d4cf6715fce",
+        "3ec05bbb86670e352220accc59e60a3d72766a52cc26c66b9b938c1add62691e"),
+    "fp12_conjugate": (
+        {"a2": 3, "word_add": 72, "a1_in2": 6},
+        9,
+        "e7f2e5faf1b4b15c089f999a7de0f5b265dff513941e19a00dd2330011fa67da",
+        "3e1c5751a51553b2fd086daa1a97d3a44b629b5b4afb6f09335a7a1059fa8bb1"),
+    "frobenius1": (
+        {"m2": 5, "a2": 6, "word_mul": 1170, "word_add": 2932, "m1_in2": 15,
+         "a1_in2": 31},
+        57,
+        "784ea1e9e944c822582f329de4f26be473483b4269cd8a27fd984bae3ef33530",
+        "a15e395ee8eb51d89de822651271929aed8a39d42b2b9bf6f708366208ea15e2"),
+    "frobenius2": (
+        {"m1": 10, "word_mul": 780, "word_add": 1700},
+        10,
+        "935acee8339b184467484e21e84a127b423807650441bbe343d1c94c425ce62b",
+        "3ac7f51998df6ededda75c599d5c8646f74a3b773d406d4a9c5257b496a4f12e"),
+    "frobenius3": (
+        {"m2": 5, "a2": 6, "word_mul": 1170, "word_add": 2932, "m1_in2": 15,
+         "a1_in2": 31},
+        57,
+        "784ea1e9e944c822582f329de4f26be473483b4269cd8a27fd984bae3ef33530",
+        "f5edaeab34e9128c22aacbed9f6ed07a9b89bb46f6ec68f44e73e29bc2394d59"),
+    "sparse_mul": (
+        {"m2": 14, "a2": 38, "word_mul": 3276, "word_add": 8963, "m1_in2": 42,
+         "a1_in2": 146},
+        240,
+        "c34f0b44139142d00e5ce3055f83da2ad31ede004ff9310eac5f79458a1c5094",
+        "a516a2e80783c950c0943bb38b12e54c41c0d26dd65b4db1eaabf25e64c36360"),
+    "dbl_step": (
+        {"m1": 4, "m2": 2, "s2": 7, "a2": 27, "word_mul": 1872,
+         "word_add": 5154, "m1_in2": 20, "a1_in2": 85},
+        145,
+        "84d917a99bb191086451091c968f39fbe364a98c2a967d48b19dcac3e0e0c041",
+        "04cab9f45b0af165ce1b96ded5925d83ef2694ed5056f5791f4fcc311438f584"),
+    "add_step": (
+        {"m1": 4, "m2": 11, "s2": 2, "a2": 10, "word_mul": 3198,
+         "word_add": 7971, "m1_in2": 37, "a1_in2": 81},
+        145,
+        "3c57ff5d327c1ea46eb9819a1ffe984be80d2fb1c475dc3b9213e8902dd3f2b8",
+        "174d19819351d23f70bc0b1837dfe7b255b85923d238b28d7b992a1300c7e608"),
+}
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["bigint", "words"])
+@pytest.mark.parametrize("op", COMPOSITE_OPS)
+def test_composite_op_contract(op, backend, twin_engines):
+    e = twin_engines[backend]
+    delta, length, trace_sha, value_sha = COMPOSITE_CONTRACT[op]
+    run = _composite_call(op, e, random.Random(0xC0FFEE))
+    sink = []
+    before = e.counter.snapshot()
+    with e.tracing(sink):
+        out = run()
+    assert e.counter.delta(before) == OpCounter(**delta)
+    assert len(sink) == length
+    assert hashlib.sha256(" ".join(sink).encode()).hexdigest() == trace_sha
+    assert _value_digest(out) == value_sha
