@@ -15,7 +15,8 @@ validation.
 from typing import Callable, NamedTuple
 
 from .curve import G1Point, G2Point, g1_subgroup_check, g2_subgroup_check
-from .params import P
+from .fields import pow_public
+from .params import ABS_U, P
 from .tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
 FLAG_COMPRESSED = 0x80
@@ -137,12 +138,24 @@ def gt_to_bytes(value: Fp12El) -> bytes:
 
 
 def gt_from_bytes(engine, data: bytes) -> Fp12El:
+    """Decode a Gt value; anything outside the order-q target group raises
+    WrongSubgroup. The membership test is uncounted boundary work."""
     if len(data) != 576:
         raise MalformedEncoding("Gt encoding must be 576 bytes")
+    ints = [_int_be(data[48 * i:48 * (i + 1)]) for i in range(12)]
     with engine.uncounted():
-        vals = []
-        for i in range(12):
-            vals.append(engine.fp(_int_be(data[48 * i:48 * (i + 1)])))
-        twos = [Fp2El(vals[2 * i], vals[2 * i + 1]) for i in range(6)]
-        return Fp12El(Fp6El(twos[0], twos[1], twos[2]),
-                      Fp6El(twos[3], twos[4], twos[5]))
+        twos = [Fp2El.of(engine, ints[2 * i], ints[2 * i + 1]) for i in range(6)]
+        g = Fp12El(Fp6El(*twos[:3]), Fp6El(*twos[3:]))
+        if not (any(ints) and _in_gt(g)):
+            raise WrongSubgroup("value not in the order-q target group")
+        return g
+
+
+def _in_gt(g: Fp12El) -> bool:
+    """Scott's test (ePrint 2021/1130) for nonzero g: g^(p^4) g == g^(p^2)
+    puts g in the cyclotomic subgroup, and there g is in Gt iff g^p == g^u,
+    with g^u = conj(g^|u|) as u < 0. Zero passes both identities."""
+    tw = g.engine.tower
+    g2 = tw.frobenius(g, 2)
+    return (tw.frobenius(g2, 2) * g == g2
+            and tw.frobenius(g, 1) == pow_public(g, ABS_U).conjugate())

@@ -6,20 +6,25 @@ Montgomery reduction on Python integers and charges the word counters from the
 CIOS law, "words" executes the instrumented word-array loops in cios.py.
 
 Counting rules (the whole artifact depends on these):
-  * every counted operation, Fp or Fp2, is one tally plus arithmetic on raw
-    values. The tally applies a record built once per operation kind and field
-    spec from the operation's steps (STEPS below): its counter increments and
-    its trace tuple, in the order the operation runs its Fp-level steps. On
-    bigint the record also holds the word-law increments; on words the cios.py
-    loops charge the word counters as they run;
-  * every mul/sqr/add/sub/neg/inv on a field element bumps exactly one
-    base counter, unconditionally;
+  * every counted operation, from an Fp add to a Miller doubling step, is one
+    tally plus a raw kernel: a function of a primitive set (RawOps) and raw
+    values, registered with @kernel. The tally applies the op's record, its
+    counter increments and trace tuple, built once per op and field spec on
+    first use by running the op's own kernel on a _Recorder with placeholder
+    values: each Fp primitive the body calls (mul, sqr, add, sub, neg, inv)
+    is one step, each registered op it calls adds that op's record, in call
+    order. On bigint a record also holds the word-law increments; on words
+    the cios.py loops charge the word counters as they run;
+  * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
+    neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
+    so its trace says m1);
   * multiplications executed inside an inversion's exponentiation chain go to
     inv_m1/inv_mq, never to m1/mq, so an inversion's full fixed cost is
     carried by its i-counter exactly once;
-  * Fp work nested inside an Fp2 operation goes to its own buckets
-    (m1_in2, ...), never to m1/s1/a1/i1, which count direct Fp work only;
-    the raw Fp view is the sum of the two, and the trace names both m1, ...;
+  * an op with a marker (each Fp2 op: m2, a2, ...) bumps it first, and its Fp
+    steps go to their own buckets (m1_in2, ...), never to m1/s1/a1/i1, which
+    count direct Fp work only; the raw Fp view is the sum of the two, and the
+    trace names both m1, ...;
   * under uncounted() a tally does nothing and the word loops charge a scratch
     counter;
   * conversions into and out of Montgomery form are I/O boundary work and are
@@ -34,70 +39,80 @@ from .cios import cios_mont_mul, from_limbs, to_limbs, word_mod_add, word_mod_su
 from .counters import OpCounter
 from .params import system_params
 
-# Fp-level steps of each counted operation, in execution order: "m" mul,
-# "s" square, "+" add, "-" sub or neg, "i" inversion (its i-counter, then the
-# Fermat chain). An Fp2 operation first bumps its own counter, named here.
-# The Fp2 bodies in tower.py run their steps in exactly this order.
-STEPS = {
-    "add": (None, "+"),
-    "sub": (None, "-"),
-    "neg": (None, "-"),
-    "mul": (None, "m"),
-    "sqr": (None, "s"),
-    "inv": (None, "i"),
-    "mul_fp": (None, "mm"),           # Fp2 times an Fp scalar: direct Fp work
-    "add2": ("a2", "++"),
-    "sub2": ("a2", "--"),
-    "neg2": ("a2", "--"),
-    "conj2": ("a2", "-"),
-    "xi2": ("a2", "-+"),
-    "mul2": ("m2", "mm++-m--"),       # v0 - v1 runs before s*t
-    "sqr2": ("s2", "+-mm+"),
-    "inv2": ("i2", "mm+imm-"),
-}
+
+class _Symbol:
+    """A placeholder raw value: a kernel that tests one cannot be recorded."""
+
+    def __bool__(self, *other):
+        raise TypeError("kernel branched on a value")
+
+    __eq__ = __lt__ = __gt__ = __index__ = __bool__
 
 
-def _record(spec, outer, steps, word_law):
-    """(counter increments, trace tuple) of one operation over spec."""
-    f = "1" if spec.name == "fp" else "q"
-    nested = "_in2" if outer and spec.name == "fp" else ""
-    chain = tuple(k + f for bit in bin(spec.modulus - 2)[3:]
-                  for k in ("sm" if bit == "1" else "s"))
-    mul_law = (spec.words_per_mul, spec.word_adds_per_mul)
-    law = {"m": mul_law, "s": mul_law,
-           "+": (0, spec.word_adds_per_modadd),
-           "-": (0, spec.word_adds_per_modsub),
-           "i": (len(chain) * mul_law[0], len(chain) * mul_law[1])}
-    incs = Counter()
-    trace = []
-    if outer:
-        incs[outer] += 1
-        trace.append(outer)
-    for step in steps:
-        name = ("a" if step in "+-" else step) + f
-        incs[name + nested] += 1
-        trace.append(name)
-        if step == "i":
-            incs["inv_m" + f] += len(chain)
-            trace += chain
-        if word_law:
-            incs["word_mul"] += law[step][0]
-            incs["word_add"] += law[step][1]
-    return tuple((k, n) for k, n in incs.items() if n), tuple(trace)
+X1 = _Symbol()     # placeholder shape of one raw Fp value
+
+
+class _Recorder:
+    """A primitive set that records the steps a kernel takes, computing
+    nothing; .record is the op's (counter increments, trace tuple)."""
+
+    def __init__(self, ops, op):
+        fn, marker, args, _ = KERNELS[op]
+        spec = ops.spec
+        self.ops = ops
+        self.f = f = "1" if spec.name == "fp" else "q"
+        self.nested = "_in2" if marker and spec.name == "fp" else ""
+        w = ops.engine.backend == "bigint"   # words: the loops charge words
+        mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
+        add, sub = (0, w * spec.word_adds_per_modadd), (0, w * spec.word_adds_per_modsub)
+        chain = tuple(s + f for bit in bin(spec.modulus - 2)[3:]
+                      for s in ("sm" if bit == "1" else "s"))
+        self.mul = lambda a, b: self._step("m", mul)
+        self.sqr = lambda a: self._step("s", mul)
+        self.add = lambda a, b: self._step("a", add)
+        self.sub = lambda a, b: self._step("a", sub)
+        self.neg = lambda a: self._step("a", sub)
+        self.inv = lambda a: self._step("i", mul, chain)
+        self.incs = Counter({marker: 1} if marker else {})
+        self.trace = [marker] if marker else []
+        fn(self, *args)
+        self.record = (tuple((k, n) for k, n in self.incs.items() if n),
+                       tuple(self.trace))
+
+    def _step(self, kind, law, chain=()):
+        name = kind + self.f
+        self.incs[name + self.nested] += 1
+        self.trace.append(name)
+        if chain:         # an inversion: its Fermat chain follows it
+            self.incs["inv_m" + self.f] += len(chain)
+            self.trace += chain
+        self.incs["word_mul"] += max(len(chain), 1) * law[0]
+        self.incs["word_add"] += max(len(chain), 1) * law[1]
+        return X1
+
+    def __getattr__(self, name):
+        """A registered op called from the body adds its own record."""
+        if name not in KERNELS:
+            raise AttributeError(name)
+        incs, trace = self.ops.records[name]
+
+        def apply(*raw):
+            self.incs.update(dict(incs))
+            self.trace += trace
+            return KERNELS[name][3]
+        return apply
 
 
 class _Records(dict):
-    """spec -> {operation: record}, built on first use of each spec."""
+    """op -> record over one RawOps' field, built on first use."""
 
-    def __init__(self, word_law: bool):
+    def __init__(self, ops):
         super().__init__()
-        self.word_law = word_law
+        self.ops = ops
 
-    def __missing__(self, spec):
-        recs = {op: _record(spec, outer, steps, self.word_law)
-                for op, (outer, steps) in STEPS.items()}
-        self[spec] = recs
-        return recs
+    def __missing__(self, op):
+        rec = self[op] = _Recorder(self.ops, op).record
+        return rec
 
 
 class FieldElement:
@@ -110,23 +125,32 @@ class FieldElement:
         self.spec = spec
         self.val = val
 
+    # one tally of the op, then its primitive on raw values
     def __add__(self, other):
-        return self.engine.mod_add(self, other)
+        o = self.engine.charge("add", self, other)
+        return FieldElement(self.engine, o.spec, o.add(self.val, other.val))
 
     def __sub__(self, other):
-        return self.engine.mod_sub(self, other)
+        o = self.engine.charge("sub", self, other)
+        return FieldElement(self.engine, o.spec, o.sub(self.val, other.val))
 
     def __neg__(self):
-        return self.engine.mod_neg(self)
+        o = self.engine.charge("neg", self)
+        return FieldElement(self.engine, o.spec, o.neg(self.val))
 
     def __mul__(self, other):
-        return self.engine.mont_mul(self, other)
+        o = self.engine.charge("mul", self, other)
+        return FieldElement(self.engine, o.spec, o.mul(self.val, other.val))
 
     def square(self):
-        return self.engine.mont_sqr(self)
+        o = self.engine.charge("sqr", self)
+        return FieldElement(self.engine, o.spec, o.sqr(self.val))
 
     def inverse(self):
-        return self.engine.mont_inv(self)
+        if self.is_zero():
+            raise ZeroDivisionError(f"inversion of zero in {self.spec.name}")
+        o = self.engine.charge("inv", self)
+        return FieldElement(self.engine, o.spec, o.inv(self.val))
 
     def is_zero(self) -> bool:
         if isinstance(self.val, tuple):
@@ -165,37 +189,98 @@ def pow_public(x, exp: int):
     return acc
 
 
-def _big_mul(a, b, spec):
-    n, mask = spec.modulus, spec.full_mask
-    t = a * b
-    m = (t & mask) * spec.np_full & mask     # only t mod R matters for m
-    t = (t + m * n) >> spec.rbits
-    return t - n * (t >= n)
+def _big_ops(spec):
+    """Montgomery mul, add, sub and neg on Python ints for one spec."""
+    n, mask, np_full, rbits = spec.modulus, spec.full_mask, spec.np_full, spec.rbits
+
+    def mul(a, b):
+        t = a * b
+        m = (t & mask) * np_full & mask       # only t mod R matters for m
+        t = (t + m * n) >> rbits
+        return t - n * (t >= n)
+
+    def add(a, b):
+        v = a + b
+        return v - n * (v >= n)
+
+    def sub(a, b):
+        v = a - b
+        return v + n * (v < 0)
+
+    def neg(a):
+        v = -a
+        return v + n * (v < 0)
+
+    return mul, add, sub, neg
 
 
-def _big_add(a, b, spec):
-    v = a + b
-    return v - spec.modulus * (v >= spec.modulus)
+class RawOps:
+    """One engine's arithmetic over one field spec, on raw Montgomery values.
+
+    mul, sqr, add, sub, neg and inv are the Fp primitives (ints on bigint,
+    limb tuples on words, where the cios.py loops charge their word
+    operations as they run). Every other registered kernel is a method.
+    Nothing here tallies: callers charge the op's record first
+    (Engine.charge, or apply).
+    """
+
+    def __init__(self, engine, spec):
+        self.engine = engine
+        self.spec = spec
+        self.records = _Records(self)
+        if engine.backend == "bigint":
+            self.mul, self.add, self.sub, self.neg = _big_ops(spec)
+            return
+        sink, zero = engine._wsink, (0,) * spec.limbs
+        self.mul = lambda a, b: cios_mont_mul(a, b, spec, sink())
+        self.add = lambda a, b: word_mod_add(a, b, spec, sink())
+        self.sub = lambda a, b: word_mod_sub(a, b, spec, sink())
+        self.neg = lambda a: word_mod_sub(zero, a, spec, sink())
+
+    def sqr(self, a):
+        return self.mul(a, a)
+
+    def inv(self, a):
+        """a^(modulus-2) on a raw nonzero value, by the fixed MSB-first
+        square-and-multiply chain: 380 squarings and 228 multiplications for
+        Fp, 254 and 163 for Fq, charged to inv_m1/inv_mq."""
+        mul = self.mul
+        acc = a
+        for bit in bin(self.spec.modulus - 2)[3:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, a)
+        return acc
+
+    def apply(self, op: str, *raw):
+        """Tally op once, then run its kernel on raw values."""
+        if not self.engine._suspend:
+            self.engine._tally(self.records[op])
+        return getattr(self, op)(*raw)
 
 
-def _big_sub(a, b, spec):
-    v = a - b
-    return v + spec.modulus * (v < 0)
+KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
 
 
-def _big_neg(a, spec):
-    v = -a
-    return v + spec.modulus * (v < 0)
+def kernel(name: str, *args, out, marker=None):
+    """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
+    kernel that is not an Fp primitive becomes a method of RawOps."""
+    def register(fn):
+        KERNELS[name] = (fn, marker, args, out)
+        if name not in _PRIMITIVES:
+            setattr(RawOps, name, fn)
+        return fn
+    return register
+
+
+_PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
+for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
+    kernel(_op, *(X1,) * _n, out=X1)(
+        lambda o, *a, _op=_op: getattr(o, _op)(*a))
 
 
 class Engine:
-    """Field arithmetic context: parameters, counters, trace, backend.
-
-    raw_mul(a, b, spec), raw_add, raw_sub and raw_neg(a, spec) are the
-    backend's arithmetic on raw Montgomery values (ints on bigint, limb tuples
-    on words). They count nothing themselves, except that the words versions
-    run the cios.py loops, which charge their word operations as they go.
-    """
+    """Field arithmetic context: parameters, counters, trace, backend."""
 
     def __init__(self, word_size: int = 64, backend: str = "bigint"):
         if backend not in ("bigint", "words"):
@@ -208,13 +293,7 @@ class Engine:
         self.fq_spec = self.params.fq
         self._suspend = 0
         self._scratch = OpCounter()  # sink for word ops while suspended
-        self._records = _Records(word_law=backend == "bigint")
-        if backend == "words":
-            self.raw_mul, self.raw_add = self._word_mul, self._word_add
-            self.raw_sub, self.raw_neg = self._word_sub, self._word_neg
-        else:
-            self.raw_mul, self.raw_add = _big_mul, _big_add
-            self.raw_sub, self.raw_neg = _big_sub, _big_neg
+        self._ops = {}               # spec -> RawOps
         self._tower = None
         self._curve = None
         self._jubjub = None
@@ -237,62 +316,6 @@ class Engine:
             mont = to_limbs(mont, spec)
         return FieldElement(self, spec, mont)
 
-    # ----- counted arithmetic -----
-
-    def mod_add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self.charge("add", x, y)
-        return FieldElement(self, spec, self.raw_add(x.val, y.val, spec))
-
-    def mod_sub(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self.charge("sub", x, y)
-        return FieldElement(self, spec, self.raw_sub(x.val, y.val, spec))
-
-    def mod_neg(self, x: FieldElement) -> FieldElement:
-        spec = self.charge("neg", x)
-        return FieldElement(self, spec, self.raw_neg(x.val, spec))
-
-    def mont_mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        spec = self.charge("mul", x, y)
-        return FieldElement(self, spec, self.raw_mul(x.val, y.val, spec))
-
-    def mont_sqr(self, x: FieldElement) -> FieldElement:
-        spec = self.charge("sqr", x)
-        return FieldElement(self, spec, self.raw_mul(x.val, x.val, spec))
-
-    def mont_inv(self, x: FieldElement) -> FieldElement:
-        """x^(modulus-2) by fixed MSB-first square-and-multiply.
-
-        The chain length depends only on the public modulus: 380 squarings and
-        228 multiplications for Fp, 254 and 163 for Fq. Those go to the
-        inversion-internal counters; the i-counter itself advances by one.
-        """
-        if x.is_zero():
-            raise ZeroDivisionError(f"inversion of zero in {x.spec.name}")
-        spec = self.charge("inv", x)
-        return FieldElement(self, spec, self.raw_inv(x.val, spec))
-
-    def raw_inv(self, a, spec):
-        """a^(modulus-2) on a raw nonzero value: the fixed Fermat chain."""
-        mul = self.raw_mul
-        acc = a
-        for bit in bin(spec.modulus - 2)[3:]:
-            acc = mul(acc, acc, spec)
-            if bit == "1":
-                acc = mul(acc, a, spec)
-        return acc
-
-    def _word_mul(self, a, b, spec):
-        return cios_mont_mul(a, b, spec, self._wsink())
-
-    def _word_add(self, a, b, spec):
-        return word_mod_add(a, b, spec, self._wsink())
-
-    def _word_sub(self, a, b, spec):
-        return word_mod_sub(a, b, spec, self._wsink())
-
-    def _word_neg(self, a, spec):
-        return word_mod_sub((0,) * spec.limbs, a, spec, self._wsink())
-
     # ----- constant-time select (bit logic, uncounted) -----
 
     def select(self, flag: int, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -309,23 +332,32 @@ class Engine:
 
     # ----- counter plumbing -----
 
-    def charge(self, op: str, *xs: FieldElement):
-        """Tally op once for operands that share one field and this engine.
-
-        Returns their spec; operands from different fields or engines raise
-        TypeError before anything is counted.
-        """
+    def raw_ops(self, *xs: FieldElement) -> RawOps:
+        """The RawOps of operands that share one field and this engine;
+        operands from different fields or engines raise TypeError."""
         spec = xs[0].spec
         for x in xs:
             if x.spec is not spec or x.engine is not self:
                 raise TypeError("operands from different fields or engines")
-        self._tally(self._records[spec][op])
-        return spec
+        o = self._ops.get(spec)
+        if o is None:
+            o = self._ops[spec] = RawOps(self, spec)
+        return o
+
+    def charge(self, op: str, *xs: FieldElement) -> RawOps:
+        """raw_ops(*xs) plus one tally of op; nothing is counted if the
+        operands are rejected. Runs once per counted op, so it is inlined."""
+        spec = xs[0].spec
+        for x in xs:
+            if x.spec is not spec or x.engine is not self:
+                raise TypeError("operands from different fields or engines")
+        o = self._ops.get(spec) or self.raw_ops(*xs)
+        if not self._suspend:
+            self._tally(o.records[op])
+        return o
 
     def _tally(self, record) -> None:
         """Apply a record's counter increments and trace tuple."""
-        if self._suspend:
-            return
         incs, trace = record
         c = self.counter.__dict__
         for name, n in incs:

@@ -20,72 +20,83 @@ and the dropped vertical lines.
 """
 
 from . import params
-from .curve import G2Point, g1_subgroup_check, g2_subgroup_check
-from .fields import pow_public
-from .tower import Fp2El, Fp6El, Fp12El
+from .curve import g1_subgroup_check, g2_subgroup_check
+from .fields import X1, kernel, pow_public
+from .tower import X2, X12, Fp12El, _reject_zero
+
+_STEP_OUT = (X2, X2, X2, (X2, X2, X2))    # new T and the line (z0, z3, z5)
 
 
-def _dbl_step(X, Y, Z, xp, yp):
+@kernel("dbl_step", X2, X2, X2, X1, X1, out=_STEP_OUT)
+def _dbl_step(o, X, Y, Z, xp, yp):
     """Double T = (X:Y:Z) on the twist and evaluate the tangent at (xp, yp).
 
     Returns the new coordinates and the line as (z0, z3, z5) slot values.
     """
-    B = Y.square()
-    C = Z.square()
-    J = X.square()
-    A2 = (X + Y).square() - J - B          # 2XY
-    E = G2Point._mb3(C)                    # 3 b' Z^2
-    F = E + E + E
-    X3 = A2 * (B - F)
-    E2 = E.square()
-    t = E2 + E2 + E2
-    t = t + t
-    t = t + t                              # 12 E^2
-    Y3 = (B + F).square() - t
-    H = (Y + Z).square() - B - C           # 2YZ
-    BH = B * H
-    Z3 = BH + BH
-    Z3 = Z3 + Z3
-    l0 = (-H.mul_fp(yp)).mul_by_xi()
-    l3 = E - B
-    t3j = J + J + J
-    l5 = t3j.mul_fp(xp)
+    mul, sqr, add, sub, xi = o.mul2, o.sqr2, o.add2, o.sub2, o.xi2
+    B = sqr(Y)
+    C = sqr(Z)
+    J = sqr(X)
+    A2 = sub(sub(sqr(add(X, Y)), J), B)    # 2XY
+    t = add(C, C)                          # 3 b' Z^2 = 12 xi Z^2, by the
+    t = add(t, t)                          # chain of G2Point._mb3
+    E = xi(add(add(t, t), t))
+    F = add(add(E, E), E)
+    X3 = mul(A2, sub(B, F))
+    E2 = sqr(E)
+    t = add(add(E2, E2), E2)
+    t = add(t, t)
+    t = add(t, t)                          # 12 E^2
+    Y3 = sub(sqr(add(B, F)), t)
+    H = sub(sub(sqr(add(Y, Z)), B), C)     # 2YZ
+    BH = mul(B, H)
+    Z3 = add(BH, BH)
+    Z3 = add(Z3, Z3)
+    l0 = xi(o.neg2(o.mul_fp(H, yp)))
+    l3 = sub(E, B)
+    t3j = add(add(J, J), J)
+    l5 = o.mul_fp(t3j, xp)
     return X3, Y3, Z3, (l0, l3, l5)
 
 
-def _add_step(X, Y, Z, xq, yq, xp, yp):
+@kernel("add_step", X2, X2, X2, X2, X2, X1, X1, out=_STEP_OUT)
+def _add_step(o, X, Y, Z, xq, yq, xp, yp):
     """Mixed-add the affine twist point (xq, yq) into T and evaluate the chord."""
-    th = Y - yq * Z
-    lm = X - xq * Z
-    t1 = th.square()
-    t2 = lm.square()
-    t3 = lm * t2                           # lambda^3
-    t4 = Z * t1
-    t5 = X * t2
-    dd = t3 + t4 - t5 - t5
-    X3 = lm * dd
-    Y3 = th * (t5 - dd) - t3 * Y
-    Z3 = Z * t3
-    l0 = lm.mul_fp(yp).mul_by_xi()
-    l3 = th * xq - lm * yq
-    l5 = -th.mul_fp(xp)
+    mul, sqr, add, sub = o.mul2, o.sqr2, o.add2, o.sub2
+    th = sub(Y, mul(yq, Z))
+    lm = sub(X, mul(xq, Z))
+    t1 = sqr(th)
+    t2 = sqr(lm)
+    t3 = mul(lm, t2)                       # lambda^3
+    t4 = mul(Z, t1)
+    t5 = mul(X, t2)
+    dd = sub(sub(add(t3, t4), t5), t5)
+    X3 = mul(lm, dd)
+    Y3 = sub(mul(th, sub(t5, dd)), mul(t3, Y))
+    Z3 = mul(Z, t3)
+    l0 = o.xi2(o.mul_fp(lm, yp))
+    l3 = sub(mul(th, xq), mul(lm, yq))
+    l5 = o.neg2(o.mul_fp(th, xp))
     return X3, Y3, Z3, (l0, l3, l5)
 
 
-def _sparse_mul(f: Fp12El, line) -> Fp12El:
+@kernel("sparse_mul", X12, (X2, X2, X2), out=X12)
+def _sparse_mul(o, f, line):
     """f times a line with slots (z0, z3, z5) only: 3 + 5 + 6 = 14 Fp2 muls."""
+    mul, add, sub, xi = o.mul2, o.add2, o.sub2, o.xi2
     a0, b1, b2 = line
-    f0, f1 = f.c0, f.c1
-    fa = Fp6El(f0.c0 * a0, f0.c1 * a0, f0.c2 * a0)
-    c0, c1, c2 = f1.c0, f1.c1, f1.c2
-    p11 = c1 * b1
-    p22 = c2 * b2
-    pm = (c1 + c2) * (b1 + b2)
-    fb = Fp6El((pm - p11 - p22).mul_by_xi(),
-               c0 * b1 + p22.mul_by_xi(),
-               c0 * b2 + p11)
-    mid = (f0 + f1) * Fp6El(a0, b1, b2)
-    return Fp12El(fa + fb.mul_by_nonres(), mid - fa - fb)
+    f0, f1 = f
+    fa = (mul(f0[0], a0), mul(f0[1], a0), mul(f0[2], a0))
+    c0, c1, c2 = f1
+    p11 = mul(c1, b1)
+    p22 = mul(c2, b2)
+    pm = mul(add(c1, c2), add(b1, b2))
+    fb = (xi(sub(sub(pm, p11), p22)),
+          add(mul(c0, b1), xi(p22)),
+          add(mul(c0, b2), p11))
+    mid = o.fp6_mul(o.fp6_add(f0, f1), line)
+    return (o.fp6_add(fa, o.fp6_nonres(fb)),
+            o.fp6_sub(o.fp6_sub(mid, fa), fb))
 
 
 def _prep_pair(p, q):
@@ -105,21 +116,22 @@ def multi_miller_loop(pairs) -> Fp12El:
     if not pairs:
         raise ValueError("no pairs")
     e = pairs[0][0].engine
-    f = Fp12El.one(e)
-    one2 = Fp2El.one(e)
-    ts = [(q.x, q.y, one2) for _, q in pairs]
+    o = e.raw_ops(*[fe for p, q in pairs
+                    for fe in (p.x, p.y, q.x.c0, q.x.c1, q.y.c0, q.y.c1)])
+    run = o.apply
+    f = Fp12El.one(e)._raw()
+    pts = [(p.x.val, p.y.val, q.x._raw(), q.y._raw()) for p, q in pairs]
+    ts = [(xq, yq, f[0][0]) for _, _, xq, yq in pts]     # Z = f's Fp2 one
     for bit in bin(params.ABS_U)[3:]:
-        f = f.square()
-        for i, (p, q) in enumerate(pairs):
-            X, Y, Z, line = _dbl_step(*ts[i], p.x, p.y)
-            ts[i] = (X, Y, Z)
-            f = _sparse_mul(f, line)
+        f = run("fp12_sqr", f)
+        for i, (xp, yp, _, _) in enumerate(pts):
+            *ts[i], line = run("dbl_step", *ts[i], xp, yp)
+            f = run("sparse_mul", f, line)
         if bit == "1":
-            for i, (p, q) in enumerate(pairs):
-                X, Y, Z, line = _add_step(*ts[i], q.x, q.y, p.x, p.y)
-                ts[i] = (X, Y, Z)
-                f = _sparse_mul(f, line)
-    return f.conjugate()
+            for i, (xp, yp, xq, yq) in enumerate(pts):
+                *ts[i], line = run("add_step", *ts[i], xq, yq, xp, yp)
+                f = run("sparse_mul", f, line)
+    return Fp12El._wrap(o, run("fp12_conj", f))
 
 
 def miller_loop(p, q) -> Fp12El:
@@ -129,13 +141,13 @@ def miller_loop(p, q) -> Fp12El:
     return multi_miller_loop([pq])
 
 
-def _exp_abs_u(x: Fp12El) -> Fp12El:
+def _exp_abs_u(run, x):
     """x^|u| by cyclotomic square-and-multiply (63 squarings, 5 multiplies)."""
     acc = x
     for bit in bin(params.ABS_U)[3:]:
-        acc = acc.cyclotomic_square()
+        acc = run("fp12_cyclo_sqr", acc)
         if bit == "1":
-            acc = acc * x
+            acc = run("fp12_mul", acc, x)
     return acc
 
 
@@ -147,17 +159,21 @@ def final_exp(f: Fp12El) -> Fp12El:
     hard part, built from five |u|-exponentiations. Inversions after the
     easy part are conjugations.
     """
-    e = f.engine
-    tw = e.tower
-    t0 = f.conjugate() * f.inverse()
-    m = t0 * tw.frobenius(t0, 2)
-    t1 = (_exp_abs_u(m) * m).conjugate()          # m^(u-1)
-    t2 = (_exp_abs_u(t1) * t1).conjugate()        # m^(u-1)^2
-    t3 = _exp_abs_u(t2).conjugate() * tw.frobenius(t2, 1)   # ^(u+p)
-    t4 = _exp_abs_u(_exp_abs_u(t3))
-    t4 = t4 * tw.frobenius(t3, 2)
-    t4 = t4 * t3.conjugate()                      # ^(u^2+p^2-1)
-    return t4 * m.cyclotomic_square() * m
+    _reject_zero(f)
+    o = f.engine.raw_ops(*f._leaves())
+    run, k = o.apply, f.engine.tower.frob        # k[power]: Frobenius constants
+    f = f._raw()
+    t0 = run("fp12_mul", run("fp12_conj", f), run("fp12_inv", f))
+    m = run("fp12_mul", t0, run("frob2", t0, k[2]))
+    t1 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, m), m))    # m^(u-1)
+    t2 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, t1), t1))  # ^(u-1)^2
+    t3 = run("fp12_mul", run("fp12_conj", _exp_abs_u(run, t2)),
+             run("frob1", t2, k[1]))                                 # ^(u+p)
+    t4 = _exp_abs_u(run, _exp_abs_u(run, t3))
+    t4 = run("fp12_mul", t4, run("frob2", t3, k[2]))
+    t4 = run("fp12_mul", t4, run("fp12_conj", t3))           # ^(u^2+p^2-1)
+    out = run("fp12_mul", run("fp12_mul", t4, run("fp12_cyclo_sqr", m)), m)
+    return Fp12El._wrap(o, out)
 
 
 def pairing(p, q) -> Fp12El:
@@ -195,16 +211,11 @@ def multi_pairing(pairs, mode: str = "sharedmlfe") -> Fp12El:
     live = [pq for pq in (_prep_pair(p, q) for p, q in pairs) if pq is not None]
     if not live:
         return Fp12El.one(e)
-    if mode == "naive":
-        acc = None
-        for pq in live:
-            v = final_exp(multi_miller_loop([pq]))
-            acc = v if acc is None else acc * v
-        return acc
-    if mode == "sharedfe":
-        acc = None
-        for pq in live:
-            v = multi_miller_loop([pq])
-            acc = v if acc is None else acc * v
-        return final_exp(acc)
-    return final_exp(multi_miller_loop(live))
+    if mode == "sharedmlfe":
+        return final_exp(multi_miller_loop(live))
+    acc = None
+    for pq in live:
+        v = multi_miller_loop([pq])
+        v = final_exp(v) if mode == "naive" else v
+        acc = v if acc is None else acc * v
+    return acc if mode == "naive" else final_exp(acc)

@@ -12,14 +12,86 @@ Counter contract: an Fp2 mul is 3 Fp muls and 5 adds (Karatsuba), a squaring
 is 2 muls and 3 adds (complex method), an inversion is 4 muls, 2 adds and one
 Fp inversion via the norm map. An Fp2 add, sub or neg is one a2 and 2 Fp adds,
 a conjugate one a2 and 1 Fp add, a multiplication by xi one a2 and 2 Fp adds.
-Fp6/Fp12 operations bump only their Fp2-level constituents. Multiplying an
-Fp2 element by a plain Fp scalar is charged as two direct Fp muls, not as an
-Fp2 op. Each Fp2 op charges all of this in one engine tally
-(fields.STEPS) and then computes on raw values.
+Multiplying an Fp2 element by a plain Fp scalar is charged as two direct Fp
+muls, not as an Fp2 op. Every op here is a raw kernel over a primitive set
+(fields.RawOps) on tuples of raw Fp values; the element classes are thin
+wrappers that check their operands, charge the op's record in one engine
+tally and run the kernel. An Fp6/Fp12 op (and a Frobenius map) is one tally of
+a composite record: the records of the Fp2 ops its body applies, concatenated
+in call order, so its counters and trace are exactly those of its Fp2 steps.
 """
 
-from .fields import FieldElement, pow_public
+from .fields import KERNELS, X1, FieldElement, kernel, pow_public
 from .params import P
+
+X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
+X6 = (X2, X2, X2)
+X12 = (X6, X6)
+
+
+kernel("add2", X2, X2, out=X2, marker="a2")(
+    lambda o, a, b: (o.add(a[0], b[0]), o.add(a[1], b[1])))
+kernel("sub2", X2, X2, out=X2, marker="a2")(
+    lambda o, a, b: (o.sub(a[0], b[0]), o.sub(a[1], b[1])))
+kernel("neg2", X2, out=X2, marker="a2")(lambda o, a: (o.neg(a[0]), o.neg(a[1])))
+kernel("conj2", X2, out=X2, marker="a2")(lambda o, a: (a[0], o.neg(a[1])))
+# (1 + alpha)(a0 + a1 alpha) = (a0 - a1) + (a0 + a1) alpha
+kernel("xi2", X2, out=X2, marker="a2")(
+    lambda o, a: (o.sub(a[0], a[1]), o.add(a[0], a[1])))
+# an Fp2 value times an Fp scalar: two direct Fp muls, no marker
+kernel("mul_fp", X2, X1, out=X2)(lambda o, a, k: (o.mul(a[0], k), o.mul(a[1], k)))
+
+
+@kernel("mul2", X2, X2, out=X2, marker="m2")
+def _mul2(o, a, b):
+    # Karatsuba: v0 = a0 b0, v1 = a1 b1, c1 = (a0 + a1)(b0 + b1) - v0 - v1
+    mul, add, sub = o.mul, o.add, o.sub
+    (a0, a1), (b0, b1) = a, b
+    v0 = mul(a0, b0)
+    v1 = mul(a1, b1)
+    s = add(a0, a1)
+    t = add(b0, b1)
+    c0 = sub(v0, v1)                      # v0 - v1 runs before s*t
+    return c0, sub(sub(mul(s, t), v0), v1)
+
+
+@kernel("sqr2", X2, out=X2, marker="s2")
+def _sqr2(o, a):
+    # complex method: (a0 + a1)(a0 - a1) + 2 a0 a1 alpha
+    mul, add = o.mul, o.add
+    a0, a1 = a
+    t = mul(add(a0, a1), o.sub(a0, a1))
+    c1 = mul(a0, a1)
+    return t, add(c1, c1)
+
+
+@kernel("inv2", X2, out=X2, marker="i2")
+def _inv2(o, a):
+    # norm descent: 1/(a0 + a1 alpha) = (a0 - a1 alpha) / (a0^2 + a1^2)
+    mul = o.mul
+    a0, a1 = a
+    t = o.inv(o.add(mul(a0, a0), mul(a1, a1)))
+    return mul(a0, t), o.neg(mul(a1, t))
+
+
+def _fp2(like, v) -> "Fp2El":
+    """An Fp2El from raw v, over the engine and field of element `like`."""
+    e, spec = like.engine, like.spec
+    return Fp2El(FieldElement(e, spec, v[0]), FieldElement(e, spec, v[1]))
+
+
+def _fp2_method(op):
+    """An Fp2El method: one tally of op on the operands, then its kernel."""
+    fn = KERNELS[op][0]
+
+    def method(x, y=None):
+        a, b = x.c0, x.c1
+        if y is None:
+            return _fp2(a, fn(a.engine.charge(op, a, b), (a.val, b.val)))
+        c, d = y.c0, y.c1
+        return _fp2(a, fn(a.engine.charge(op, a, b, c, d), (a.val, b.val),
+                          (c.val, d.val)))
+    return method
 
 
 class Fp2El:
@@ -45,85 +117,30 @@ class Fp2El:
     def one(engine) -> "Fp2El":
         return Fp2El.of(engine, 1, 0)
 
-    # Each operation is one engine tally plus raw arithmetic, in the step
-    # order of its fields.STEPS entry.
-
-    def __add__(self, other: "Fp2El") -> "Fp2El":
-        e = self.c0.engine
-        spec = e.charge("add2", self.c0, self.c1, other.c0, other.c1)
-        add = e.raw_add
-        return _fp2(e, spec, add(self.c0.val, other.c0.val, spec),
-                    add(self.c1.val, other.c1.val, spec))
-
-    def __sub__(self, other: "Fp2El") -> "Fp2El":
-        e = self.c0.engine
-        spec = e.charge("sub2", self.c0, self.c1, other.c0, other.c1)
-        sub = e.raw_sub
-        return _fp2(e, spec, sub(self.c0.val, other.c0.val, spec),
-                    sub(self.c1.val, other.c1.val, spec))
-
-    def __neg__(self) -> "Fp2El":
-        e = self.c0.engine
-        spec = e.charge("neg2", self.c0, self.c1)
-        neg = e.raw_neg
-        return _fp2(e, spec, neg(self.c0.val, spec), neg(self.c1.val, spec))
-
-    def __mul__(self, other: "Fp2El") -> "Fp2El":
-        # Karatsuba: v0 = a0 b0, v1 = a1 b1, c1 = (a0 + a1)(b0 + b1) - v0 - v1
-        e = self.c0.engine
-        spec = e.charge("mul2", self.c0, self.c1, other.c0, other.c1)
-        mul, add, sub = e.raw_mul, e.raw_add, e.raw_sub
-        a0, a1, b0, b1 = self.c0.val, self.c1.val, other.c0.val, other.c1.val
-        v0 = mul(a0, b0, spec)
-        v1 = mul(a1, b1, spec)
-        s = add(a0, a1, spec)
-        t = add(b0, b1, spec)
-        c0 = sub(v0, v1, spec)
-        return _fp2(e, spec, c0, sub(sub(mul(s, t, spec), v0, spec), v1, spec))
-
-    def square(self) -> "Fp2El":
-        # complex method: (a0 + a1)(a0 - a1) + 2 a0 a1 alpha
-        e = self.c0.engine
-        spec = e.charge("sqr2", self.c0, self.c1)
-        mul, add = e.raw_mul, e.raw_add
-        a0, a1 = self.c0.val, self.c1.val
-        t = mul(add(a0, a1, spec), e.raw_sub(a0, a1, spec), spec)
-        c1 = mul(a0, a1, spec)
-        return _fp2(e, spec, t, add(c1, c1, spec))
+    __add__ = _fp2_method("add2")
+    __sub__ = _fp2_method("sub2")
+    __neg__ = _fp2_method("neg2")
+    __mul__ = _fp2_method("mul2")
+    square = _fp2_method("sqr2")
+    conjugate = _fp2_method("conj2")
+    mul_by_xi = _fp2_method("xi2")
+    _inverse = _fp2_method("inv2")
 
     def inverse(self) -> "Fp2El":
-        # norm descent: 1/(a0 + a1 alpha) = (a0 - a1 alpha) / (a0^2 + a1^2)
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in fp2")
-        e = self.c0.engine
-        spec = e.charge("inv2", self.c0, self.c1)
-        mul = e.raw_mul
-        a0, a1 = self.c0.val, self.c1.val
-        n = e.raw_add(mul(a0, a0, spec), mul(a1, a1, spec), spec)
-        t = e.raw_inv(n, spec)
-        return _fp2(e, spec, mul(a0, t, spec), e.raw_neg(mul(a1, t, spec), spec))
-
-    def conjugate(self) -> "Fp2El":
-        e = self.c0.engine
-        spec = e.charge("conj2", self.c0, self.c1)
-        return Fp2El(self.c0, FieldElement(e, spec, e.raw_neg(self.c1.val, spec)))
-
-    def mul_by_xi(self) -> "Fp2El":
-        # (1 + alpha)(a0 + a1 alpha) = (a0 - a1) + (a0 + a1) alpha
-        e = self.c0.engine
-        spec = e.charge("xi2", self.c0, self.c1)
-        a0, a1 = self.c0.val, self.c1.val
-        return _fp2(e, spec, e.raw_sub(a0, a1, spec), e.raw_add(a0, a1, spec))
+        return self._inverse()
 
     def mul_fp(self, k: FieldElement) -> "Fp2El":
-        e = self.c0.engine
-        spec = e.charge("mul_fp", self.c0, self.c1, k)
-        mul = e.raw_mul
-        return _fp2(e, spec, mul(self.c0.val, k.val, spec),
-                    mul(self.c1.val, k.val, spec))
+        a, b = self.c0, self.c1
+        o = a.engine.charge("mul_fp", a, b, k)
+        return _fp2(a, o.mul_fp((a.val, b.val), k.val))
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero()
+
+    def _raw(self):
+        return self.c0.val, self.c1.val
 
     def __eq__(self, other):
         if not isinstance(other, Fp2El):
@@ -139,11 +156,6 @@ class Fp2El:
     def __repr__(self):
         a, b = self.to_ints()
         return f"<fp2 0x{a:x} + 0x{b:x}*a>"
-
-
-
-def _fp2(e, spec, v0, v1) -> Fp2El:
-    return Fp2El(FieldElement(e, spec, v0), FieldElement(e, spec, v1))
 
 
 def fp_sqrt(x: FieldElement):
@@ -169,6 +181,174 @@ def fp2_sqrt(a: Fp2El):
     return cand if cand.square() == a else None
 
 
+# componentwise: Fp6 add/sub/neg apply the Fp2 op to each coefficient, Fp12
+# add/sub/neg the Fp6 op to each half, in order
+for _name, _part, _shape, _arity in (
+        ("fp6_add", "add2", X6, 2), ("fp6_sub", "sub2", X6, 2),
+        ("fp6_neg", "neg2", X6, 1), ("fp12_add", "fp6_add", X12, 2),
+        ("fp12_sub", "fp6_sub", X12, 2), ("fp12_neg", "fp6_neg", X12, 1)):
+    kernel(_name, *(_shape,) * _arity, out=_shape)(
+        lambda o, *a, _part=_part: tuple(map(getattr(o, _part), *a)))
+
+
+@kernel("fp6_nonres", X6, out=X6)
+def _fp6_nonres(o, a):
+    # multiply by beta: (c0, c1, c2) -> (xi*c2, c0, c1)
+    return o.xi2(a[2]), a[0], a[1]
+
+
+@kernel("fp6_mul", X6, X6, out=X6)
+def _fp6_mul(o, a, b):
+    # Karatsuba over the cubic: 6 Fp2 muls
+    mul, add, sub, xi = o.mul2, o.add2, o.sub2, o.xi2
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    v0 = mul(a0, b0)
+    v1 = mul(a1, b1)
+    v2 = mul(a2, b2)
+    t0 = xi(sub(sub(mul(add(a1, a2), add(b1, b2)), v1), v2))
+    t1 = sub(sub(mul(add(a0, a1), add(b0, b1)), v0), v1)
+    t2 = sub(sub(mul(add(a0, a2), add(b0, b2)), v0), v2)
+    return add(v0, t0), add(t1, xi(v2)), add(t2, v1)
+
+
+@kernel("fp6_sqr", X6, out=X6)
+def _fp6_sqr(o, a):
+    # 2 Fp2 muls + 3 Fp2 squarings
+    mul, sqr, add, sub, xi = o.mul2, o.sqr2, o.add2, o.sub2, o.xi2
+    a0, a1, a2 = a
+    s0 = sqr(a0)
+    ab = mul(a0, a1)
+    s1 = add(ab, ab)
+    s2 = sqr(add(sub(a0, a1), a2))
+    bc = mul(a1, a2)
+    s3 = add(bc, bc)
+    s4 = sqr(a2)
+    return (add(s0, xi(s3)), add(s1, xi(s4)),
+            sub(sub(add(add(s1, s2), s3), s0), s4))
+
+
+@kernel("fp6_inv", X6, out=X6)
+def _fp6_inv(o, a):
+    # 9 Fp2 muls + 3 squarings + one Fp2 inversion
+    mul, sqr, add, sub, xi = o.mul2, o.sqr2, o.add2, o.sub2, o.xi2
+    a0, a1, a2 = a
+    t0 = sub(sqr(a0), xi(mul(a1, a2)))
+    t1 = sub(xi(sqr(a2)), mul(a0, a1))
+    t2 = sub(sqr(a1), mul(a0, a2))
+    d = add(mul(a0, t0), xi(add(mul(a2, t1), mul(a1, t2))))
+    dinv = o.inv2(d)
+    return mul(t0, dinv), mul(t1, dinv), mul(t2, dinv)
+
+
+@kernel("fp12_conj", X12, out=X12)
+def _fp12_conj(o, a):
+    """f^(p^6): negation of the gamma half."""
+    return a[0], o.fp6_neg(a[1])
+
+
+@kernel("fp12_mul", X12, X12, out=X12)
+def _fp12_mul(o, a, b):
+    # Karatsuba over the quadratic: 3 Fp6 muls = 18 Fp2 muls
+    mul, add, sub = o.fp6_mul, o.fp6_add, o.fp6_sub
+    (a0, a1), (b0, b1) = a, b
+    v0 = mul(a0, b0)
+    v1 = mul(a1, b1)
+    c1 = sub(sub(mul(add(a0, a1), add(b0, b1)), v0), v1)
+    return add(v0, o.fp6_nonres(v1)), c1
+
+
+@kernel("fp12_sqr", X12, out=X12)
+def _fp12_sqr(o, a):
+    # complex method: 2 Fp6 muls = 12 Fp2 muls
+    mul, add, sub, nonres = o.fp6_mul, o.fp6_add, o.fp6_sub, o.fp6_nonres
+    a0, a1 = a
+    v = mul(a0, a1)
+    t = mul(add(a0, a1), add(a0, nonres(a1)))
+    return sub(sub(t, v), nonres(v)), add(v, v)
+
+
+@kernel("fp12_inv", X12, out=X12)
+def _fp12_inv(o, a):
+    a0, a1 = a
+    t = o.fp6_inv(o.fp6_sub(o.fp6_sqr(a0), o.fp6_nonres(o.fp6_sqr(a1))))
+    return o.fp6_mul(a0, t), o.fp6_neg(o.fp6_mul(a1, t))
+
+
+@kernel("fp12_cyclo_sqr", X12, out=X12)
+def _fp12_cyclo_sqr(o, f):
+    """Squaring valid only in the cyclotomic subgroup: 9 Fp2 squarings.
+
+    Works on the three Fp4 sub-planes of the z-degree grid
+    (0,3), (1,4), (2,5); for x in the subgroup, x^2 has the closed
+    Granger-Scott form below.
+    """
+    sqr, add, sub, xi = o.sqr2, o.add2, o.sub2, o.xi2
+    (x0, x2, x4), (x1, x3, x5) = f     # even, odd z-degrees
+
+    def fp4_sq(a, b):
+        t0 = sqr(a)
+        t1 = sqr(b)
+        cross = sub(sub(sqr(add(a, b)), t0), t1)
+        return add(t0, xi(t1)), cross
+
+    def re_part(t, x):
+        d = sub(t, x)
+        return add(add(d, d), t)      # 3t - 2x
+
+    def im_part(t, x):
+        d = add(t, x)
+        return add(add(d, d), t)      # 3t + 2x
+
+    a0, a1 = fp4_sq(x0, x3)
+    b0, b1 = fp4_sq(x1, x4)
+    c0, c1 = fp4_sq(x2, x5)
+    return ((re_part(a0, x0), re_part(b0, x2), re_part(c0, x4)),
+            (im_part(xi(c1), x1), im_part(a1, x3), im_part(b1, x5)))
+
+
+def _frobenius(power):
+    """The kernel of pi^power on the z-degree grid: conjugate (odd powers) and
+    scale the degree-d coefficient by k[d] (an Fp2 constant, Fp for pi^2)."""
+    def frob(o, f, k):
+        (c0, c2, c4), (c1, c3, c5) = f
+        out = []
+        for d, c in enumerate((c0, c1, c2, c3, c4, c5)):
+            if power != 2:
+                c = o.conj2(c)
+            if d:
+                c = o.mul_fp(c, k[d]) if power == 2 else o.mul2(c, k[d])
+            out.append(c)
+        return (out[0], out[2], out[4]), (out[1], out[3], out[5])
+    return frob
+
+
+for _power, _k in ((1, X2), (2, X1), (3, X2)):
+    kernel(f"frob{_power}", X12, (_k,) * 6, out=X12)(_frobenius(_power))
+
+
+def _call(op, out, *xs, raw=()):
+    """One tally of op on tower operands xs, whose Fp leaves must share one
+    field and engine, then its raw kernel; the result is wrapped as out."""
+    leaves = [fe for x in xs for fe in x._leaves()]
+    o = leaves[0].engine.charge(op, *leaves)
+    return out._wrap(o, getattr(o, op)(*[x._raw() for x in xs], *raw))
+
+
+def _method(op, inverse=False):
+    """An Fp6El/Fp12El method running op through _call; an inverse first
+    rejects zero, before anything is charged."""
+    def method(self, *other):
+        if inverse:
+            _reject_zero(self)
+        return _call(op, type(self), self, *other)
+    return method
+
+
+def _reject_zero(x):
+    if all(fe.is_zero() for fe in x._leaves()):
+        raise ZeroDivisionError(f"inversion of zero in {type(x).__name__}")
+
+
 class Fp6El:
     __slots__ = ("c0", "c1", "c2")
 
@@ -189,53 +369,24 @@ class Fp6El:
     def one(engine) -> "Fp6El":
         return Fp6El(Fp2El.one(engine), Fp2El.zero(engine), Fp2El.zero(engine))
 
-    def __add__(self, o: "Fp6El") -> "Fp6El":
-        return Fp6El(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+    def _leaves(self) -> list:
+        return [self.c0.c0, self.c0.c1, self.c1.c0, self.c1.c1,
+                self.c2.c0, self.c2.c1]
 
-    def __sub__(self, o: "Fp6El") -> "Fp6El":
-        return Fp6El(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2)
+    def _raw(self):
+        return self.c0._raw(), self.c1._raw(), self.c2._raw()
 
-    def __neg__(self) -> "Fp6El":
-        return Fp6El(-self.c0, -self.c1, -self.c2)
+    @staticmethod
+    def _wrap(o, v) -> "Fp6El":
+        return Fp6El(_fp2(o, v[0]), _fp2(o, v[1]), _fp2(o, v[2]))
 
-    def __mul__(self, o: "Fp6El") -> "Fp6El":
-        # Karatsuba over the cubic: 6 Fp2 muls
-        v0 = self.c0 * o.c0
-        v1 = self.c1 * o.c1
-        v2 = self.c2 * o.c2
-        t0 = ((self.c1 + self.c2) * (o.c1 + o.c2) - v1 - v2).mul_by_xi()
-        t1 = (self.c0 + self.c1) * (o.c0 + o.c1) - v0 - v1
-        t2 = (self.c0 + self.c2) * (o.c0 + o.c2) - v0 - v2
-        return Fp6El(v0 + t0, t1 + v2.mul_by_xi(), t2 + v1)
-
-    def square(self) -> "Fp6El":
-        # 2 Fp2 muls + 3 Fp2 squarings
-        s0 = self.c0.square()
-        ab = self.c0 * self.c1
-        s1 = ab + ab
-        s2 = (self.c0 - self.c1 + self.c2).square()
-        bc = self.c1 * self.c2
-        s3 = bc + bc
-        s4 = self.c2.square()
-        return Fp6El(
-            s0 + s3.mul_by_xi(),
-            s1 + s4.mul_by_xi(),
-            s1 + s2 + s3 - s0 - s4,
-        )
-
-    def inverse(self) -> "Fp6El":
-        # 9 Fp2 muls + 3 squarings + one Fp2 inversion
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        t0 = a0.square() - (a1 * a2).mul_by_xi()
-        t1 = a2.square().mul_by_xi() - a0 * a1
-        t2 = a1.square() - a0 * a2
-        d = a0 * t0 + ((a2 * t1) + (a1 * t2)).mul_by_xi()
-        dinv = d.inverse()
-        return Fp6El(t0 * dinv, t1 * dinv, t2 * dinv)
-
-    def mul_by_nonres(self) -> "Fp6El":
-        # multiply by beta: (c0, c1, c2) -> (xi*c2, c0, c1)
-        return Fp6El(self.c2.mul_by_xi(), self.c0, self.c1)
+    __add__ = _method("fp6_add")
+    __sub__ = _method("fp6_sub")
+    __neg__ = _method("fp6_neg")
+    __mul__ = _method("fp6_mul")
+    square = _method("fp6_sqr")
+    inverse = _method("fp6_inv", inverse=True)
+    mul_by_nonres = _method("fp6_nonres")     # multiply by beta
 
     def __eq__(self, other):
         if not isinstance(other, Fp6El):
@@ -261,70 +412,24 @@ class Fp12El:
     def one(engine) -> "Fp12El":
         return Fp12El(Fp6El.one(engine), Fp6El.zero(engine))
 
-    def __add__(self, o: "Fp12El") -> "Fp12El":
-        return Fp12El(self.c0 + o.c0, self.c1 + o.c1)
+    def _leaves(self) -> list:
+        return self.c0._leaves() + self.c1._leaves()
 
-    def __sub__(self, o: "Fp12El") -> "Fp12El":
-        return Fp12El(self.c0 - o.c0, self.c1 - o.c1)
+    def _raw(self):
+        return self.c0._raw(), self.c1._raw()
 
-    def __neg__(self) -> "Fp12El":
-        return Fp12El(-self.c0, -self.c1)
+    @staticmethod
+    def _wrap(o, v) -> "Fp12El":
+        return Fp12El(Fp6El._wrap(o, v[0]), Fp6El._wrap(o, v[1]))
 
-    def __mul__(self, o: "Fp12El") -> "Fp12El":
-        # Karatsuba over the quadratic: 3 Fp6 muls = 18 Fp2 muls
-        v0 = self.c0 * o.c0
-        v1 = self.c1 * o.c1
-        c1 = (self.c0 + self.c1) * (o.c0 + o.c1) - v0 - v1
-        return Fp12El(v0 + v1.mul_by_nonres(), c1)
-
-    def square(self) -> "Fp12El":
-        # complex method: 2 Fp6 muls = 12 Fp2 muls
-        v = self.c0 * self.c1
-        t = (self.c0 + self.c1) * (self.c0 + self.c1.mul_by_nonres())
-        c0 = t - v - v.mul_by_nonres()
-        return Fp12El(c0, v + v)
-
-    def inverse(self) -> "Fp12El":
-        t = (self.c0.square() - self.c1.square().mul_by_nonres()).inverse()
-        return Fp12El(self.c0 * t, -(self.c1 * t))
-
-    def conjugate(self) -> "Fp12El":
-        """f^(p^6): negation of the gamma half."""
-        return Fp12El(self.c0, -self.c1)
-
-    def cyclotomic_square(self) -> "Fp12El":
-        """Squaring valid only in the cyclotomic subgroup: 9 Fp2 squarings.
-
-        Works on the three Fp4 sub-planes of the z-degree grid
-        (0,3), (1,4), (2,5); for x in the subgroup, x^2 has the closed
-        Granger-Scott form below.
-        """
-        e = self.engine
-        x0, x2, x4 = self.c0.c0, self.c0.c1, self.c0.c2   # even z-degrees
-        x1, x3, x5 = self.c1.c0, self.c1.c1, self.c1.c2   # odd z-degrees
-
-        def fp4_sq(a: Fp2El, b: Fp2El):
-            t0 = a.square()
-            t1 = b.square()
-            cross = (a + b).square() - t0 - t1
-            return t0 + t1.mul_by_xi(), cross
-
-        a0, a1 = fp4_sq(x0, x3)
-        b0, b1 = fp4_sq(x1, x4)
-        c0, c1 = fp4_sq(x2, x5)
-
-        def re_part(t: Fp2El, x: Fp2El) -> Fp2El:
-            d = t - x
-            return d + d + t          # 3t - 2x
-
-        def im_part(t: Fp2El, x: Fp2El) -> Fp2El:
-            d = t + x
-            return d + d + t          # 3t + 2x
-
-        return Fp12El(
-            Fp6El(re_part(a0, x0), re_part(b0, x2), re_part(c0, x4)),
-            Fp6El(im_part(c1.mul_by_xi(), x1), im_part(a1, x3), im_part(b1, x5)),
-        )
+    __add__ = _method("fp12_add")
+    __sub__ = _method("fp12_sub")
+    __neg__ = _method("fp12_neg")
+    __mul__ = _method("fp12_mul")
+    square = _method("fp12_sqr")
+    inverse = _method("fp12_inv", inverse=True)
+    conjugate = _method("fp12_conj")                # f^(p^6)
+    cyclotomic_square = _method("fp12_cyclo_sqr")   # cyclotomic subgroup only
 
     def is_one(self) -> bool:
         return self == Fp12El.one(self.engine)
@@ -352,27 +457,26 @@ class TowerCtx:
 
     zeta = xi^((p-1)/6); the constant applied to the z-degree-d coefficient is
     zeta^d for pi, its Fp norm for pi^2, and their product for pi^3. Nothing
-    here is transcribed from tables.
+    here is transcribed from tables. frob[power] holds them as raw values,
+    the constant operands of the frob1/frob2/frob3 kernels.
     """
 
     def __init__(self, engine):
         self.engine = engine
         with engine.uncounted():
-            xi = Fp2El.of(engine, 1, 1)
-            zeta = pow_public(xi, (P - 1) // 6)
-            self.frob1 = [Fp2El.one(engine)]
+            zeta = pow_public(Fp2El.of(engine, 1, 1), (P - 1) // 6)
+            frob1 = [Fp2El.one(engine)]
             for _ in range(5):
-                self.frob1.append(self.frob1[-1] * zeta)
-            self.frob2 = []
-            self.frob3 = []
-            for d in range(6):
-                norm = self.frob1[d] * self.frob1[d].conjugate()
-                assert norm.c1.is_zero()
-                self.frob2.append(norm.c0)
-                self.frob3.append(self.frob1[d].mul_fp(norm.c0))
+                frob1.append(frob1[-1] * zeta)
+            norms = [c * c.conjugate() for c in frob1]
+            assert all(n.c1.is_zero() for n in norms)
+            frob3 = [c.mul_fp(n.c0) for c, n in zip(frob1, norms)]
+            self.frob = {1: tuple(c._raw() for c in frob1),
+                         2: tuple(n.c0.val for n in norms),
+                         3: tuple(c._raw() for c in frob3)}
             # skew Frobenius constants for the twist endomorphism
-            self.skew_cx = self.frob1[2].inverse()
-            self.skew_cy = self.frob1[3].inverse()
+            self.skew_cx = frob1[2].inverse()
+            self.skew_cy = frob1[3].inverse()
             self._self_check()
 
     def _self_check(self):
@@ -381,37 +485,17 @@ class TowerCtx:
             Fp6El(Fp2El.of(e, 3, 1), Fp2El.of(e, 1, 4), Fp2El.of(e, 1, 5)),
             Fp6El(Fp2El.of(e, 9, 2), Fp2El.of(e, 6, 5), Fp2El.of(e, 3, 5)),
         )
-        f = probe
+        pi = [probe]                      # pi[k] = pi^k(probe), by pi alone
         for _ in range(12):
-            f = self.frobenius(f, 1)
-        assert f == probe, "pi^12 != identity"
-        f2 = self.frobenius(self.frobenius(probe, 1), 1)
-        assert f2 == self.frobenius(probe, 2), "pi^2 constants wrong"
-        f3 = self.frobenius(f2, 1)
-        assert f3 == self.frobenius(probe, 3), "pi^3 constants wrong"
-        f6 = probe
-        for _ in range(6):
-            f6 = self.frobenius(f6, 1)
-        assert f6 == probe.conjugate(), "pi^6 is not conjugation"
+            pi.append(self.frobenius(pi[-1], 1))
+        assert pi[12] == probe, "pi^12 != identity"
+        assert pi[2] == self.frobenius(probe, 2), "pi^2 constants wrong"
+        assert pi[3] == self.frobenius(probe, 3), "pi^3 constants wrong"
+        assert pi[6] == probe.conjugate(), "pi^6 is not conjugation"
 
     def frobenius(self, f: Fp12El, power: int) -> Fp12El:
         if power == 6:
             return f.conjugate()
         if power not in (1, 2, 3):
             raise ValueError(f"unsupported Frobenius power {power}")
-        cs = f.coeffs()
-        out = []
-        for d, c in enumerate(cs):
-            if power == 1:
-                c = c.conjugate()
-                if d:
-                    c = c * self.frob1[d]
-            elif power == 2:
-                if d:
-                    c = c.mul_fp(self.frob2[d])
-            else:
-                c = c.conjugate()
-                if d:
-                    c = c * self.frob3[d]
-            out.append(c)
-        return Fp12El.from_coeffs(out)
+        return _call(f"frob{power}", Fp12El, f, raw=(self.frob[power],))

@@ -20,10 +20,10 @@ from pairing381.encoding import (
     gt_from_bytes,
     gt_to_bytes,
 )
-from pairing381.pairing import pairing
+from pairing381.pairing import final_exp, gt_pow, pairing
 from pairing381.params import G1_GEN_X, G1_GEN_Y, G2_GEN_X, G2_GEN_Y, P, Q
 from pairing381.protocol import PublicKey, Signature
-from pairing381.tower import Fp2El, fp2_sqrt
+from pairing381.tower import Fp2El, Fp12El, fp2_sqrt
 
 
 def _wire(*ints):
@@ -214,6 +214,36 @@ def test_gt_coefficient_out_of_range_rejected(engine):
         bad[48 * i:48 * (i + 1)] = P.to_bytes(48, "big")
         with pytest.raises(MalformedEncoding):
             gt_from_bytes(engine, bytes(bad))
+
+
+def _rand_fp12(engine, rng):
+    return Fp12El.from_coeffs([Fp2El.of(engine, rng.randrange(P),
+                                        rng.randrange(P)) for _ in range(6)])
+
+
+def test_gt_decoder_accepts_exactly_the_order_q_group(engine, rng):
+    """Zero, the constant 2 and random Fp12 values raise WrongSubgroup;
+    pairing outputs and final exponentiations decode. On every value the
+    decoder agrees with f^q == 1."""
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    zero2 = Fp2El.zero(engine)
+    outside = [Fp12El.from_coeffs([zero2] * 6),
+               Fp12El.from_coeffs([Fp2El.of(engine, 2, 0)] + [zero2] * 5),
+               _rand_fp12(engine, rng), _rand_fp12(engine, rng)]
+    assert gt_to_bytes(outside[0]) == bytes(576)
+    assert gt_to_bytes(outside[1]) == _wire(2) + bytes(528)
+    for v in outside:
+        with pytest.raises(WrongSubgroup):
+            gt_from_bytes(engine, gt_to_bytes(v))
+    inside = [pairing(g1, g2),
+              pairing(plain_mul(g1, rng.randrange(1, Q)), g2),
+              final_exp(_rand_fp12(engine, rng)),
+              final_exp(_rand_fp12(engine, rng))]
+    for v in inside:
+        assert gt_from_bytes(engine, gt_to_bytes(v)) == v
+    with engine.uncounted():
+        assert not any(gt_pow(v, Q).is_one() for v in outside[1:])
+        assert all(gt_pow(v, Q).is_one() for v in inside)
 
 
 # name: (decoder returning the point, encoder of its group, Fp limbs per coordinate)

@@ -163,3 +163,26 @@ def test_field_op_contract(field, op, backend, twin_engines, rng):
     assert e.counter.delta(before) == OpCounter(**delta)
     assert tuple(sink) == trace
     assert out.to_int() == want % mod
+
+
+def test_records_are_built_lazily_from_branch_free_kernels():
+    """Setting up the tower and curves builds no record (that work runs
+    uncounted), the first counted op builds only its own, and a kernel that
+    branches on a value cannot be recorded."""
+    from pairing381.fields import KERNELS, X1, RawOps, kernel
+
+    e = Engine()
+    e.curve
+    assert not any(o.records for o in e._ops.values())
+    e.fp(2) * e.fp(3)
+    assert list(e._ops[e.fp_spec].records) == ["mul"]
+
+    @kernel("branchy", X1, out=X1)
+    def _branchy(o, a):
+        return o.neg(a) if a else a
+    try:
+        with pytest.raises(TypeError):
+            e.charge("branchy", e.fp(1))
+    finally:
+        del KERNELS["branchy"]
+        delattr(RawOps, "branchy")

@@ -7,10 +7,9 @@ import random
 import pytest
 
 from pairing381 import Engine, FieldElement, OpCounter
-from pairing381.pairing import (_add_step, _dbl_step, _sparse_mul,
-                                pairing)
+from pairing381.pairing import final_exp, pairing
 from pairing381.params import P
-from pairing381.tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
+from pairing381.tower import Fp2El, Fp6El, Fp12El, _fp2, fp2_sqrt, fp_sqrt
 
 
 def rand_fp2(e, rng):
@@ -217,11 +216,14 @@ def test_uncounted_fp2_ops_leave_counter_and_trace_alone(backend, twin_engines,
     x, y = rand_fp2(e, rng), rand_fp2(e, rng)
     sink = []
     before = e.counter.snapshot()
+    composite = [_composite_call(op, e, rng) for op in COMPOSITE_OPS]
     with e.tracing(sink), e.uncounted():
         for op in FP2_CONTRACT:
             _fp2_call(op, x, y)()
         e.fp(3).inverse()
         e.fq(3).inverse()
+        for run in composite:
+            run()
     assert e.counter == before
     assert sink == []
 
@@ -230,8 +232,10 @@ def test_uncounted_fp2_ops_leave_counter_and_trace_alone(backend, twin_engines,
 def test_fp2_zero_inverse_raises_and_charges_nothing(backend, twin_engines):
     e = twin_engines[backend]
     before = e.counter.snapshot()
-    with pytest.raises(ZeroDivisionError):
-        Fp2El.zero(e).inverse()
+    zero12 = Fp12El.from_coeffs([Fp2El.zero(e)] * 6)
+    for zero in (Fp2El.zero(e), Fp6El.zero(e), zero12):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
     assert e.counter == before
 
 
@@ -247,6 +251,20 @@ def test_fp2_operands_from_other_engines_or_fields_rejected(engine, rng):
                lambda: mixed * x):
         with pytest.raises(TypeError):
             op()
+    # Fp6/Fp12 operands from two engines, or one value spanning two, raise
+    # before anything is counted
+    a6, b6 = rand_fp6(engine, rng), rand_fp6(other, rng)
+    f, g = rand_fp12(engine, rng), rand_fp12(other, rng)
+    split = Fp12El(f.c0, g.c1)
+    tw = engine.tower
+    before = engine.counter.snapshot()
+    for op in (lambda: a6 + b6, lambda: a6 - b6, lambda: a6 * b6,
+               lambda: f + g, lambda: f - g, lambda: f * g, split.square,
+               split.inverse, split.conjugate, split.cyclotomic_square,
+               lambda: tw.frobenius(split, 1), lambda: final_exp(split)):
+        with pytest.raises(TypeError):
+            op()
+    assert engine.counter == before
 
 
 def _twin_op(name, e, rng):
@@ -315,10 +333,34 @@ def _composite_call(op, e, rng):
         "frobenius1": lambda: tw.frobenius(f, 1),
         "frobenius2": lambda: tw.frobenius(f, 2),
         "frobenius3": lambda: tw.frobenius(f, 3),
-        "sparse_mul": lambda: _sparse_mul(f, (X, Y, Z)),
-        "dbl_step": lambda: _dbl_step(X, Y, Z, xp, yp),
-        "add_step": lambda: _add_step(X, Y, Z, xq, yq, xp, yp),
+        "sparse_mul": lambda: _pairing_kernel(op, f, (X, Y, Z)),
+        "dbl_step": lambda: _pairing_kernel(op, X, Y, Z, xp, yp),
+        "add_step": lambda: _pairing_kernel(op, X, Y, Z, xq, yq, xp, yp),
     }[op]
+
+
+def _leaves_and_raw(a):
+    """The Fp leaves and the raw value of a tower value or a tuple of them."""
+    if isinstance(a, FieldElement):
+        return [a], a.val
+    if isinstance(a, Fp2El):
+        return [a.c0, a.c1], a._raw()
+    if isinstance(a, tuple):
+        leaves, raws = zip(*map(_leaves_and_raw, a))
+        return sum(leaves, []), raws
+    return a._leaves(), a._raw()
+
+
+def _pairing_kernel(op, *args):
+    """One charged run of a raw pairing kernel (sparse_mul, dbl_step or
+    add_step) on tower values; the result comes back as tower values."""
+    leaves, raws = _leaves_and_raw(args)
+    o = leaves[0].engine.raw_ops(*leaves)
+    out = o.apply(op, *raws)
+    if op == "sparse_mul":
+        return Fp12El._wrap(o, out)
+    *xyz, line = out
+    return (*(_fp2(o, v) for v in xyz), tuple(_fp2(o, v) for v in line))
 
 
 def _value_digest(v) -> str:

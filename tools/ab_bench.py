@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""A/B benchmark: perfbench/run.py on a git revision against the working tree.
+
+    python3 tools/ab_bench.py REV --workload W --seeds 21 22 ... \
+        [--seconds 25] [--trace 0|1] [--claim METRIC] [--out BENCH_n.json]
+
+REV is exported with `git archive` into a temporary directory (no worktree
+metadata is left in .git, even if the run is interrupted). For each seed the
+two sides run `perfbench/run.py` with identical arguments from their own
+checkout, one after the other: the parent side first on even pair indexes,
+the change side first on odd ones. Each side reads only its own sources;
+perfbench/ is read, never edited.
+
+Results are merged into --out, in the layout of BENCH_4.json:
+  * --trace 0: end_to_end[W] gets per-side runs, median and quartiles of every
+    end-to-end metric; with --claim METRIC also the per-pair values, the win
+    count and the parent's interquartile range under "claim";
+  * --trace 1: per_layer gets one run per side (the first seed).
+Other keys already in the file are kept.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds 25 --trace T"
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of rev into dest; return its full commit id."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                         cwd=ROOT, check=True, capture_output=True,
+                         text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    tar = dest / "rev.tar"
+    tar.write_bytes(archive)
+    with tarfile.open(tar) as t:
+        t.extractall(dest / "tree")
+    tar.unlink()
+    return sha
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: int,
+             trace: int) -> dict:
+    """One perfbench run from root; the result JSON it prints last."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        failed = [line for line in proc.stdout.splitlines() if "FAILED" in line]
+        print(f"# {root.name} seed {seed}: {failed}", file=sys.stderr)
+    return result
+
+
+def summary(runs: list) -> dict:
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3,
+            "runs": sorted(runs)}
+
+
+def side_table(results: list) -> dict:
+    metrics = results[0]["metrics"]
+    return {name: {**summary([r["metrics"][name]["value"] for r in results]),
+                   "unit": m["unit"]} for name, m in metrics.items()}
+
+
+def claim(metric: str, workload: str, seeds: list, parent: list,
+          change: list) -> dict:
+    a = [r["metrics"][metric]["value"] for r in parent]
+    b = [r["metrics"][metric]["value"] for r in change]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    lower = {m["name"]: m["better"] for m in spec}[metric] == "lower"
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+    pa, pb = summary(a), summary(b)
+    return {
+        "metric": metric, "workload": workload, "pairs": len(seeds),
+        "seeds": seeds,
+        "order": "parent first on even pair index, change first on odd",
+        "per_pair": [{"seed": s, "parent": x, "change": y}
+                     for s, x, y in zip(seeds, a, b)],
+        "change_wins": wins,
+        "parent_median": pa["median"], "change_median": pb["median"],
+        "parent_iqr": pa["q3"] - pa["q1"],
+        "median_diff": pa["median"] - pb["median"],
+        "relative_change": pb["median"] / pa["median"] - 1,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--seconds", type=int, default=25)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--claim", help="end-to-end metric to count wins on")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        sha = export(args.rev, Path(tmp))
+        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        got = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                got[side].append(run_side(sides[side], args.workload, seed,
+                                          args.seconds, args.trace))
+            if args.claim:
+                x, y = (got[s][-1]["metrics"][args.claim]["value"]
+                        for s in ("parent", "change"))
+                print(f"seed {seed}: parent {x:.4g} change {y:.4g}",
+                      file=sys.stderr)
+
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out.setdefault("description", f"perfbench/run.py, parent {sha[:7]} "
+                   "against the change, alternating which runs first.")
+    out["host"] = {"python": platform.python_version(), "nproc": os.cpu_count()}
+    out["command"] = COMMAND
+    if args.trace:
+        out["per_layer"] = {
+            "workload": args.workload, "seed": args.seeds[0], "trace": 1,
+            **{s: got[s][0]["metrics"] for s in ("parent", "change")}}
+    else:
+        out.setdefault("end_to_end", {})[args.workload] = {
+            "seconds": args.seconds, "seeds": args.seeds,
+            **{s: side_table(got[s]) for s in ("parent", "change")},
+            "failed": {s: sum(r["failed"] for r in got[s])
+                       for s in ("parent", "change")}}
+        if args.claim:
+            out["claim"] = claim(args.claim, args.workload, args.seeds,
+                                 got["parent"], got["change"])
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
