@@ -345,15 +345,21 @@ class Engine:
         return o
 
     def charge(self, op: str, *xs: FieldElement) -> RawOps:
-        """raw_ops(*xs) plus one tally of op; nothing is counted if the
-        operands are rejected. Runs once per counted op, so it is inlined."""
+        """raw_ops(*xs) plus one tally of op (_tally's body); nothing is
+        counted if the operands are rejected. Every Fp and Fp2 op runs this,
+        so both are inlined here."""
         spec = xs[0].spec
         for x in xs:
             if x.spec is not spec or x.engine is not self:
                 raise TypeError("operands from different fields or engines")
         o = self._ops.get(spec) or self.raw_ops(*xs)
         if not self._suspend:
-            self._tally(o.records[op])
+            incs, trace = o.records[op]
+            c = self.counter.__dict__
+            for name, n in incs:
+                c[name] += n
+            if self.trace is not None:
+                self.trace.extend(trace)
         return o
 
     def _tally(self, record) -> None:

@@ -86,11 +86,13 @@ def _fp2_method(op):
 
     def method(x, y=None):
         a, b = x.c0, x.c1
+        e, spec = a.engine, a.spec
         if y is None:
-            return _fp2(a, fn(a.engine.charge(op, a, b), (a.val, b.val)))
-        c, d = y.c0, y.c1
-        return _fp2(a, fn(a.engine.charge(op, a, b, c, d), (a.val, b.val),
-                          (c.val, d.val)))
+            v0, v1 = fn(e.charge(op, a, b), (a.val, b.val))
+        else:
+            c, d = y.c0, y.c1
+            v0, v1 = fn(e.charge(op, a, b, c, d), (a.val, b.val), (c.val, d.val))
+        return Fp2El(FieldElement(e, spec, v0), FieldElement(e, spec, v1))
     return method
 
 
