@@ -2,6 +2,9 @@
 multiplication against a reference, exact operation counts of the
 constant-time ladder, and the endomorphism-based scalar split."""
 
+import hashlib
+import random
+
 import pytest
 
 from pairing381 import Engine, OpCounter
@@ -177,3 +180,96 @@ def test_hash_and_equality_leave_counters_untouched(engine):
         before = engine.counter.snapshot()
         assert hash(p) == hash(q) and p == q
         assert engine.counter.delta(before) == OpCounter()
+
+
+POINT_OPS = ("g1_double", "g1_add_mixed", "g1_add", "g2_double",
+             "g2_add_mixed", "g2_add", "jubjub_double", "jubjub_add")
+
+
+def _point_call(op, e, rng):
+    """A thunk running one point op on projective points drawn from rng (the
+    mixed addition's second operand affine); inputs are prepared uncounted."""
+    group, name = op.split("_", 1)
+    g = {"g1": e.curve.g1_gen, "g2": e.curve.g2_gen,
+         "jubjub": e.jubjub.generator}[group]
+    with e.uncounted():
+        a = plain_mul(g, rng.randrange(1, 1 << 16))
+        b = plain_mul(g, rng.randrange(1, 1 << 16))
+        b_affine = b.to_affine()
+    return {"double": a.double, "add": lambda: a.add(b),
+            "add_mixed": lambda: a.add_mixed(b_affine)}[name]
+
+
+def _point_digest(p) -> str:
+    """SHA-256 of the projective coordinates' Fp or Fq coefficients, x then y
+    then z, each as 48 big-endian bytes."""
+    ints = [i for c in (p.x, p.y, p.z)
+            for i in (c.to_ints() if hasattr(c, "to_ints") else (c.to_int(),))]
+    return hashlib.sha256(b"".join(i.to_bytes(48, "big")
+                                   for i in ints)).hexdigest()
+
+
+# Each point op at w = 64 on inputs from random.Random(0xC0FFEE): the counter
+# delta in every field, the trace length and SHA-256, and the value's
+# SHA-256; equal on both backends.
+POINT_CONTRACT = {
+    "g1_double": (
+        {"m1": 6, "s1": 2, "a1": 20, "word_mul": 624, "word_add": 1619},
+        28,
+        "a2126b8ed848e25356256feb81d3cbab6e1e7ffc384f343a3ab1750b2b924b1a",
+        "3f3de88d9d5dedd7d09c32b99a668f3bd94ee76a9553003596da8f1bbeef49bb"),
+    "g1_add_mixed": (
+        {"m1": 11, "a1": 35, "word_mul": 858, "word_add": 2322},
+        46,
+        "d987c6aabe391167569a3e0591585d9b8aadec2e9d17b704298f9a0f39e68075",
+        "fe2c4289ae5f4e481d206986790f73c0de54e2b9e3be6c47b6491b894046825f"),
+    "g1_add": (
+        {"m1": 12, "a1": 41, "word_mul": 936, "word_add": 2568},
+        53,
+        "432b86f7877c4c6d0e4a177555544f91187c399792efaa6014ed78fd3818060a",
+        "e55b713efe9ac7051d0b49df8acb3bf65632b693c4648d273fe476e6b002e12c"),
+    "g2_double": (
+        {"m2": 6, "s2": 2, "a2": 14, "word_mul": 1716, "word_add": 4549,
+         "m1_in2": 22, "a1_in2": 64},
+        108,
+        "0a2c20022fb01ef59e045d1949e865b82bbe5f5ac3e89ed56515bf0ab3084fdf",
+        "465eeb31a1138bd684c16616aec72f90b335a9a01b7ac3521354efebdb66ef6b"),
+    "g2_add_mixed": (
+        {"m2": 11, "a2": 23, "word_mul": 2574, "word_add": 6882,
+         "m1_in2": 33, "a1_in2": 101},
+        168,
+        "e9d85fd665da51cf28ebabcabb4a2c487257f023080234891900cd13e5bb4000",
+        "114b3e4ccdee12ad966b209bd98b71cb930bd69ef80aae4ce0dd150509759180"),
+    "g2_add": (
+        {"m2": 12, "a2": 29, "word_mul": 2808, "word_add": 7606,
+         "m1_in2": 36, "a1_in2": 118},
+        195,
+        "d8184f45aacb839ea407729d6d41b667d8498270a5e08e3733540633bf62e0de",
+        "a982170c64c246e8c83ba636625f4428ea76e745815bc3366c3493aa2f383069"),
+    "jubjub_double": (
+        {"mq": 3, "sq": 4, "aq": 8, "word_mul": 252, "word_add": 641},
+        15,
+        "e8f9cdd77bc866d865588be694612d9d1adb6588a5752d063a6a91917bbe36b3",
+        "576c672c88e83648191980255d308050910097810999373cef61868516ba2675"),
+    "jubjub_add": (
+        {"mq": 11, "sq": 1, "aq": 7, "word_mul": 432, "word_add": 1044},
+        19,
+        "4bdd2f65a608c9d9a4cacf14e94f01263f51f7bfbbd98c865012bc5ac069c21a",
+        "59c0c192250fd2226859abe0bab23b4e2f710dd8a37614c4b6b2d1d3a22c212d"),
+}
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["bigint", "words"])
+@pytest.mark.parametrize("op", POINT_OPS)
+def test_point_op_contract(op, backend, twin_engines):
+    e = twin_engines[backend]
+    delta, length, trace_sha, value_sha = POINT_CONTRACT[op]
+    run = _point_call(op, e, random.Random(0xC0FFEE))
+    sink = []
+    before = e.counter.snapshot()
+    with e.tracing(sink):
+        out = run()
+    assert e.counter.delta(before) == OpCounter(**delta)
+    assert len(sink) == length
+    assert hashlib.sha256(" ".join(sink).encode()).hexdigest() == trace_sha
+    assert _point_digest(out) == value_sha
