@@ -13,15 +13,17 @@ In G1 the mul-by-12 is eleven successive Fp additions. In G2 the constant is
 xi-multiplication; the resulting A2 total per ECSM differs from the G1-shaped
 A1 total, which is expected (the two strategies do not mirror each other).
 
-ECSM is double-and-add-always: 255 fixed iterations, one doubling plus one
-mixed addition each, masked select of the addition result, final conversion
-to affine. The loop, `ladder`, also serves the hardened and Jubjub scalar
-multiplications. Input validation runs outside the counters; the algorithm
-itself is fully counted.
+Each formula is one raw kernel body, registered as g1_* over the Fp
+primitives and as g2_* over the Fp2 ops; the mul-by-12 steps are the g1_mb3
+and g2_mb3 kernels. A point op is one tally of the records of its steps, in
+call order, so its counts and trace are those of the per-op formulas.
 """
 
+from operator import attrgetter
+
 from . import params
-from .tower import Fp2El
+from .fields import X1, FieldElement, _method, kernel
+from .tower import X2, Fp2El
 
 
 class ProjectivePoint:
@@ -33,6 +35,7 @@ class ProjectivePoint:
     """
 
     __slots__ = ("x", "y", "z")
+    _coord = FieldElement         # coordinate type
 
     def __init__(self, x, y, z):
         self.x = x
@@ -42,6 +45,17 @@ class ProjectivePoint:
     @property
     def engine(self):
         return self.x.engine
+
+    def _leaves(self):
+        return (*self.x._leaves(), *self.y._leaves(), *self.z._leaves())
+
+    def _raw(self):
+        return self.x._raw(), self.y._raw(), self.z._raw()
+
+    @classmethod
+    def _wrap(cls, o, v):
+        w = cls._coord._wrap
+        return cls(w(o, v[0]), w(o, v[1]), w(o, v[2]))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -72,6 +86,108 @@ class ProjectivePoint:
         )
 
 
+@kernel("g1_mb3", X1, out=X1)
+def _g1_mb3(o, v):
+    # 12*v as eleven successive additions
+    acc = v
+    for _ in range(11):
+        acc = o.add(acc, v)
+    return acc
+
+
+@kernel("g2_mb3", X2, out=X2)
+def _g2_mb3(o, v):
+    # 12(1+alpha)*v: doubling chain 2,4,8,12 then one xi-multiplication
+    add = o.add2
+    t = add(v, v)
+    t = add(t, t)
+    return o.xi2(add(add(t, t), t))
+
+
+def _formulas(group, coord, *names):
+    """Register the complete formulas as the kernels group_double,
+    group_add_mixed and group_add; each body picks its mul, sqr, add, sub
+    and mul-by-3b ops from the primitive set by the given names."""
+    ops = attrgetter(*names)
+    pt = (coord,) * 3
+
+    @kernel(group + "_double", pt, out=pt)
+    def double(o, p):
+        mul, sqr, add, sub, mb3 = ops(o)
+        X, Y, Z = p
+        t0 = sqr(Y)
+        z3 = add(t0, t0)
+        z3 = add(z3, z3)
+        z3 = add(z3, z3)
+        t1 = mul(Y, Z)
+        t2 = mb3(sqr(Z))
+        x3 = mul(t2, z3)
+        y3 = add(t0, t2)
+        z3 = mul(t1, z3)
+        t1 = add(t2, t2)
+        t2 = add(t1, t2)
+        t0 = sub(t0, t2)
+        y3 = add(x3, mul(t0, y3))
+        x3 = mul(t0, mul(X, Y))
+        return add(x3, x3), y3, z3
+
+    @kernel(group + "_add_mixed", pt, pt, out=pt)
+    def add_mixed(o, p, q):
+        """Complete mixed addition; q must have z = 1."""
+        mul, _, add, sub, _ = ops(o)
+        (X1, Y1, Z1), (X2, Y2, _) = p, q
+        t0 = mul(X1, X2)
+        t1 = mul(Y1, Y2)
+        t3 = add(X2, Y2)
+        t3 = mul(t3, add(X1, Y1))
+        t4 = add(t0, t1)
+        t3 = sub(t3, t4)
+        t4 = add(mul(Y2, Z1), Y1)
+        y3 = add(mul(X2, Z1), X1)
+        return finish(o, t0, t1, Z1, t3, t4, y3)
+
+    @kernel(group + "_add", pt, pt, out=pt)
+    def add_full(o, p, q):
+        """Complete projective addition, any inputs."""
+        mul, _, add, sub, _ = ops(o)
+        (X1, Y1, Z1), (X2, Y2, Z2) = p, q
+        t0 = mul(X1, X2)
+        t1 = mul(Y1, Y2)
+        t2 = mul(Z1, Z2)
+        t3 = add(X1, Y1)
+        t3 = mul(t3, add(X2, Y2))
+        t4 = add(t0, t1)
+        t3 = sub(t3, t4)
+        t4 = add(Y1, Z1)
+        t4 = mul(t4, add(Y2, Z2))
+        t4 = sub(t4, add(t1, t2))
+        x3 = add(X1, Z1)
+        x3 = mul(x3, add(X2, Z2))
+        y3 = sub(x3, add(t0, t2))
+        return finish(o, t0, t1, t2, t3, t4, y3)
+
+    def finish(o, t0, t1, t2, t3, t4, y3):
+        # the common end of both additions, from 3*t0, 3b*t2 and 3b*y3 on
+        mul, _, add, sub, mb3 = ops(o)
+        x3 = add(t0, t0)
+        t0 = add(x3, t0)
+        t2 = mb3(t2)
+        z3 = add(t1, t2)
+        t1 = sub(t1, t2)
+        y3 = mb3(y3)
+        x3 = mul(t4, y3)
+        x3 = sub(mul(t3, t1), x3)
+        y3 = mul(y3, t0)
+        y3 = add(mul(t1, z3), y3)
+        t0 = mul(t0, t3)
+        z3 = add(mul(z3, t4), t0)
+        return x3, y3, z3
+
+
+_formulas("g1", X1, "mul", "sqr", "add", "sub", "g1_mb3")
+_formulas("g2", X2, "mul2", "sqr2", "add2", "sub2", "g2_mb3")
+
+
 class _CurvePoint(ProjectivePoint):
     """Shared complete-formula machinery; subclasses bind the coordinate type."""
 
@@ -82,101 +198,6 @@ class _CurvePoint(ProjectivePoint):
 
     def __neg__(self):
         return type(self)(self.x, -self.y, self.z)
-
-    def double(self):
-        X, Y, Z = self.x, self.y, self.z
-        t0 = Y.square()
-        z3 = t0 + t0
-        z3 = z3 + z3
-        z3 = z3 + z3
-        t1 = Y * Z
-        t2 = Z.square()
-        t2 = self._mb3(t2)
-        x3 = t2 * z3
-        y3 = t0 + t2
-        z3 = t1 * z3
-        t1 = t2 + t2
-        t2 = t1 + t2
-        t0 = t0 - t2
-        y3 = t0 * y3
-        y3 = x3 + y3
-        t1 = X * Y
-        x3 = t0 * t1
-        x3 = x3 + x3
-        return type(self)(x3, y3, z3)
-
-    def add_mixed(self, other):
-        """Complete mixed addition; other must have z = 1."""
-        X1, Y1, Z1 = self.x, self.y, self.z
-        X2, Y2 = other.x, other.y
-        t0 = X1 * X2
-        t1 = Y1 * Y2
-        t3 = X2 + Y2
-        t4 = X1 + Y1
-        t3 = t3 * t4
-        t4 = t0 + t1
-        t3 = t3 - t4
-        t4 = Y2 * Z1
-        t4 = t4 + Y1
-        y3 = X2 * Z1
-        y3 = y3 + X1
-        x3 = t0 + t0
-        t0 = x3 + t0
-        t2 = self._mb3(Z1)
-        z3 = t1 + t2
-        t1 = t1 - t2
-        y3 = self._mb3(y3)
-        x3 = t4 * y3
-        t2 = t3 * t1
-        x3 = t2 - x3
-        y3 = y3 * t0
-        t1 = t1 * z3
-        y3 = t1 + y3
-        t0 = t0 * t3
-        z3 = z3 * t4
-        z3 = z3 + t0
-        return type(self)(x3, y3, z3)
-
-    def add(self, other):
-        """Complete projective addition, any inputs."""
-        X1, Y1, Z1 = self.x, self.y, self.z
-        X2, Y2, Z2 = other.x, other.y, other.z
-        t0 = X1 * X2
-        t1 = Y1 * Y2
-        t2 = Z1 * Z2
-        t3 = X1 + Y1
-        t4 = X2 + Y2
-        t3 = t3 * t4
-        t4 = t0 + t1
-        t3 = t3 - t4
-        t4 = Y1 + Z1
-        x3 = Y2 + Z2
-        t4 = t4 * x3
-        x3 = t1 + t2
-        t4 = t4 - x3
-        x3 = X1 + Z1
-        y3 = X2 + Z2
-        x3 = x3 * y3
-        y3 = t0 + t2
-        y3 = x3 - y3
-        x3 = t0 + t0
-        t0 = x3 + t0
-        t2 = self._mb3(t2)
-        z3 = t1 + t2
-        t1 = t1 - t2
-        y3 = self._mb3(y3)
-        x3 = t4 * y3
-        t2 = t3 * t1
-        x3 = t2 - x3
-        y3 = y3 * t0
-        t1 = t1 * z3
-        y3 = t1 + y3
-        t0 = t0 * t3
-        z3 = z3 * t4
-        z3 = z3 + t0
-        return type(self)(x3, y3, z3)
-
-    __add__ = add
 
     def __sub__(self, other):
         return self.add(-other)
@@ -206,6 +227,9 @@ class _CurvePoint(ProjectivePoint):
 
 class G1Point(_CurvePoint):
     __slots__ = ()
+    double = _method("g1_double")
+    add_mixed = _method("g1_add_mixed")     # other must have z = 1
+    add = __add__ = _method("g1_add")
 
     @staticmethod
     def _coord_one(engine):
@@ -220,14 +244,6 @@ class G1Point(_CurvePoint):
         return cls(engine.fp(x), engine.fp(y), engine.fp(1))
 
     @staticmethod
-    def _mb3(v):
-        # 12*v as eleven successive additions
-        acc = v
-        for _ in range(11):
-            acc = acc + v
-        return acc
-
-    @staticmethod
     def _mb(v):
         # 4*v, for the curve equation only
         t = v + v
@@ -236,6 +252,10 @@ class G1Point(_CurvePoint):
 
 class G2Point(_CurvePoint):
     __slots__ = ()
+    _coord = Fp2El
+    double = _method("g2_double")
+    add_mixed = _method("g2_add_mixed")     # other must have z = 1
+    add = __add__ = _method("g2_add")
 
     @staticmethod
     def _coord_one(engine):
@@ -248,15 +268,6 @@ class G2Point(_CurvePoint):
     @classmethod
     def affine(cls, engine, x: tuple, y: tuple):
         return cls(Fp2El.of(engine, *x), Fp2El.of(engine, *y), Fp2El.one(engine))
-
-    @staticmethod
-    def _mb3(v):
-        # 12(1+alpha)*v: doubling chain 2,4,8,12 then one xi-multiplication
-        t = v + v
-        t = t + t
-        d = t + t
-        d = d + t
-        return d.mul_by_xi()
 
     @staticmethod
     def _mb(v):

@@ -6,15 +6,20 @@ Montgomery reduction on Python integers and charges the word counters from the
 CIOS law, "words" executes the instrumented word-array loops in cios.py.
 
 Counting rules (the whole artifact depends on these):
-  * every counted operation, from an Fp add to a Miller doubling step, is one
-    tally plus a raw kernel: a function of a primitive set (RawOps) and raw
-    values, registered with @kernel. The tally applies the op's record, its
-    counter increments and trace tuple, built once per op and field spec on
-    first use by running the op's own kernel on a _Recorder with placeholder
-    values: each Fp primitive the body calls (mul, sqr, add, sub, neg, inv)
-    is one step, each registered op it calls adds that op's record, in call
-    order. On bigint a record also holds the word-law increments; on words
-    the cios.py loops charge the word counters as they run;
+  * every counted operation, from an Fp add to a Miller step or a point
+    doubling, is one tally (_tally, the only code that applies a record)
+    plus a raw kernel: a function of a primitive set (RawOps) and raw values,
+    registered with @kernel. The record, counter increments and a trace
+    tuple, is built once per op and field spec on first use by running the
+    op's own kernel on a _Recorder with placeholder values: each Fp primitive
+    the body calls (mul, sqr, add, sub, neg, inv) is one step, each
+    registered op it calls adds that op's record, in call order. On bigint a
+    record also holds the word-law increments; on words the cios.py loops
+    charge the word counters as they run;
+  * a wrapped value (element or point) runs an op by one path, a _method:
+    operand types, then a zero inverse, then (in _call) the Fp leaves'
+    field and engine are checked before the tally, so a rejected op counts
+    nothing;
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
     neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
     so its trace says m1);
@@ -94,11 +99,10 @@ class _Recorder:
         """A registered op called from the body adds its own record."""
         if name not in KERNELS:
             raise AttributeError(name)
-        incs, trace = self.ops.records[name]
+        record = self.ops.records[name]
 
         def apply(*raw):
-            self.incs.update(dict(incs))
-            self.trace += trace
+            _tally(record, self.incs, self.trace)
             return KERNELS[name][3]
         return apply
 
@@ -115,6 +119,64 @@ class _Records(dict):
         return rec
 
 
+def _tally(record, counts, trace) -> None:
+    """Apply a record's counter increments and trace tuple to counts (a
+    counter's fields, or a _Recorder's) and to trace, unless it is None."""
+    incs, steps = record
+    for name, n in incs:
+        counts[name] += n
+    if trace is not None:
+        trace.extend(steps)
+
+
+KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
+
+
+def kernel(name: str, *args, out, marker=None):
+    """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
+    kernel that is not an Fp primitive becomes a method of RawOps."""
+    def register(fn):
+        KERNELS[name] = (fn, marker, args, out)
+        if name not in _PRIMITIVES:
+            setattr(RawOps, name, fn)
+        return fn
+    return register
+
+
+_PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
+for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
+    kernel(_op, *(X1,) * _n, out=X1)(
+        lambda o, *a, _op=_op: getattr(o, _op)(*a))
+
+
+def _call(op, out, *xs, raw=()):
+    """One tally of op on wrapped operands xs, whose Fp leaves must share
+    one field and engine, then its raw kernel (raw: constant operands); the
+    result is wrapped as out."""
+    leaves = [fe for x in xs for fe in x._leaves()]
+    o = leaves[0].engine.raw_ops(*leaves)
+    return out._wrap(o, o.apply(op, *[x._raw() for x in xs], *raw))
+
+
+def _method(op, inverse=False):
+    """A method of a wrapped value running op through _call. Before anything
+    is charged, each further operand must have self's type, or be a
+    FieldElement where the kernel declares one raw Fp value (X1); an inverse
+    rejects zero."""
+    scalar = [a is X1 for a in KERNELS[op][2][1:]]
+
+    def method(self, *other):
+        for x, fp in zip(other, scalar):
+            if type(x) is not (FieldElement if fp else type(self)):
+                raise TypeError(f"{op}: operand {type(x).__name__} given "
+                                f"to {type(self).__name__}")
+        if inverse and all(fe.is_zero() for fe in self._leaves()):
+            raise ZeroDivisionError(
+                f"inversion of zero in {type(self).__name__}")
+        return _call(op, type(self), self, *other)
+    return method
+
+
 class FieldElement:
     """An element of Fp or Fq in Montgomery form, bound to its engine."""
 
@@ -125,32 +187,22 @@ class FieldElement:
         self.spec = spec
         self.val = val
 
-    # one tally of the op, then its primitive on raw values
-    def __add__(self, other):
-        o = self.engine.charge("add", self, other)
-        return FieldElement(self.engine, o.spec, o.add(self.val, other.val))
+    def _leaves(self):
+        return (self,)
 
-    def __sub__(self, other):
-        o = self.engine.charge("sub", self, other)
-        return FieldElement(self.engine, o.spec, o.sub(self.val, other.val))
+    def _raw(self):
+        return self.val
 
-    def __neg__(self):
-        o = self.engine.charge("neg", self)
-        return FieldElement(self.engine, o.spec, o.neg(self.val))
+    @staticmethod
+    def _wrap(o, v) -> "FieldElement":
+        return FieldElement(o.engine, o.spec, v)
 
-    def __mul__(self, other):
-        o = self.engine.charge("mul", self, other)
-        return FieldElement(self.engine, o.spec, o.mul(self.val, other.val))
-
-    def square(self):
-        o = self.engine.charge("sqr", self)
-        return FieldElement(self.engine, o.spec, o.sqr(self.val))
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError(f"inversion of zero in {self.spec.name}")
-        o = self.engine.charge("inv", self)
-        return FieldElement(self.engine, o.spec, o.inv(self.val))
+    __add__ = _method("add")
+    __sub__ = _method("sub")
+    __neg__ = _method("neg")
+    __mul__ = _method("mul")
+    square = _method("sqr")
+    inverse = _method("inv", inverse=True)
 
     def is_zero(self) -> bool:
         if isinstance(self.val, tuple):
@@ -220,8 +272,7 @@ class RawOps:
     mul, sqr, add, sub, neg and inv are the Fp primitives (ints on bigint,
     limb tuples on words, where the cios.py loops charge their word
     operations as they run). Every other registered kernel is a method.
-    Nothing here tallies: callers charge the op's record first
-    (Engine.charge, or apply).
+    Only apply tallies: it charges the op's record, then runs the kernel.
     """
 
     def __init__(self, engine, spec):
@@ -254,29 +305,10 @@ class RawOps:
 
     def apply(self, op: str, *raw):
         """Tally op once, then run its kernel on raw values."""
-        if not self.engine._suspend:
-            self.engine._tally(self.records[op])
+        e = self.engine
+        if not e._suspend:
+            _tally(self.records[op], e.counter.__dict__, e.trace)
         return getattr(self, op)(*raw)
-
-
-KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
-
-
-def kernel(name: str, *args, out, marker=None):
-    """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
-    kernel that is not an Fp primitive becomes a method of RawOps."""
-    def register(fn):
-        KERNELS[name] = (fn, marker, args, out)
-        if name not in _PRIMITIVES:
-            setattr(RawOps, name, fn)
-        return fn
-    return register
-
-
-_PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
-for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
-    kernel(_op, *(X1,) * _n, out=X1)(
-        lambda o, *a, _op=_op: getattr(o, _op)(*a))
 
 
 class Engine:
@@ -343,33 +375,6 @@ class Engine:
         if o is None:
             o = self._ops[spec] = RawOps(self, spec)
         return o
-
-    def charge(self, op: str, *xs: FieldElement) -> RawOps:
-        """raw_ops(*xs) plus one tally of op (_tally's body); nothing is
-        counted if the operands are rejected. Every Fp and Fp2 op runs this,
-        so both are inlined here."""
-        spec = xs[0].spec
-        for x in xs:
-            if x.spec is not spec or x.engine is not self:
-                raise TypeError("operands from different fields or engines")
-        o = self._ops.get(spec) or self.raw_ops(*xs)
-        if not self._suspend:
-            incs, trace = o.records[op]
-            c = self.counter.__dict__
-            for name, n in incs:
-                c[name] += n
-            if self.trace is not None:
-                self.trace.extend(trace)
-        return o
-
-    def _tally(self, record) -> None:
-        """Apply a record's counter increments and trace tuple."""
-        incs, trace = record
-        c = self.counter.__dict__
-        for name, n in incs:
-            c[name] += n
-        if self.trace is not None:
-            self.trace.extend(trace)
 
     def _wsink(self):
         return self._scratch if self._suspend else self.counter

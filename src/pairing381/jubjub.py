@@ -6,11 +6,49 @@ path. Projective coordinates (X : Y : Z) with identity (0 : 1 : 1).
 
 Cost layout per ECSM iteration: doubling 3M + 4S, unified addition 11M + 1S,
 both over Fq. The 252-bit fixed loop plus the final affine conversion gives
-252*19 + 2 = 4,790 Fq mul/sqr operations and one Fq inversion.
+252*19 + 2 = 4,790 Fq mul/sqr operations and one Fq inversion. Doubling and
+addition are raw kernels, as in curve.py; the curve constant d is the
+addition's constant operand.
 """
 
 from .curve import ProjectivePoint, ladder
+from .fields import X1, _method, kernel
 from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
+
+
+_PT = (X1, X1, X1)           # placeholder shape of a raw point
+
+
+@kernel("jubjub_double", _PT, out=_PT)
+def _double(o, p):
+    mul, sqr, add, sub = o.mul, o.sqr, o.add, o.sub
+    X, Y, Z = p
+    b = sqr(add(X, Y))
+    c = sqr(X)
+    d = sqr(Y)
+    e = o.neg(c)               # a = -1
+    f = add(e, d)
+    h = sqr(Z)
+    j = sub(f, add(h, h))
+    return mul(sub(sub(b, c), d), j), mul(f, sub(e, d)), mul(f, j)
+
+
+@kernel("jubjub_add", _PT, _PT, X1, out=_PT)
+def _add(o, p, q, d):
+    """Unified projective addition, complete for this curve."""
+    mul, add, sub = o.mul, o.add, o.sub
+    (X1, Y1, Z1), (X2, Y2, Z2) = p, q
+    a = mul(Z1, Z2)
+    b = o.sqr(a)
+    c = mul(X1, X2)
+    dd = mul(Y1, Y2)
+    e = mul(mul(d, c), dd)
+    f = sub(b, e)
+    g = add(b, e)
+    cross = sub(sub(mul(add(X1, Y1), add(X2, Y2)), c), dd)
+    x3 = mul(mul(a, f), cross)
+    y3 = mul(mul(a, g), add(dd, c))      # D - a*C with a = -1
+    return x3, y3, mul(f, g)
 
 
 class JubjubPoint(ProjectivePoint):
@@ -31,37 +69,12 @@ class JubjubPoint(ProjectivePoint):
     def __neg__(self):
         return JubjubPoint(-self.x, self.y, self.z)
 
-    def double(self) -> "JubjubPoint":
-        X, Y, Z = self.x, self.y, self.z
-        b = (X + Y).square()
-        c = X.square()
-        d = Y.square()
-        e = -c                     # a = -1
-        f = e + d
-        h = Z.square()
-        j = f - (h + h)
-        x3 = (b - c - d) * j
-        y3 = f * (e - d)
-        z3 = f * j
-        return JubjubPoint(x3, y3, z3)
+    double = _method("jubjub_double")
+    _add = _method("jubjub_add")
 
     def add(self, other: "JubjubPoint") -> "JubjubPoint":
         """Unified projective addition, complete for this curve."""
-        X1, Y1, Z1 = self.x, self.y, self.z
-        X2, Y2, Z2 = other.x, other.y, other.z
-        d_el = self.engine.jubjub.d
-        a = Z1 * Z2
-        b = a.square()
-        c = X1 * X2
-        dd = Y1 * Y2
-        e = d_el * c * dd
-        f = b - e
-        g = b + e
-        cross = (X1 + Y1) * (X2 + Y2) - c - dd
-        x3 = a * f * cross
-        y3 = a * g * (dd + c)      # D - a*C with a = -1
-        z3 = f * g
-        return JubjubPoint(x3, y3, z3)
+        return self._add(other, self.engine.jubjub.d)
 
     __add__ = add
 

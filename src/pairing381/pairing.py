@@ -21,8 +21,8 @@ and the dropped vertical lines.
 
 from . import params
 from .curve import g1_subgroup_check, g2_subgroup_check
-from .fields import X1, kernel, pow_public
-from .tower import X2, X12, Fp12El, _reject_zero
+from .fields import X1, _method, kernel, pow_public
+from .tower import X2, X12, Fp12El
 
 _STEP_OUT = (X2, X2, X2, (X2, X2, X2))    # new T and the line (z0, z3, z5)
 
@@ -38,9 +38,7 @@ def _dbl_step(o, X, Y, Z, xp, yp):
     C = sqr(Z)
     J = sqr(X)
     A2 = sub(sub(sqr(add(X, Y)), J), B)    # 2XY
-    t = add(C, C)                          # 3 b' Z^2 = 12 xi Z^2, by the
-    t = add(t, t)                          # chain of G2Point._mb3
-    E = xi(add(add(t, t), t))
+    E = o.g2_mb3(C)                        # 3 b' Z^2 = 12 xi Z^2
     F = add(add(E, E), E)
     X3 = mul(A2, sub(B, F))
     E2 = sqr(E)
@@ -97,6 +95,15 @@ def _sparse_mul(o, f, line):
     mid = o.fp6_mul(o.fp6_add(f0, f1), line)
     return (o.fp6_add(fa, o.fp6_nonres(fb)),
             o.fp6_sub(o.fp6_sub(mid, fa), fb))
+
+
+@kernel("unitary", X12, out=X12)
+def _unitary(o, f):
+    """f^(p^6 - 1) = conj(f) / f, the first step of the easy part."""
+    return o.fp12_mul(o.fp12_conj(f), o.fp12_inv(f))
+
+
+_unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
 def _prep_pair(p, q):
@@ -159,11 +166,10 @@ def final_exp(f: Fp12El) -> Fp12El:
     hard part, built from five |u|-exponentiations. Inversions after the
     easy part are conjugations.
     """
-    _reject_zero(f)
-    o = f.engine.raw_ops(*f._leaves())
-    run, k = o.apply, f.engine.tower.frob        # k[power]: Frobenius constants
-    f = f._raw()
-    t0 = run("fp12_mul", run("fp12_conj", f), run("fp12_inv", f))
+    t0 = _unitary_of(f)
+    o = t0.engine.raw_ops(*t0._leaves())
+    run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
+    t0 = t0._raw()
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
     t1 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, m), m))    # m^(u-1)
     t2 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, t1), t1))  # ^(u-1)^2

@@ -14,14 +14,16 @@ Fp inversion via the norm map. An Fp2 add, sub or neg is one a2 and 2 Fp adds,
 a conjugate one a2 and 1 Fp add, a multiplication by xi one a2 and 2 Fp adds.
 Multiplying an Fp2 element by a plain Fp scalar is charged as two direct Fp
 muls, not as an Fp2 op. Every op here is a raw kernel over a primitive set
-(fields.RawOps) on tuples of raw Fp values; the element classes are thin
-wrappers that check their operands, charge the op's record in one engine
-tally and run the kernel. An Fp6/Fp12 op (and a Frobenius map) is one tally of
-a composite record: the records of the Fp2 ops its body applies, concatenated
-in call order, so its counters and trace are exactly those of its Fp2 steps.
+(fields.RawOps) on tuples of raw Fp values; each element class only supplies
+_leaves, _raw and _wrap, and its methods are fields._method wrappers, the one
+path by which a wrapped value runs a counted op: check the operands, one
+tally of the op's record, the kernel. An Fp6/Fp12 op (and a Frobenius map) is
+one tally of a composite record: the records of the Fp2 ops its body
+applies, concatenated in call order, so its counters and trace are exactly
+those of its Fp2 steps.
 """
 
-from .fields import KERNELS, X1, FieldElement, kernel, pow_public
+from .fields import X1, FieldElement, _call, _method, kernel, pow_public
 from .params import P
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
@@ -74,28 +76,6 @@ def _inv2(o, a):
     return mul(a0, t), o.neg(mul(a1, t))
 
 
-def _fp2(like, v) -> "Fp2El":
-    """An Fp2El from raw v, over the engine and field of element `like`."""
-    e, spec = like.engine, like.spec
-    return Fp2El(FieldElement(e, spec, v[0]), FieldElement(e, spec, v[1]))
-
-
-def _fp2_method(op):
-    """An Fp2El method: one tally of op on the operands, then its kernel."""
-    fn = KERNELS[op][0]
-
-    def method(x, y=None):
-        a, b = x.c0, x.c1
-        e, spec = a.engine, a.spec
-        if y is None:
-            v0, v1 = fn(e.charge(op, a, b), (a.val, b.val))
-        else:
-            c, d = y.c0, y.c1
-            v0, v1 = fn(e.charge(op, a, b, c, d), (a.val, b.val), (c.val, d.val))
-        return Fp2El(FieldElement(e, spec, v0), FieldElement(e, spec, v1))
-    return method
-
-
 class Fp2El:
     __slots__ = ("c0", "c1")
 
@@ -119,30 +99,29 @@ class Fp2El:
     def one(engine) -> "Fp2El":
         return Fp2El.of(engine, 1, 0)
 
-    __add__ = _fp2_method("add2")
-    __sub__ = _fp2_method("sub2")
-    __neg__ = _fp2_method("neg2")
-    __mul__ = _fp2_method("mul2")
-    square = _fp2_method("sqr2")
-    conjugate = _fp2_method("conj2")
-    mul_by_xi = _fp2_method("xi2")
-    _inverse = _fp2_method("inv2")
-
-    def inverse(self) -> "Fp2El":
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero in fp2")
-        return self._inverse()
-
-    def mul_fp(self, k: FieldElement) -> "Fp2El":
-        a, b = self.c0, self.c1
-        o = a.engine.charge("mul_fp", a, b, k)
-        return _fp2(a, o.mul_fp((a.val, b.val), k.val))
-
-    def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero()
+    def _leaves(self):
+        return self.c0, self.c1
 
     def _raw(self):
         return self.c0.val, self.c1.val
+
+    @staticmethod
+    def _wrap(o, v) -> "Fp2El":
+        e, spec = o.engine, o.spec
+        return Fp2El(FieldElement(e, spec, v[0]), FieldElement(e, spec, v[1]))
+
+    __add__ = _method("add2")
+    __sub__ = _method("sub2")
+    __neg__ = _method("neg2")
+    __mul__ = _method("mul2")
+    square = _method("sqr2")
+    conjugate = _method("conj2")
+    mul_by_xi = _method("xi2")
+    inverse = _method("inv2", inverse=True)
+    mul_fp = _method("mul_fp")           # times an Fp scalar
+
+    def is_zero(self) -> bool:
+        return self.c0.is_zero() and self.c1.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Fp2El):
@@ -328,29 +307,6 @@ for _power, _k in ((1, X2), (2, X1), (3, X2)):
     kernel(f"frob{_power}", X12, (_k,) * 6, out=X12)(_frobenius(_power))
 
 
-def _call(op, out, *xs, raw=()):
-    """One tally of op on tower operands xs, whose Fp leaves must share one
-    field and engine, then its raw kernel; the result is wrapped as out."""
-    leaves = [fe for x in xs for fe in x._leaves()]
-    o = leaves[0].engine.charge(op, *leaves)
-    return out._wrap(o, getattr(o, op)(*[x._raw() for x in xs], *raw))
-
-
-def _method(op, inverse=False):
-    """An Fp6El/Fp12El method running op through _call; an inverse first
-    rejects zero, before anything is charged."""
-    def method(self, *other):
-        if inverse:
-            _reject_zero(self)
-        return _call(op, type(self), self, *other)
-    return method
-
-
-def _reject_zero(x):
-    if all(fe.is_zero() for fe in x._leaves()):
-        raise ZeroDivisionError(f"inversion of zero in {type(x).__name__}")
-
-
 class Fp6El:
     __slots__ = ("c0", "c1", "c2")
 
@@ -380,7 +336,8 @@ class Fp6El:
 
     @staticmethod
     def _wrap(o, v) -> "Fp6El":
-        return Fp6El(_fp2(o, v[0]), _fp2(o, v[1]), _fp2(o, v[2]))
+        w = Fp2El._wrap
+        return Fp6El(w(o, v[0]), w(o, v[1]), w(o, v[2]))
 
     __add__ = _method("fp6_add")
     __sub__ = _method("fp6_sub")
@@ -388,7 +345,6 @@ class Fp6El:
     __mul__ = _method("fp6_mul")
     square = _method("fp6_sqr")
     inverse = _method("fp6_inv", inverse=True)
-    mul_by_nonres = _method("fp6_nonres")     # multiply by beta
 
     def __eq__(self, other):
         if not isinstance(other, Fp6El):

@@ -174,6 +174,22 @@ def test_ladder_trace_is_scalar_independent(engine, rng):
     assert len(traces[0]) == 19481
 
 
+def test_point_operands_of_other_groups_or_engines_rejected(engine):
+    """Points of two groups can share their coordinates' field and engine,
+    so only the operand types tell them apart; points of two engines only
+    their leaves. Both are rejected before any tally."""
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    jub, h2 = engine.jubjub.generator, Engine().curve.g2_gen
+    before = engine.counter.snapshot()
+    for op in (lambda: g1.add(g2), lambda: g2.add(g1), lambda: jub.add(g1),
+               lambda: g1.add_mixed(g2), lambda: g1 + jub,
+               lambda: g1.add(g1.x), lambda: g2.add(h2),
+               lambda: g2.add_mixed(h2), lambda: h2 + g2):
+        with pytest.raises(TypeError):
+            op()
+    assert engine.counter == before
+
+
 def test_hash_and_equality_leave_counters_untouched(engine):
     for g in (engine.curve.g1_gen, engine.curve.g2_gen, engine.jubjub.generator):
         p, q = g.double(), g.add(g)      # projective forms of one point

@@ -182,7 +182,7 @@ def test_records_are_built_lazily_from_branch_free_kernels():
         return o.neg(a) if a else a
     try:
         with pytest.raises(TypeError):
-            e.charge("branchy", e.fp(1))
+            e.raw_ops(e.fp(1)).apply("branchy", e.fp(1).val)
     finally:
         del KERNELS["branchy"]
         delattr(RawOps, "branchy")

@@ -9,7 +9,7 @@ import pytest
 from pairing381 import Engine, FieldElement, OpCounter
 from pairing381.pairing import final_exp, pairing
 from pairing381.params import P
-from pairing381.tower import Fp2El, Fp6El, Fp12El, _fp2, fp2_sqrt, fp_sqrt
+from pairing381.tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
 
 def rand_fp2(e, rng):
@@ -217,6 +217,7 @@ def test_uncounted_fp2_ops_leave_counter_and_trace_alone(backend, twin_engines,
     sink = []
     before = e.counter.snapshot()
     composite = [_composite_call(op, e, rng) for op in COMPOSITE_OPS]
+    gens = (e.curve.g1_gen, e.curve.g2_gen, e.jubjub.generator)
     with e.tracing(sink), e.uncounted():
         for op in FP2_CONTRACT:
             _fp2_call(op, x, y)()
@@ -224,6 +225,10 @@ def test_uncounted_fp2_ops_leave_counter_and_trace_alone(backend, twin_engines,
         e.fq(3).inverse()
         for run in composite:
             run()
+        for g in gens:                    # the point ops
+            g.double().add(g)
+        for g in gens[:2]:
+            g.double().add_mixed(g)
     assert e.counter == before
     assert sink == []
 
@@ -251,6 +256,15 @@ def test_fp2_operands_from_other_engines_or_fields_rejected(engine, rng):
                lambda: mixed * x):
         with pytest.raises(TypeError):
             op()
+    # an Fp value and an Fp2 value share their leaves' field and engine, so
+    # only the operand types tell them apart: rejected before any tally
+    fp, fp2 = engine.fp(3), rand_fp2(engine, rng)
+    before = engine.counter.snapshot()
+    for op in (lambda: fp * fp2, lambda: fp2 * fp, lambda: fp + fp2,
+               lambda: fp2.mul_fp(fp2)):
+        with pytest.raises(TypeError):
+            op()
+    assert engine.counter == before
     # Fp6/Fp12 operands from two engines, or one value spanning two, raise
     # before anything is counted
     a6, b6 = rand_fp6(engine, rng), rand_fp6(other, rng)
@@ -360,7 +374,8 @@ def _pairing_kernel(op, *args):
     if op == "sparse_mul":
         return Fp12El._wrap(o, out)
     *xyz, line = out
-    return (*(_fp2(o, v) for v in xyz), tuple(_fp2(o, v) for v in line))
+    return (*(Fp2El._wrap(o, v) for v in xyz),
+            tuple(Fp2El._wrap(o, v) for v in line))
 
 
 def _value_digest(v) -> str:

@@ -12,11 +12,15 @@ the change side first on odd ones. Each side reads only its own sources;
 perfbench/ is read, never edited.
 
 Results are merged into --out, in the layout of BENCH_4.json:
-  * --trace 0: end_to_end[W] gets per-side runs, median and quartiles of every
-    end-to-end metric; with --claim METRIC also the per-pair values, the win
-    count and the parent's interquartile range under "claim";
+  * --trace 0 (at least two seeds): end_to_end[W] gets per-side runs, median
+    and quartiles of every end-to-end metric, and a no_regression table:
+    per metric the two medians, the relative change, the BENCHMARK.json
+    bound and a verdict (see verdict()); with --claim METRIC also the
+    per-pair values, the win count and the parent's interquartile range
+    under "claim";
   * --trace 1: per_layer gets one run per side (the first seed).
-Other keys already in the file are kept.
+Other keys already in the file are kept. BENCHMARK.json and perfbench/ are
+read, never written.
 """
 
 import argparse
@@ -75,12 +79,52 @@ def side_table(results: list) -> dict:
                    "unit": m["unit"]} for name, m in metrics.items()}
 
 
+def end_to_end_spec() -> list:
+    """BENCHMARK.json's end-to-end metrics: name, unit, better, bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def verdict(parent: list, change: list, lower: bool, bound: float) -> str:
+    """ok, worse or unresolved for one end-to-end metric.
+
+    unresolved: the parent's runs spread (IQR over median) wider than the
+    bound, so a shift within it cannot be told from noise, unless every
+    change run beats every parent run. worse: the change median is worse
+    than the parent's by more than the bound, relatively.
+    """
+    sign = 1 if lower else -1
+    if max(sign * y for y in change) < min(sign * x for x in parent):
+        return "ok"
+    pa, pb = summary(parent), summary(change)
+    scale = abs(pa["median"])
+    if scale and (pa["q3"] - pa["q1"]) / scale > bound:
+        return "unresolved"
+    drift = sign * (pb["median"] - pa["median"])
+    return "worse" if drift > bound * scale else "ok"
+
+
+def no_regression(parent: list, change: list) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: medians, relative change,
+    bound and verdict."""
+    table = {}
+    for m in end_to_end_spec():
+        a = [r["metrics"][m["name"]]["value"] for r in parent]
+        b = [r["metrics"][m["name"]]["value"] for r in change]
+        ma, mb = statistics.median(a), statistics.median(b)
+        table[m["name"]] = {
+            "parent_median": ma, "change_median": mb,
+            "relative_change": mb / ma - 1 if ma else None,
+            "bound": m["bound"],
+            "verdict": verdict(a, b, m["better"] == "lower", m["bound"])}
+    return table
+
+
 def claim(metric: str, workload: str, seeds: list, parent: list,
           change: list) -> dict:
     a = [r["metrics"][metric]["value"] for r in parent]
     b = [r["metrics"][metric]["value"] for r in change]
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    lower = {m["name"]: m["better"] for m in spec}[metric] == "lower"
+    lower = {m["name"]: m["better"]
+             for m in end_to_end_spec()}[metric] == "lower"
     wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
     pa, pb = summary(a), summary(b)
     return {
@@ -107,6 +151,8 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", help="end-to-end metric to count wins on")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if not args.trace and len(args.seeds) < 2:
+        ap.error("--trace 0 needs at least two seeds for medians and quartiles")
 
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         sha = export(args.rev, Path(tmp))
@@ -137,7 +183,8 @@ def main(argv=None) -> int:
             "seconds": args.seconds, "seeds": args.seeds,
             **{s: side_table(got[s]) for s in ("parent", "change")},
             "failed": {s: sum(r["failed"] for r in got[s])
-                       for s in ("parent", "change")}}
+                       for s in ("parent", "change")},
+            "no_regression": no_regression(got["parent"], got["change"])}
         if args.claim:
             out["claim"] = claim(args.claim, args.workload, args.seeds,
                                  got["parent"], got["change"])
