@@ -189,7 +189,7 @@ _formulas("g2", X2, "mul2", "sqr2", "add2", "sub2", "g2_mb3")
 
 
 class _CurvePoint(ProjectivePoint):
-    """Shared complete-formula machinery; subclasses bind the coordinate type."""
+    """Weierstrass-point behaviour; subclasses bind coordinates and kernels."""
 
     __slots__ = ()
 
