@@ -16,7 +16,10 @@ A1 total, which is expected (the two strategies do not mirror each other).
 Each formula is one raw kernel body, registered as g1_* over the Fp
 primitives and as g2_* over the Fp2 ops; the mul-by-12 steps are the g1_mb3
 and g2_mb3 kernels. A point op is one tally of the records of its steps, in
-call order, so its counts and trace are those of the per-op formulas.
+call order, so its counts and trace are those of the per-op formulas. The
+loops (ladder, multi_exp, plain_mul) check their operands once, apply each
+step by kernel name to raw values, select by bit logic on those (_select,
+uncounted) and wrap only the result.
 """
 
 from operator import attrgetter
@@ -27,11 +30,11 @@ from .tower import X2, Fp2El
 
 
 class ProjectivePoint:
-    """Coordinates (X : Y : Z), equality, hashing and masked select.
+    """Coordinates (X : Y : Z), equality and hashing.
 
     Shared by the Weierstrass points below and by the Edwards points in
     jubjub.py; subclasses supply identity, is_identity, to_affine and the
-    group law.
+    group law, whose double and add methods name the kernels the loops run.
     """
 
     __slots__ = ("x", "y", "z")
@@ -72,18 +75,17 @@ class ProjectivePoint:
             a = self.to_affine()
         return hash((a.x, a.y, a.is_identity()))
 
-    @staticmethod
-    def _el_select(flag, a, b):
-        return a.engine.select(flag, a, b)
+    def _consts(self):
+        """Raw constant operands of the add kernels, after the two points."""
+        return ()
 
-    @classmethod
-    def select(cls, flag: int, a, b):
-        """Masked point select: a if flag else b. Bit logic only."""
-        return cls(
-            cls._el_select(flag, a.x, b.x),
-            cls._el_select(flag, a.y, b.y),
-            cls._el_select(flag, a.z, b.z),
-        )
+
+def _select(m, a, b):
+    """a if m = -1, b if m = 0, for two raw values of one shape: bit logic on
+    every int (a Montgomery value on bigint, a limb on words), uncounted."""
+    if type(a) is tuple:
+        return tuple(_select(m, x, y) for x, y in zip(a, b))
+    return (a & m) | (b & ~m)
 
 
 @kernel("g1_mb3", X1, out=X1)
@@ -275,11 +277,6 @@ class G2Point(_CurvePoint):
         t = v + v
         return (t + t).mul_by_xi()
 
-    @staticmethod
-    def _el_select(flag, a, b):
-        e = a.engine
-        return Fp2El(e.select(flag, a.c0, b.c0), e.select(flag, a.c1, b.c1))
-
 
 def ecsm(k: int, point):
     """Constant-time k*P by double-and-add-always over the 255-bit width of q.
@@ -295,23 +292,24 @@ def ecsm(k: int, point):
         raise ValueError("point not on curve")
     if point.is_identity():
         return point
-    return ladder(k, point.normalized(), 255, type(point).add_mixed)
+    return ladder(k, point.normalized(), 255, type(point).add_mixed.op)
 
 
-def ladder(k: int, base, bits: int, add):
+def ladder(k: int, base, bits: int, add: str):
     """The fixed double-and-add-always loop over the low `bits` bits of k.
 
-    Every iteration runs one doubling and one add(acc, base); a masked select
-    keeps or discards the sum, so the operation trace does not depend on k.
-    Returns the affine result.
+    Every iteration runs one doubling and the add kernel named `add` on
+    (acc, base); a masked select keeps or discards the sum, so the operation
+    trace does not depend on k. Returns the affine result.
     """
-    cls = type(base)
-    acc = cls.identity(base.engine)
+    cls, o = type(base), base.engine.raw_ops(*base._leaves())
+    run, dbl, b, consts = o.apply, cls.double.op, base._raw(), base._consts()
+    acc = cls.identity(base.engine)._raw()
     for i in range(bits - 1, -1, -1):
-        acc = acc.double()
-        cand = add(acc, base)
-        acc = cls.select((k >> i) & 1, cand, acc)
-    return acc.to_affine()
+        acc = run(dbl, acc)
+        cand = run(add, acc, b, *consts)
+        acc = _select(-((k >> i) & 1), cand, acc)
+    return cls._wrap(o, acc).to_affine()
 
 
 def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
@@ -324,21 +322,20 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
     if k1 < 0 or k2 < 0 or max(k1.bit_length(), k2.bit_length()) > bits:
         raise ValueError("scalar out of range for fixed width")
     cls = type(p1)
-    e = p1.engine
     if not (p1.on_curve() and p2.on_curve()):
         raise ValueError("point not on curve")
-    t0 = cls.identity(e)
-    table = (t0, p1, p2, p1.add(p2))
-    acc = cls.identity(e)
+    table = (cls.identity(p1.engine), p1, p2, p1.add(p2))   # add checks p2
+    o = p1.engine.raw_ops(*[fe for t in table for fe in t._leaves()])
+    run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, p1._consts()
+    t0, t1, t2, t3 = (t._raw() for t in table)
+    acc = t0
     for i in range(bits - 1, -1, -1):
-        acc = acc.double()
-        b1 = (k1 >> i) & 1
-        b2 = (k2 >> i) & 1
-        lo = cls.select(b1, table[1], table[0])
-        hi = cls.select(b1, table[3], table[2])
-        entry = cls.select(b2, hi, lo)
-        acc = acc.add(entry)
-    return acc.to_affine()
+        acc = run(dbl, acc)
+        m1 = -((k1 >> i) & 1)
+        entry = _select(-((k2 >> i) & 1), _select(m1, t3, t2),
+                        _select(m1, t1, t0))
+        acc = run(add, acc, entry, *consts)
+    return cls._wrap(o, acc).to_affine()
 
 
 def scalar_split(k: int) -> tuple[int, int]:
@@ -369,14 +366,16 @@ def g2_ecsm_split(k: int, point: G2Point) -> G2Point:
 def plain_mul(point, n: int):
     """Variable-time double-and-add for public scalars (checks, cofactors)."""
     cls = type(point)
-    acc = cls.identity(point.engine)
     if n < 0:
         point, n = -point, -n
+    o = point.engine.raw_ops(*point._leaves())
+    run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, point._consts()
+    p, acc = point._raw(), cls.identity(point.engine)._raw()
     for bit in bin(n)[2:] if n else "":
-        acc = acc.double()
+        acc = run(dbl, acc)
         if bit == "1":
-            acc = acc.add(point)
-    return acc
+            acc = run(add, acc, p, *consts)
+    return cls._wrap(o, acc)
 
 
 def g1_subgroup_check(point: G1Point) -> bool:

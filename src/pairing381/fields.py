@@ -19,7 +19,9 @@ Counting rules (the whole artifact depends on these):
   * a wrapped value (element or point) runs an op by one path, a _method:
     operand types, then a zero inverse, then (in _call) the Fp leaves'
     field and engine are checked before the tally, so a rejected op counts
-    nothing;
+    nothing. A loop (pow_public, the curve ladders) checks its operands'
+    leaves once, applies each step's op by name on raw values, one tally
+    per step as its _method would, and wraps only the result;
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
     neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
     so its trace says m1);
@@ -34,7 +36,8 @@ Counting rules (the whole artifact depends on these):
     counter;
   * conversions into and out of Montgomery form are I/O boundary work and are
     not counted;
-  * constant-time selects are bit logic, not arithmetic, and are not counted.
+  * constant-time selects are bit logic on raw values, (a & m) | (b & ~m)
+    with m = -bit (curve._select), not arithmetic, and are not counted.
 """
 
 from collections import Counter
@@ -174,6 +177,7 @@ def _method(op, inverse=False):
             raise ZeroDivisionError(
                 f"inversion of zero in {type(self).__name__}")
         return _call(op, type(self), self, *other)
+    method.op = op     # pow_public and the curve loops apply it by name
     return method
 
 
@@ -228,17 +232,18 @@ class FieldElement:
 
 
 def pow_public(x, exp: int):
-    """x^exp by MSB-first square-and-multiply, for a public exponent exp >= 1.
-
-    Works on any element with square() and *. The sequence of operations
-    depends on exp, so exp must never be secret.
+    """x^exp by MSB-first square-and-multiply, for a public exponent exp >= 1,
+    on the raw value of any element class (by the ops of its square and *).
+    The sequence of operations depends on exp, so exp must never be secret.
     """
-    acc = x
+    o = x.engine.raw_ops(*x._leaves())
+    run, sqr, mul = o.apply, type(x).square.op, type(x).__mul__.op
+    a = acc = x._raw()
     for bit in bin(exp)[3:]:
-        acc = acc.square()
+        acc = run(sqr, acc)
         if bit == "1":
-            acc = acc * x
-    return acc
+            acc = run(mul, acc, a)
+    return x._wrap(o, acc)
 
 
 def _big_ops(spec):
@@ -347,20 +352,6 @@ class Engine:
         if self.backend == "words":
             mont = to_limbs(mont, spec)
         return FieldElement(self, spec, mont)
-
-    # ----- constant-time select (bit logic, uncounted) -----
-
-    def select(self, flag: int, a: FieldElement, b: FieldElement) -> FieldElement:
-        """flag must be 0 or 1; returns a if flag else b, via masking."""
-        spec = a.spec
-        if self.backend == "words":
-            m = -flag & spec.word_mask
-            val = tuple((x & m) | (y & ~m & spec.word_mask)
-                        for x, y in zip(a.val, b.val))
-        else:
-            m = -flag & spec.full_mask
-            val = (a.val & m) | (b.val & ~m & spec.full_mask)
-        return FieldElement(self, spec, val)
 
     # ----- counter plumbing -----
 

@@ -51,6 +51,8 @@ class CsprngState:
         return out[:n]
 
     def below(self, bound: int) -> int:
+        if bound < 1:
+            raise ValueError("empty range: bound must be at least 1")
         nbits = bound.bit_length()
         nbytes = (nbits + 7) // 8
         shift = 8 * nbytes - nbits
@@ -60,6 +62,8 @@ class CsprngState:
                 return v
 
     def nonzero_below(self, bound: int) -> int:
+        if bound < 2:
+            raise ValueError("empty range: bound must be at least 2")
         while True:
             v = self.below(bound)
             if v:
@@ -159,7 +163,9 @@ def hash_to_g1(engine, msg: bytes, dst: bytes) -> G1Point:
     u0, u1 = hash_to_field(msg, dst)
     p0 = _iso_eval(engine, *_sswu(engine, engine.fp(u0)))
     p1 = _iso_eval(engine, *_sswu(engine, engine.fp(u1)))
-    s = p0.add_mixed(p1)
+    # the mixed addition needs an affine p1; the isogeny's kernel maps to the
+    # identity, and messages are public, so this branch may depend on them
+    s = p0 if p1.is_identity() else p0.add_mixed(p1)
     return plain_mul(s, params.H_EFF_G1).to_affine()
 
 

@@ -76,7 +76,11 @@ class JubjubPoint(ProjectivePoint):
         """Unified projective addition, complete for this curve."""
         return self._add(other, self.engine.jubjub.d)
 
+    add.op = _add.op
     __add__ = add
+
+    def _consts(self):
+        return (self.engine.jubjub.d.val,)
 
     def to_affine(self) -> "JubjubPoint":
         # always inverts, identity included, so the ladder's trace ends the
@@ -103,7 +107,7 @@ def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
         raise ValueError("scalar out of range")
     if not point.on_curve():
         raise ValueError("point not on jubjub")
-    return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add)
+    return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add.op)
 
 
 def _tonelli_shanks(n: int, p: int):

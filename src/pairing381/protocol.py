@@ -190,7 +190,7 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
     if config.scalar_splitting:
         r = config.rng.below(params.Q)
         return multi_exp(r, base, (k - r) % params.Q, base, bits=255)
-    return ladder(k, base, 255, type(point).add)
+    return ladder(k, base, 255, type(point).add.op)
 
 
 def hardened_pairing(p: G1Point, q: G2Point, config: CountermeasureConfig):

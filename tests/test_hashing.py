@@ -3,7 +3,8 @@
 import pytest
 
 from pairing381 import _iso_g1 as iso
-from pairing381.curve import subgroup_check_canonical
+from pairing381 import hashing
+from pairing381.curve import G1Point, plain_mul, subgroup_check_canonical
 from pairing381.hashing import (
     CsprngState,
     _sswu,
@@ -12,7 +13,7 @@ from pairing381.hashing import (
     hash_to_g1,
     sha256,
 )
-from pairing381.params import P
+from pairing381.params import H_EFF_G1, P
 
 
 def test_sha256_known_answers():
@@ -47,6 +48,11 @@ def test_csprng_determinism_and_bounds():
     assert a.nonzero_below(2) == 1
     with pytest.raises(ValueError):
         CsprngState(b"short")
+    # an empty range has nothing to draw: raise instead of looping forever
+    for draw, bound in ((a.below, 0), (a.below, -3), (a.nonzero_below, 1),
+                        (a.nonzero_below, 0)):
+        with pytest.raises(ValueError):
+            draw(bound)
 
 
 def test_hash_to_field_range():
@@ -90,3 +96,20 @@ def test_sswu_zero_input_lands_on_the_domain_curve(engine):
     x, y = _sswu(engine, engine.fp(0))
     a, b = engine.fp(iso.A1), engine.fp(iso.B1)
     assert y.square() == (x.square() + a) * x + b
+
+
+def test_hash_to_g1_when_the_isogeny_yields_the_identity(engine, monkeypatch):
+    """An SSWU output on the isogeny's kernel maps to the identity, which
+    the mixed addition cannot take as its affine operand; the hash is then
+    the cofactor-cleared image of the other field element."""
+    images = []
+
+    def second_on_kernel(e, x, y):
+        images.append(iso_eval(e, x, y))
+        return images[-1] if len(images) == 1 else G1Point.identity(e)
+
+    iso_eval = hashing._iso_eval
+    monkeypatch.setattr(hashing, "_iso_eval", second_on_kernel)
+    pt = hash_to_g1(engine, b"kernel probe", b"kernel-dst")
+    assert pt.on_curve() and subgroup_check_canonical(pt)
+    assert pt == plain_mul(images[0], H_EFF_G1)

@@ -11,14 +11,16 @@ checkout, one after the other: the parent side first on even pair indexes,
 the change side first on odd ones. Each side reads only its own sources;
 perfbench/ is read, never edited.
 
-Results are merged into --out, in the layout of BENCH_4.json:
-  * --trace 0 (at least two seeds): end_to_end[W] gets per-side runs, median
-    and quartiles of every end-to-end metric, and a no_regression table:
-    per metric the two medians, the relative change, the BENCHMARK.json
-    bound and a verdict (see verdict()); with --claim METRIC also the
-    per-pair values, the win count and the parent's interquartile range
-    under "claim";
-  * --trace 1: per_layer gets one run per side (the first seed).
+Results are merged into --out, in the layout of BENCH_4.json; every mode
+needs at least two seeds, so that each side has a median and quartiles:
+  * --trace 0: end_to_end[W] gets per-side runs, median and quartiles of
+    every end-to-end metric, and a no_regression table: per metric the two
+    medians, the relative change, the BENCHMARK.json bound and a verdict
+    (see verdict()); with --claim METRIC also the per-pair values, the win
+    count and the parent's interquartile range under "claim";
+  * --trace 1: per_layer[W] gets per-side runs, median and quartiles of
+    every metric of the traced runs, per-layer ones included, so a layer
+    figure is compared against its spread, not as one pair of runs.
 Other keys already in the file are kept. BENCHMARK.json and perfbench/ are
 read, never written.
 """
@@ -151,8 +153,8 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", help="end-to-end metric to count wins on")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if not args.trace and len(args.seeds) < 2:
-        ap.error("--trace 0 needs at least two seeds for medians and quartiles")
+    if len(args.seeds) < 2:
+        ap.error("at least two seeds are needed for medians and quartiles")
 
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         sha = export(args.rev, Path(tmp))
@@ -175,9 +177,9 @@ def main(argv=None) -> int:
     out["host"] = {"python": platform.python_version(), "nproc": os.cpu_count()}
     out["command"] = COMMAND
     if args.trace:
-        out["per_layer"] = {
-            "workload": args.workload, "seed": args.seeds[0], "trace": 1,
-            **{s: got[s][0]["metrics"] for s in ("parent", "change")}}
+        out.setdefault("per_layer", {})[args.workload] = {
+            "seconds": args.seconds, "seeds": args.seeds, "trace": 1,
+            **{s: side_table(got[s]) for s in ("parent", "change")}}
     else:
         out.setdefault("end_to_end", {})[args.workload] = {
             "seconds": args.seconds, "seeds": args.seeds,
