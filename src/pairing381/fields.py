@@ -7,19 +7,23 @@ CIOS law, "words" executes the instrumented word-array loops in cios.py.
 
 Counting rules (the whole artifact depends on these):
   * every counted operation, from an Fp add to a Miller step or a point
-    doubling, is one tally (_tally, the only code that applies a record)
-    plus a raw kernel: a function of a primitive set (RawOps) and raw values,
-    registered with @kernel. The record, counter increments and a trace
-    tuple, is built once per op and field spec on first use by running the
-    op's own kernel on a _Recorder with placeholder values: each Fp primitive
-    the body calls (mul, sqr, add, sub, neg, inv) is one step, each
-    registered op it calls adds that op's record, in call order. On bigint a
-    record also holds the word-law increments; on words the cios.py loops
-    charge the word counters as they run;
+    doubling, is one tally (RawOps.apply, the only code that applies a
+    record) plus a raw kernel: a function of a primitive set (RawOps) and raw
+    values, registered with @kernel. The kernel body is the only source of
+    its op. At the op's first counted use, per engine and field spec, one
+    walk (_Walker) runs the body on named placeholders, inlining every
+    registered op it calls: each Fp primitive the walk meets (mul, sqr, add,
+    sub, neg, inv) is one step of the record (counter increments and a
+    trace tuple) and one line of a straight-line function, which is compiled
+    once per op and backend in the process and installed on that RawOps.
+    Until then, and for an op only ever run uncounted, the body runs as a
+    call tree. On bigint a record also holds the word-law increments and the
+    lines inline the Montgomery forms; on words the lines call the
+    primitives, whose cios.py loops charge the word counters as they run;
   * a wrapped value (element or point) runs an op by one path, a _method:
     operand types, then a zero inverse, then (in _call) the Fp leaves'
     field and engine are checked before the tally, so a rejected op counts
-    nothing. A loop (pow_public, the curve ladders) checks its operands'
+    nothing. A loop (pow_raw, the curve ladders) checks its operands'
     leaves once, applies each step's op by name on raw values, one tally
     per step as its _method would, and wraps only the result;
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
@@ -42,6 +46,7 @@ Counting rules (the whole artifact depends on these):
 
 from collections import Counter
 from contextlib import contextmanager
+from itertools import count
 
 from .cios import cios_mont_mul, from_limbs, to_limbs, word_mod_add, word_mod_sub
 from .counters import OpCounter
@@ -49,7 +54,13 @@ from .params import system_params
 
 
 class _Symbol:
-    """A placeholder raw value: a kernel that tests one cannot be recorded."""
+    """A placeholder raw value: a kernel that tests one cannot be recorded.
+    A named one is the variable holding that value in compiled code."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name=""):
+        self.name = name
 
     def __bool__(self, *other):
         raise TypeError("kernel branched on a value")
@@ -59,77 +70,149 @@ class _Symbol:
 
 X1 = _Symbol()     # placeholder shape of one raw Fp value
 
+# One line of straight-line code per Fp primitive step, per backend: bigint
+# inlines the branch-free Montgomery forms (the bigint primitives are built
+# from the same lines), words calls the primitives, whose cios.py loops
+# charge the word counters as they run. A squaring is mul with b = a; inv
+# stays a call on both.
+_TEMPLATES = {
+    "bigint": {
+        "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
+               " * n) >> rbits; {r} = {r} - n * ({r} >= n)",
+        "add": "{r} = {a} + {b}; {r} = {r} - n * ({r} >= n)",
+        "sub": "{r} = {a} - {b}; {r} = {r} + n * ({r} < 0)",
+        "neg": "{r} = -{a}; {r} = {r} + n * ({r} < 0)",
+        "inv": "{r} = inv({a})"},
+    "words": {
+        "mul": "{r} = mul({a}, {b})", "add": "{r} = add({a}, {b})",
+        "sub": "{r} = sub({a}, {b})", "neg": "{r} = neg({a})",
+        "inv": "{r} = inv({a})"},
+}
+_BIND = {   # what a compiled function reads from its RawOps
+    "bigint": "s = o.spec; n, mask, np_full, rbits = "
+              "s.modulus, s.full_mask, s.np_full, s.rbits; inv = o.inv",
+    "words": "mul, add, sub, neg, inv = o.mul, o.add, o.sub, o.neg, o.inv",
+}
 
-class _Recorder:
-    """A primitive set that records the steps a kernel takes, computing
-    nothing; .record is the op's (counter increments, trace tuple)."""
+
+def _factory(backend, op, params, lines, out):
+    """Compile make(o): it binds o's spec constants and primitives and
+    returns the straight-line function op(params) of lines, returning out."""
+    body = "".join(f"        {line}\n" for line in lines)
+    src = (f"def make(o):\n    {_BIND[backend]}\n    def {op}({params}):\n"
+           f"{body}        return {out}\n    return {op}\n")
+    ns = {}
+    exec(compile(src, f"<{op} on {backend}>", "exec"), ns)
+    return ns["make"]
+
+
+def _expr(v) -> str:
+    """The source text of a placeholder or a nested tuple of them."""
+    if isinstance(v, _Symbol):
+        return v.name
+    return "(" + "".join(_expr(x) + ", " for x in v) + ")"
+
+
+class _Walker:
+    """Runs an op's kernel once on named placeholders, inlining every
+    registered op it calls; a body that branches on a value fails.
+
+    .record is the op's (counter increments, trace tuple): each Fp primitive
+    step (mul, sqr, add, sub, neg, inv) counts once, in the _in2 bucket iff
+    the innermost enclosing op has a marker, and a marker op appends its
+    marker when it is entered. .code is (params, lines, result) of one
+    straight-line function computing the op, one _TEMPLATES line per step.
+    """
 
     def __init__(self, ops, op):
-        fn, marker, args, _ = KERNELS[op]
-        spec = ops.spec
-        self.ops = ops
+        spec, backend = ops.spec, ops.engine.backend
         self.f = f = "1" if spec.name == "fp" else "q"
-        self.nested = "_in2" if marker and spec.name == "fp" else ""
-        w = ops.engine.backend == "bigint"   # words: the loops charge words
+        w = backend == "bigint"   # words: the loops charge words
         mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
-        add, sub = (0, w * spec.word_adds_per_modadd), (0, w * spec.word_adds_per_modsub)
-        chain = tuple(s + f for bit in bin(spec.modulus - 2)[3:]
-                      for s in ("sm" if bit == "1" else "s"))
-        self.mul = lambda a, b: self._step("m", mul)
-        self.sqr = lambda a: self._step("s", mul)
-        self.add = lambda a, b: self._step("a", add)
-        self.sub = lambda a, b: self._step("a", sub)
-        self.neg = lambda a: self._step("a", sub)
-        self.inv = lambda a: self._step("i", mul, chain)
-        self.incs = Counter({marker: 1} if marker else {})
-        self.trace = [marker] if marker else []
-        fn(self, *args)
+        sub = (0, w * spec.word_adds_per_modsub)
+        self.law = {"mul": mul, "inv": mul, "sub": sub, "neg": sub,
+                    "add": (0, w * spec.word_adds_per_modadd)}
+        self.chain = tuple(s + f for bit in bin(spec.modulus - 2)[3:]
+                           for s in ("sm" if bit == "1" else "s"))
+        self.template = _TEMPLATES[backend]
+        self.mul = lambda a, b: self._step("m", "mul", a, b)
+        self.sqr = lambda a: self._step("s", "mul", a)
+        self.add = lambda a, b: self._step("a", "add", a, b)
+        self.sub = lambda a, b: self._step("a", "sub", a, b)
+        self.neg = lambda a: self._step("a", "neg", a)
+        self.inv = lambda a: self._step("i", "inv", a)
+        self.incs, self.trace, self.lines, self.nested = Counter(), [], [], []
+        self.names = map("v{}".format, count())
+        params, args = [], []
+        for i, shape in enumerate(KERNELS[op][2]):
+            args.append(self._bind(shape))
+            params.append(_expr(args[-1]) if shape is X1 else f"a{i}")
+            if shape is not X1:
+                self.lines.append(f"{_expr(args[-1])} = a{i}")
+        out = self._enter(op, args)
         self.record = (tuple((k, n) for k, n in self.incs.items() if n),
                        tuple(self.trace))
+        self.code = (", ".join(params), self.lines, _expr(out))
 
-    def _step(self, kind, law, chain=()):
+    def _bind(self, shape):
+        if shape is X1:
+            return _Symbol(next(self.names))
+        return tuple(map(self._bind, shape))
+
+    def _enter(self, op, args):
+        fn, marker = KERNELS[op][:2]
+        if marker:
+            self.incs[marker] += 1
+            self.trace.append(marker)
+        self.nested.append("_in2" if marker and self.f == "1" else "")
+        out = fn(self, *args)
+        self.nested.pop()
+        return out
+
+    def __getattr__(self, op):
+        """A registered op called from the body is walked inline."""
+        if op not in KERNELS:
+            raise AttributeError(op)
+        return lambda *args: self._enter(op, args)
+
+    def _step(self, kind, prim, a, b=None):
         name = kind + self.f
-        self.incs[name + self.nested] += 1
+        self.incs[name + self.nested[-1]] += 1
         self.trace.append(name)
-        if chain:         # an inversion: its Fermat chain follows it
-            self.incs["inv_m" + self.f] += len(chain)
-            self.trace += chain
-        self.incs["word_mul"] += max(len(chain), 1) * law[0]
-        self.incs["word_add"] += max(len(chain), 1) * law[1]
-        return X1
+        reps = 1
+        if kind == "i":   # an inversion: its Fermat chain follows it
+            reps = len(self.chain)
+            self.incs["inv_m" + self.f] += reps
+            self.trace += self.chain
+        self.incs["word_mul"] += reps * self.law[prim][0]
+        self.incs["word_add"] += reps * self.law[prim][1]
+        r = _Symbol(next(self.names))
+        self.lines.append(self.template[prim].format(
+            r=r.name, a=a.name, b=(a if b is None else b).name))
+        return r
 
-    def __getattr__(self, name):
-        """A registered op called from the body adds its own record."""
-        if name not in KERNELS:
-            raise AttributeError(name)
-        record = self.ops.records[name]
 
-        def apply(*raw):
-            _tally(record, self.incs, self.trace)
-            return KERNELS[name][3]
-        return apply
+_CODE = {}   # (op, backend) -> make(o) of its compiled function
 
 
 class _Records(dict):
-    """op -> record over one RawOps' field, built on first use."""
+    """op -> record over one RawOps' field, built at the op's first counted
+    use by one walk of its kernel, which also compiles the op (once per op
+    and backend in the process) into a function installed on the RawOps."""
 
     def __init__(self, ops):
         super().__init__()
         self.ops = ops
 
     def __missing__(self, op):
-        rec = self[op] = _Recorder(self.ops, op).record
+        walk = _Walker(self.ops, op)
+        if op not in _PRIMITIVES:     # a primitive is one function already
+            key = op, self.ops.engine.backend
+            if key not in _CODE:
+                _CODE[key] = _factory(key[1], op, *walk.code)
+            setattr(self.ops, op, _CODE[key](self.ops))
+        rec = self[op] = walk.record
         return rec
-
-
-def _tally(record, counts, trace) -> None:
-    """Apply a record's counter increments and trace tuple to counts (a
-    counter's fields, or a _Recorder's) and to trace, unless it is None."""
-    incs, steps = record
-    for name, n in incs:
-        counts[name] += n
-    if trace is not None:
-        trace.extend(steps)
 
 
 KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
@@ -150,6 +233,10 @@ _PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
 for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
     kernel(_op, *(X1,) * _n, out=X1)(
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
+# the bigint primitives, compiled once from the lines the kernels inline
+_BIG = {p: _factory("bigint", p, ", ".join("ab"[:n]), [_TEMPLATES["bigint"][
+            "mul" if p == "sqr" else p].format(r="r", a="a", b="ab"[n - 1])], "r")
+        for p, n in _PRIMITIVES.items() if p != "inv"}
 
 
 def _call(op, out, *xs, raw=()):
@@ -231,44 +318,26 @@ class FieldElement:
         return f"<{self.spec.name} 0x{self.to_int():x}>"
 
 
-def pow_public(x, exp: int):
-    """x^exp by MSB-first square-and-multiply, for a public exponent exp >= 1,
-    on the raw value of any element class (by the ops of its square and *).
-    The sequence of operations depends on exp, so exp must never be secret.
+def pow_raw(run, a, exp: int, sqr: str, mul: str):
+    """a^exp on a raw value by MSB-first square-and-multiply, for a public
+    exponent exp >= 1: run(sqr, acc) per bit after the leading one, then
+    run(mul, acc, a) if the bit is set. The sequence of operations depends
+    on exp, so exp must never be secret.
     """
-    o = x.engine.raw_ops(*x._leaves())
-    run, sqr, mul = o.apply, type(x).square.op, type(x).__mul__.op
-    a = acc = x._raw()
+    acc = a
     for bit in bin(exp)[3:]:
         acc = run(sqr, acc)
         if bit == "1":
             acc = run(mul, acc, a)
-    return x._wrap(o, acc)
+    return acc
 
 
-def _big_ops(spec):
-    """Montgomery mul, add, sub and neg on Python ints for one spec."""
-    n, mask, np_full, rbits = spec.modulus, spec.full_mask, spec.np_full, spec.rbits
-
-    def mul(a, b):
-        t = a * b
-        m = (t & mask) * np_full & mask       # only t mod R matters for m
-        t = (t + m * n) >> rbits
-        return t - n * (t >= n)
-
-    def add(a, b):
-        v = a + b
-        return v - n * (v >= n)
-
-    def sub(a, b):
-        v = a - b
-        return v + n * (v < 0)
-
-    def neg(a):
-        v = -a
-        return v + n * (v < 0)
-
-    return mul, add, sub, neg
+def pow_public(x, exp: int):
+    """x^exp (see pow_raw) for an element of any class, by the ops of its
+    square and *."""
+    o, cls = x.engine.raw_ops(*x._leaves()), type(x)
+    return x._wrap(o, pow_raw(o.apply, x._raw(), exp, cls.square.op,
+                              cls.__mul__.op))
 
 
 class RawOps:
@@ -276,8 +345,9 @@ class RawOps:
 
     mul, sqr, add, sub, neg and inv are the Fp primitives (ints on bigint,
     limb tuples on words, where the cios.py loops charge their word
-    operations as they run). Every other registered kernel is a method.
-    Only apply tallies: it charges the op's record, then runs the kernel.
+    operations as they run). Every other registered kernel is a method, and
+    its compiled function, once built, an instance attribute that shadows
+    it. Only apply tallies: it charges the op's record, then runs the kernel.
     """
 
     def __init__(self, engine, spec):
@@ -285,7 +355,8 @@ class RawOps:
         self.spec = spec
         self.records = _Records(self)
         if engine.backend == "bigint":
-            self.mul, self.add, self.sub, self.neg = _big_ops(spec)
+            for p, make in _BIG.items():
+                setattr(self, p, make(self))
             return
         sink, zero = engine._wsink, (0,) * spec.limbs
         self.mul = lambda a, b: cios_mont_mul(a, b, spec, sink())
@@ -312,7 +383,12 @@ class RawOps:
         """Tally op once, then run its kernel on raw values."""
         e = self.engine
         if not e._suspend:
-            _tally(self.records[op], e.counter.__dict__, e.trace)
+            incs, steps = self.records[op]
+            counts = e.counter.__dict__
+            for name, n in incs:
+                counts[name] += n
+            if e.trace is not None:
+                e.trace.extend(steps)
         return getattr(self, op)(*raw)
 
 

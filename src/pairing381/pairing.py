@@ -21,7 +21,7 @@ and the dropped vertical lines.
 
 from . import params
 from .curve import g1_subgroup_check, g2_subgroup_check
-from .fields import X1, _method, kernel, pow_public
+from .fields import X1, _method, kernel, pow_public, pow_raw
 from .tower import X2, X12, Fp12El
 
 _STEP_OUT = (X2, X2, X2, (X2, X2, X2))    # new T and the line (z0, z3, z5)
@@ -148,16 +148,6 @@ def miller_loop(p, q) -> Fp12El:
     return multi_miller_loop([pq])
 
 
-def _exp_abs_u(run, x):
-    """x^|u| by cyclotomic square-and-multiply (63 squarings, 5 multiplies)."""
-    acc = x
-    for bit in bin(params.ABS_U)[3:]:
-        acc = run("fp12_cyclo_sqr", acc)
-        if bit == "1":
-            acc = run("fp12_mul", acc, x)
-    return acc
-
-
 def final_exp(f: Fp12El) -> Fp12El:
     """Map a Miller value into the order-q target group.
 
@@ -169,13 +159,16 @@ def final_exp(f: Fp12El) -> Fp12El:
     t0 = _unitary_of(f)
     o = t0.engine.raw_ops(*t0._leaves())
     run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
+
+    def exp_u(x):   # x^|u| by cyclotomic squarings: 63 of them, 5 multiplies
+        return pow_raw(run, x, params.ABS_U, "fp12_cyclo_sqr", "fp12_mul")
     t0 = t0._raw()
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
-    t1 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, m), m))    # m^(u-1)
-    t2 = run("fp12_conj", run("fp12_mul", _exp_abs_u(run, t1), t1))  # ^(u-1)^2
-    t3 = run("fp12_mul", run("fp12_conj", _exp_abs_u(run, t2)),
-             run("frob1", t2, k[1]))                                 # ^(u+p)
-    t4 = _exp_abs_u(run, _exp_abs_u(run, t3))
+    t1 = run("fp12_conj", run("fp12_mul", exp_u(m), m))      # m^(u-1)
+    t2 = run("fp12_conj", run("fp12_mul", exp_u(t1), t1))    # ^(u-1)^2
+    t3 = run("fp12_mul", run("fp12_conj", exp_u(t2)),
+             run("frob1", t2, k[1]))                         # ^(u+p)
+    t4 = exp_u(exp_u(t3))
     t4 = run("fp12_mul", t4, run("frob2", t3, k[2]))
     t4 = run("fp12_mul", t4, run("fp12_conj", t3))           # ^(u^2+p^2-1)
     out = run("fp12_mul", run("fp12_mul", t4, run("fp12_cyclo_sqr", m)), m)

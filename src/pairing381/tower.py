@@ -407,6 +407,7 @@ class Fp12El:
 
     @staticmethod
     def from_coeffs(cs) -> "Fp12El":
+        """The inverse of coeffs(); perfbench/run.py builds operands with it."""
         return Fp12El(Fp6El(cs[0], cs[2], cs[4]), Fp6El(cs[1], cs[3], cs[5]))
 
 

@@ -55,17 +55,25 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: int,
+def run_side(side: str, root: Path, workload: str, seed: int, seconds: int,
              trace: int) -> dict:
-    """One perfbench run from root; the result JSON it prints last."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True)
+    """One perfbench run from root; the result JSON it prints last. A run
+    that crashes has its side, seed and stderr tail printed, then re-raises."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds),
+             "--trace", str(trace)],
+            cwd=root, capture_output=True, text=True, check=True)
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.splitlines()[-20:])
+        print(f"# {side} seed {seed} exited {exc.returncode}:\n{tail}",
+              file=sys.stderr)
+        raise
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         failed = [line for line in proc.stdout.splitlines() if "FAILED" in line]
-        print(f"# {root.name} seed {seed}: {failed}", file=sys.stderr)
+        print(f"# {side} seed {seed}: {failed}", file=sys.stderr)
     return result
 
 
@@ -163,8 +171,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                got[side].append(run_side(sides[side], args.workload, seed,
-                                          args.seconds, args.trace))
+                got[side].append(run_side(side, sides[side], args.workload,
+                                          seed, args.seconds, args.trace))
             if args.claim:
                 x, y = (got[s][-1]["metrics"][args.claim]["value"]
                         for s in ("parent", "change"))
