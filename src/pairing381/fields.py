@@ -11,15 +11,13 @@ Counting rules (the whole artifact depends on these):
     record) plus a raw kernel: a function of a primitive set (RawOps) and raw
     values, registered with @kernel. The kernel body is the only source of
     its op. At the op's first counted use, per engine and field spec, one
-    walk (_Walker) runs the body on named placeholders, inlining every
-    registered op it calls: each Fp primitive the walk meets (mul, sqr, add,
-    sub, neg, inv) is one step of the record (counter increments and a
-    trace tuple) and one line of a straight-line function, which is compiled
-    once per op and backend in the process and installed on that RawOps.
-    Until then, and for an op only ever run uncounted, the body runs as a
-    call tree. On bigint a record also holds the word-law increments and the
-    lines inline the Montgomery forms; on words the lines call the
-    primitives, whose cios.py loops charge the word counters as they run;
+    walk (_Walker) runs the body on named placeholders: each Fp primitive it
+    meets (mul, sqr, add, sub, neg, inv) is one step of the record (counter
+    increments, trace tuple) and one line of a straight-line function,
+    compiled once per op and backend in the process and installed on that
+    RawOps; until then the body runs as a call tree. On bigint a record also
+    holds the word-law increments; on words the lines call the primitives,
+    whose cios.py loops charge the word counters as they run;
   * a wrapped value (element or point) runs an op by one path, a _method:
     operand types, then a zero inverse, then (in _call) the Fp leaves'
     field and engine are checked before the tally, so a rejected op counts
@@ -54,8 +52,7 @@ from .params import system_params
 
 
 class _Symbol:
-    """A placeholder raw value: a kernel that tests one cannot be recorded.
-    A named one is the variable holding that value in compiled code."""
+    """A placeholder raw value, named by its variable in compiled code."""
 
     __slots__ = ("name",)
 
@@ -70,11 +67,9 @@ class _Symbol:
 
 X1 = _Symbol()     # placeholder shape of one raw Fp value
 
-# One line of straight-line code per Fp primitive step, per backend: bigint
-# inlines the branch-free Montgomery forms (the bigint primitives are built
-# from the same lines), words calls the primitives, whose cios.py loops
-# charge the word counters as they run. A squaring is mul with b = a; inv
-# stays a call on both.
+# One line per Fp primitive step (a squaring is mul with b = a): bigint
+# inlines the branch-free Montgomery forms, and its primitives are built from
+# the same lines; words calls the primitives, whose loops charge the words.
 _TEMPLATES = {
     "bigint": {
         "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
@@ -95,15 +90,21 @@ _BIND = {   # what a compiled function reads from its RawOps
 }
 
 
-def _factory(backend, op, params, lines, out):
-    """Compile make(o): it binds o's spec constants and primitives and
-    returns the straight-line function op(params) of lines, returning out."""
+def _factory(backend, op, params, lines, out, calls=()):
+    """Compile make(o), which binds o's constants, primitives and the ops in
+    calls, and returns the straight-line function op(params) of lines."""
+    bind = "".join(f"    {c} = o.{c}\n" for c in sorted(calls))
     body = "".join(f"        {line}\n" for line in lines)
-    src = (f"def make(o):\n    {_BIND[backend]}\n    def {op}({params}):\n"
-           f"{body}        return {out}\n    return {op}\n")
+    src = (f"def make(o):\n    {_BIND[backend]}\n{bind}    def {op}({params}):"
+           f"\n{body}        return {out}\n    return {op}\n")
     ns = {}
     exec(compile(src, f"<{op} on {backend}>", "exec"), ns)
     return ns["make"]
+
+
+def _size(shape) -> int:
+    """The number of raw Fp values in a placeholder shape."""
+    return 1 if shape is X1 else sum(map(_size, shape))
 
 
 def _expr(v) -> str:
@@ -114,18 +115,21 @@ def _expr(v) -> str:
 
 
 class _Walker:
-    """Runs an op's kernel once on named placeholders, inlining every
-    registered op it calls; a body that branches on a value fails.
+    """Runs an op's kernel once on named placeholders (a body that branches
+    on a value fails), inlining the registered ops it calls up to Fp2 size.
+    A wider one (Fp6, Fp12) is a call to its own compiled function: inlining
+    it too ran a pairing 1-3% faster but doubled the compile time, which the
+    first counted pairing pays.
 
     .record is the op's (counter increments, trace tuple): each Fp primitive
-    step (mul, sqr, add, sub, neg, inv) counts once, in the _in2 bucket iff
-    the innermost enclosing op has a marker, and a marker op appends its
-    marker when it is entered. .code is (params, lines, result) of one
-    straight-line function computing the op, one _TEMPLATES line per step.
-    """
+    step counts once, in the _in2 bucket iff the innermost enclosing op has
+    a marker; a marker op appends its marker when entered; a called op adds
+    its record. .code is (params, lines, result, called ops) of the op's
+    straight-line function, one _TEMPLATES line per step."""
 
     def __init__(self, ops, op):
         spec, backend = ops.spec, ops.engine.backend
+        self.ops, self.calls = ops, set()
         self.f = f = "1" if spec.name == "fp" else "q"
         w = backend == "bigint"   # words: the loops charge words
         mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
@@ -141,18 +145,15 @@ class _Walker:
         self.sub = lambda a, b: self._step("a", "sub", a, b)
         self.neg = lambda a: self._step("a", "neg", a)
         self.inv = lambda a: self._step("i", "inv", a)
-        self.incs, self.trace, self.lines, self.nested = Counter(), [], [], []
+        self.incs, self.trace, self.nested = Counter(), [], []
         self.names = map("v{}".format, count())
-        params, args = [], []
-        for i, shape in enumerate(KERNELS[op][2]):
-            args.append(self._bind(shape))
-            params.append(_expr(args[-1]) if shape is X1 else f"a{i}")
-            if shape is not X1:
-                self.lines.append(f"{_expr(args[-1])} = a{i}")
+        args = [self._bind(shape) for shape in KERNELS[op][2]]
+        self.lines = [f"{_expr(a)} = a{i}" for i, a in enumerate(args)]
         out = self._enter(op, args)
         self.record = (tuple((k, n) for k, n in self.incs.items() if n),
                        tuple(self.trace))
-        self.code = (", ".join(params), self.lines, _expr(out))
+        params = ", ".join(f"a{i}" for i in range(len(args)))
+        self.code = (params, self.lines, _expr(out), self.calls)
 
     def _bind(self, shape):
         if shape is X1:
@@ -160,7 +161,15 @@ class _Walker:
         return tuple(map(self._bind, shape))
 
     def _enter(self, op, args):
-        fn, marker = KERNELS[op][:2]
+        fn, marker, _, shape = KERNELS[op]
+        if self.nested and _size(shape) > 2:
+            incs, steps = self.ops.records[op]   # builds and compiles op
+            self.calls.add(op)
+            self.incs.update(dict(incs))
+            self.trace += steps
+            out = self._bind(shape)
+            self.lines.append(f"{_expr(out)} = {op}{_expr(args)}")
+            return out
         if marker:
             self.incs[marker] += 1
             self.trace.append(marker)
@@ -197,8 +206,8 @@ _CODE = {}   # (op, backend) -> make(o) of its compiled function
 
 class _Records(dict):
     """op -> record over one RawOps' field, built at the op's first counted
-    use by one walk of its kernel, which also compiles the op (once per op
-    and backend in the process) into a function installed on the RawOps."""
+    use by a _Walker, which also yields the function installed on the RawOps
+    (compiled once per op and backend in the process)."""
 
     def __init__(self, ops):
         super().__init__()
@@ -363,9 +372,7 @@ class RawOps:
         self.add = lambda a, b: word_mod_add(a, b, spec, sink())
         self.sub = lambda a, b: word_mod_sub(a, b, spec, sink())
         self.neg = lambda a: word_mod_sub(zero, a, spec, sink())
-
-    def sqr(self, a):
-        return self.mul(a, a)
+        self.sqr = lambda a: cios_mont_mul(a, a, spec, sink())
 
     def inv(self, a):
         """a^(modulus-2) on a raw nonzero value, by the fixed MSB-first

@@ -6,8 +6,8 @@ backend. These tests hold every registered kernel to three things, on bigint,
 on words and on engines whose Montgomery constant was corrupted by
 inject_fault(): the compiled function computes what the body computes on a
 RawOps (and bigint what the words loops compute), an uncounted call charges
-nothing, and the emitted steps, counted by kind from the source text alone,
-add up to the record's Fp-level totals.
+nothing, and the emitted steps, counted by kind from the source text alone
+(a called op's from its own text), add up to the record's Fp-level totals.
 """
 
 import random
@@ -65,20 +65,25 @@ def _totals(record, f):
             for k, kinds in (("m", "ms"), ("a", "a"), ("i", "i"))}
 
 
-def _emitted(lines, backend):
-    """Steps counted from the emitted lines by the template each matches."""
+def _emitted(o, op, backend):
+    """Steps counted from the op's emitted lines by the template each
+    matches, a called op's steps from its own lines."""
     pattern = {prim: re.compile(re.sub(r"\\\{[rab]\\\}", r"\\w+",
                                        re.escape(t)))
                for prim, t in _TEMPLATES[backend].items()}
-    unpack = re.compile(r"\(.*\) = a\d+")
+    unpack = re.compile(r".* = a\d+")
+    call = re.compile(r"\(.*\) = (\w+)\(.*")
     counts = {"m": 0, "a": 0, "i": 0}
-    for line in lines:
+    for line in _Walker(o, op).code[1]:
         hits = [p for p, rx in pattern.items() if rx.fullmatch(line)]
-        if not hits:
+        if hits:
+            assert len(hits) == 1, line
+            counts[KIND[hits[0]]] += 1
+        elif call.fullmatch(line):
+            for kind, n in _emitted(o, call.fullmatch(line)[1], backend).items():
+                counts[kind] += n
+        else:
             assert unpack.fullmatch(line), line
-            continue
-        assert len(hits) == 1, line
-        counts[KIND[hits[0]]] += 1
     return counts
 
 
@@ -110,7 +115,7 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
         walk = _Walker(o, op)
         assert walk.record == record
         f = "1" if spec is e.fp_spec else "q"
-        assert _emitted(walk.code[1], backend) == _totals(record, f)
+        assert _emitted(o, op, backend) == _totals(record, f)
         got[backend, faulted] = body if backend == "bigint" else _convert(
             body, out, lambda v: from_limbs(v, spec))
 
