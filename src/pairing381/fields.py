@@ -54,8 +54,6 @@ from .params import system_params
 class _Symbol:
     """A placeholder raw value, named by its variable in compiled code."""
 
-    __slots__ = ("name",)
-
     def __init__(self, name=""):
         self.name = name
 
@@ -118,7 +116,7 @@ class _Walker:
     """Runs an op's kernel once on named placeholders (a body that branches
     on a value fails), inlining the registered ops it calls up to Fp2 size.
     A wider one (Fp6, Fp12) is a call to its own compiled function: inlining
-    it too ran a pairing 1-3% faster but doubled the compile time, which the
+    it too ran a verify 1-3% faster but doubled the compile time, which the
     first counted pairing pays.
 
     .record is the op's (counter increments, trace tuple): each Fp primitive
@@ -239,13 +237,14 @@ def kernel(name: str, *args, out, marker=None):
 
 
 _PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
+_BIG = {}     # the bigint primitives, built from the lines the kernels inline
 for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
     kernel(_op, *(X1,) * _n, out=X1)(
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
-# the bigint primitives, compiled once from the lines the kernels inline
-_BIG = {p: _factory("bigint", p, ", ".join("ab"[:n]), [_TEMPLATES["bigint"][
-            "mul" if p == "sqr" else p].format(r="r", a="a", b="ab"[n - 1])], "r")
-        for p, n in _PRIMITIVES.items() if p != "inv"}
+    if _op != "inv":
+        _line = _TEMPLATES["bigint"]["mul" if _op == "sqr" else _op]
+        _BIG[_op] = _factory("bigint", _op, ", ".join("ab"[:_n]),
+                             [_line.format(r="r", a="a", b="ab"[_n - 1])], "r")
 
 
 def _call(op, out, *xs, raw=()):
