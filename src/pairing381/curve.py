@@ -16,20 +16,21 @@ A1 total, which is expected (the two strategies do not mirror each other).
 Each formula is one raw kernel body, registered as g1_* over the Fp
 primitives and as g2_* over the Fp2 ops; the mul-by-12 steps are the g1_mb3
 and g2_mb3 kernels. A point op is one tally of the records of its steps, in
-call order, so its counts and trace are those of the per-op formulas. The
-loops (ladder, multi_exp, plain_mul) check their operands once, apply each
-step by kernel name to raw values, select by bit logic on those (_select,
-uncounted) and wrap only the result.
+call order, so its counts and trace are those of the per-op formulas. A
+point is a fields._Value whose parts are its coordinates x, y, z. The loops
+(ladder, multi_exp, plain_mul) read their operands' RawOps and raw values
+once, apply each step by kernel name to raw values, select by bit logic on
+those (_select, uncounted) and wrap only the result.
 """
 
 from operator import attrgetter
 
 from . import params
-from .fields import X1, FieldElement, _method, kernel
+from .fields import X1, FieldElement, _method, _Value, kernel
 from .tower import X2, Fp2El
 
 
-class ProjectivePoint:
+class ProjectivePoint(_Value, part=FieldElement, names=("x", "y", "z")):
     """Coordinates (X : Y : Z), equality and hashing.
 
     Shared by the Weierstrass points below and by the Edwards points in
@@ -37,28 +38,7 @@ class ProjectivePoint:
     group law, whose double and add methods name the kernels the loops run.
     """
 
-    __slots__ = ("x", "y", "z")
-    _coord = FieldElement         # coordinate type
-
-    def __init__(self, x, y, z):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    @property
-    def engine(self):
-        return self.x.engine
-
-    def _leaves(self):
-        return (*self.x._leaves(), *self.y._leaves(), *self.z._leaves())
-
-    def _raw(self):
-        return self.x._raw(), self.y._raw(), self.z._raw()
-
-    @classmethod
-    def _wrap(cls, o, v):
-        w = cls._coord._wrap
-        return cls(w(o, v[0]), w(o, v[1]), w(o, v[2]))
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -252,9 +232,8 @@ class G1Point(_CurvePoint):
         return t + t
 
 
-class G2Point(_CurvePoint):
+class G2Point(_CurvePoint, part=Fp2El):
     __slots__ = ()
-    _coord = Fp2El
     double = _method("g2_double")
     add_mixed = _method("g2_add_mixed")     # other must have z = 1
     add = __add__ = _method("g2_add")
@@ -278,6 +257,15 @@ class G2Point(_CurvePoint):
         return (t + t).mul_by_xi()
 
 
+def _expect(point, *classes):
+    """Reject a point of another class, before any tally: a loop runs the
+    kernels of the class it was written for."""
+    if type(point) not in classes:
+        raise TypeError(f"{type(point).__name__} given where "
+                        + " or ".join(c.__name__ for c in classes)
+                        + " is expected")
+
+
 def ecsm(k: int, point):
     """Constant-time k*P by double-and-add-always over the 255-bit width of q.
 
@@ -288,6 +276,7 @@ def ecsm(k: int, point):
     """
     if not 0 <= k < params.Q:
         raise ValueError("scalar out of range")
+    _expect(point, G1Point, G2Point)
     if not point.on_curve():
         raise ValueError("point not on curve")
     if point.is_identity():
@@ -302,9 +291,9 @@ def ladder(k: int, base, bits: int, add: str):
     (acc, base); a masked select keeps or discards the sum, so the operation
     trace does not depend on k. Returns the affine result.
     """
-    cls, o = type(base), base.engine.raw_ops(*base._leaves())
-    run, dbl, b, consts = o.apply, cls.double.op, base._raw(), base._consts()
-    acc = cls.identity(base.engine)._raw()
+    cls, o = type(base), base.o
+    run, dbl, b, consts = o.apply, cls.double.op, base.val, base._consts()
+    acc = cls.identity(base.engine).val
     for i in range(bits - 1, -1, -1):
         acc = run(dbl, acc)
         cand = run(add, acc, b, *consts)
@@ -325,9 +314,9 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
     if not (p1.on_curve() and p2.on_curve()):
         raise ValueError("point not on curve")
     table = (cls.identity(p1.engine), p1, p2, p1.add(p2))   # add checks p2
-    o = p1.engine.raw_ops(*[fe for t in table for fe in t._leaves()])
+    o = p1.engine.raw_ops(*table)
     run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, p1._consts()
-    t0, t1, t2, t3 = (t._raw() for t in table)
+    t0, t1, t2, t3 = (t.val for t in table)
     acc = t0
     for i in range(bits - 1, -1, -1):
         acc = run(dbl, acc)
@@ -359,6 +348,7 @@ def skew_frobenius(point: G2Point) -> G2Point:
 def g2_ecsm_split(k: int, point: G2Point) -> G2Point:
     """k*P via the 128-bit split k = k1 + k2*u^2 and phi^2(P) = u^2*P."""
     k1, k2 = scalar_split(k)
+    _expect(point, G2Point)
     p2 = skew_frobenius(skew_frobenius(point))
     return multi_exp(k1, point, k2, p2, bits=128)
 
@@ -368,9 +358,9 @@ def plain_mul(point, n: int):
     cls = type(point)
     if n < 0:
         point, n = -point, -n
-    o = point.engine.raw_ops(*point._leaves())
+    o = point.o
     run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, point._consts()
-    p, acc = point._raw(), cls.identity(point.engine)._raw()
+    p, acc = point.val, cls.identity(point.engine).val
     for bit in bin(n)[2:] if n else "":
         acc = run(dbl, acc)
         if bit == "1":

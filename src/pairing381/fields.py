@@ -18,12 +18,13 @@ Counting rules (the whole artifact depends on these):
     RawOps; until then the body runs as a call tree. On bigint a record also
     holds the word-law increments; on words the lines call the primitives,
     whose cios.py loops charge the word counters as they run;
-  * a wrapped value (element or point) runs an op by one path, a _method:
-    operand types, then a zero inverse, then (in _call) the Fp leaves'
-    field and engine are checked before the tally, so a rejected op counts
-    nothing. A loop (pow_raw, the curve ladders) checks its operands'
-    leaves once, applies each step's op by name on raw values, one tally
-    per step as its _method would, and wraps only the result;
+  * every element and point is one _Value: the RawOps of its engine and
+    field, and its raw value. It runs an op by one path, a _method: the
+    operand types are checked, the operands share one RawOps, and an
+    inverse rejects zero, all before the tally, so a rejected op counts
+    nothing. A loop (pow_raw, the curve ladders) reads its operands' .o and
+    .val once, applies each step's op by name on raw values, one tally per
+    step as its _method would, and wraps only the result;
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
     neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
     so its trace says m1);
@@ -45,6 +46,7 @@ Counting rules (the whole artifact depends on these):
 from collections import Counter
 from contextlib import contextmanager
 from itertools import count
+from operator import attrgetter
 
 from .cios import cios_mont_mul, from_limbs, to_limbs, word_mod_add, word_mod_sub
 from .counters import OpCounter
@@ -247,54 +249,104 @@ for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
                              [_line.format(r="r", a="a", b="ab"[_n - 1])], "r")
 
 
-def _call(op, out, *xs, raw=()):
-    """One tally of op on wrapped operands xs, whose Fp leaves must share
-    one field and engine, then its raw kernel (raw: constant operands); the
-    result is wrapped as out."""
-    leaves = [fe for x in xs for fe in x._leaves()]
-    o = leaves[0].engine.raw_ops(*leaves)
-    return out._wrap(o, o.apply(op, *[x._raw() for x in xs], *raw))
+_val = attrgetter("val")
+_new = object.__new__
+
+
+def _is_zero(v) -> bool:
+    """Whether a raw value is zero: every int in it (a Montgomery value on
+    bigint, a limb on words, nested in tuples above Fp) is 0."""
+    return not v if type(v) is int else all(map(_is_zero, v))
+
+
+class _Value:
+    """An element or a point: the RawOps of its engine and field, which fixes
+    both, and its raw value in the layout the kernels use.
+
+    A composite class (an extension element, a point) names its part class
+    and its part names: it is built from one part per name, each of the part
+    class and all on one RawOps, or TypeError; each name is then a read-only
+    view of that part, built on access. An op's result, and a loop's, is
+    wrapped from a RawOps and a raw value by _wrap.
+    """
+
+    __slots__ = ("o", "val")
+    _part, _names = None, ()
+
+    def __init_subclass__(cls, part=None, names=()):
+        super().__init_subclass__()
+        if part is not None:
+            cls._part = part
+        if names:
+            cls._names = names
+            for i, name in enumerate(names):
+                setattr(cls, name, property(
+                    lambda self, i=i: self._part._wrap(self.o, self.val[i])))
+
+    def __init__(self, *parts):
+        n, part = len(self._names), self._part
+        if not n or len(parts) != n:
+            raise TypeError(f"{type(self).__name__} takes {n or 'no'} parts")
+        o = parts[0].o if type(parts[0]) is part else None
+        for x in parts:
+            if type(x) is not part or x.o is not o:
+                raise TypeError(f"{type(self).__name__} parts must be "
+                                f"{part.__name__} values of one field and engine")
+        self.o, self.val = o, tuple(map(_val, parts))
+
+    @classmethod
+    def _wrap(cls, o, val):
+        x = _new(cls)
+        x.o = o
+        x.val = val
+        return x
+
+    @property
+    def engine(self):
+        return self.o.engine
+
+    def is_zero(self) -> bool:
+        return _is_zero(self.val)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.o.spec is other.o.spec and self.val == other.val
+
+    def __hash__(self):
+        return hash((self.o.spec.name, self.val))
 
 
 def _method(op, inverse=False):
-    """A method of a wrapped value running op through _call. Before anything
+    """A method of a value running op: one tally of its record, then its
+    kernel on raw values, the result wrapped as self's class. Before anything
     is charged, each further operand must have self's type, or be a
-    FieldElement where the kernel declares one raw Fp value (X1); an inverse
-    rejects zero."""
+    FieldElement where the kernel declares one raw Fp value (X1), and share
+    self's RawOps; an inverse rejects zero."""
     scalar = [a is X1 for a in KERNELS[op][2][1:]]
 
     def method(self, *other):
+        o, cls = self.o, type(self)
         for x, fp in zip(other, scalar):
-            if type(x) is not (FieldElement if fp else type(self)):
-                raise TypeError(f"{op}: operand {type(x).__name__} given "
-                                f"to {type(self).__name__}")
-        if inverse and all(fe.is_zero() for fe in self._leaves()):
+            if type(x) is not (FieldElement if fp else cls) or x.o is not o:
+                raise TypeError(f"{op}: {type(x).__name__} operand of another "
+                                f"type, field or engine given to {cls.__name__}")
+        if inverse and self.is_zero():
             raise ZeroDivisionError(
                 f"inversion of zero in {type(self).__name__}")
-        return _call(op, type(self), self, *other)
+        return self._wrap(o, o.apply(op, self.val, *map(_val, other)))
     method.op = op     # pow_public and the curve loops apply it by name
     return method
 
 
-class FieldElement:
-    """An element of Fp or Fq in Montgomery form, bound to its engine."""
+class FieldElement(_Value):
+    """An element of Fp or Fq in Montgomery form, made by Engine.fp/fq."""
 
-    __slots__ = ("engine", "spec", "val")
+    __slots__ = ()
 
-    def __init__(self, engine, spec, val):
-        self.engine = engine
-        self.spec = spec
-        self.val = val
-
-    def _leaves(self):
-        return (self,)
-
-    def _raw(self):
-        return self.val
-
-    @staticmethod
-    def _wrap(o, v) -> "FieldElement":
-        return FieldElement(o.engine, o.spec, v)
+    @property
+    def spec(self):
+        return self.o.spec
 
     __add__ = _method("add")
     __sub__ = _method("sub")
@@ -302,19 +354,6 @@ class FieldElement:
     __mul__ = _method("mul")
     square = _method("sqr")
     inverse = _method("inv", inverse=True)
-
-    def is_zero(self) -> bool:
-        if isinstance(self.val, tuple):
-            return not any(self.val)
-        return self.val == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.spec is other.spec and self.val == other.val
-
-    def __hash__(self):
-        return hash((self.spec.name, self.val))
 
     def to_int(self) -> int:
         return self.engine.from_mont(self)
@@ -343,9 +382,9 @@ def pow_raw(run, a, exp: int, sqr: str, mul: str):
 def pow_public(x, exp: int):
     """x^exp (see pow_raw) for an element of any class, by the ops of its
     square and *."""
-    o, cls = x.engine.raw_ops(*x._leaves()), type(x)
-    return x._wrap(o, pow_raw(o.apply, x._raw(), exp, cls.square.op,
-                              cls.__mul__.op))
+    cls = type(x)
+    return x._wrap(x.o, pow_raw(x.o.apply, x.val, exp, cls.square.op,
+                                cls.__mul__.op))
 
 
 class RawOps:
@@ -412,7 +451,7 @@ class Engine:
         self.fq_spec = self.params.fq
         self._suspend = 0
         self._scratch = OpCounter()  # sink for word ops while suspended
-        self._ops = {}               # spec -> RawOps
+        self._ops = {s: RawOps(self, s) for s in (self.fp_spec, self.fq_spec)}
         self._tower = None
         self._curve = None
         self._jubjub = None
@@ -420,33 +459,33 @@ class Engine:
     # ----- element construction (uncounted boundary work) -----
 
     def fp(self, value: int) -> FieldElement:
-        return self._make(self.fp_spec, value % self.fp_spec.modulus)
+        return self._make(self.fp_spec, value)
 
     def fq(self, value: int) -> FieldElement:
-        return self._make(self.fq_spec, value % self.fq_spec.modulus)
+        return self._make(self.fq_spec, value)
 
     def from_mont(self, x: FieldElement) -> int:
         v = from_limbs(x.val, x.spec) if self.backend == "words" else x.val
         return v * x.spec.rinv % x.spec.modulus
 
-    def _make(self, spec, reduced: int) -> FieldElement:
-        mont = reduced * spec.r1 % spec.modulus
-        if self.backend == "words":
-            mont = to_limbs(mont, spec)
-        return FieldElement(self, spec, mont)
+    def _make(self, spec, value: int) -> FieldElement:
+        """value mod spec's modulus as an element: its RawOps and its raw
+        Montgomery value."""
+        mont = value * spec.r1 % spec.modulus
+        x = _new(FieldElement)      # _wrap inlined: every constant starts here
+        x.o = self._ops[spec]
+        x.val = to_limbs(mont, spec) if self.backend == "words" else mont
+        return x
 
     # ----- counter plumbing -----
 
-    def raw_ops(self, *xs: FieldElement) -> RawOps:
-        """The RawOps of operands that share one field and this engine;
-        operands from different fields or engines raise TypeError."""
-        spec = xs[0].spec
-        for x in xs:
-            if x.spec is not spec or x.engine is not self:
+    def raw_ops(self, *values) -> RawOps:
+        """The RawOps that values (elements or points) share on this engine;
+        values from different fields or engines raise TypeError."""
+        o = values[0].o
+        for x in values:
+            if x.o is not o or o.engine is not self:
                 raise TypeError("operands from different fields or engines")
-        o = self._ops.get(spec)
-        if o is None:
-            o = self._ops[spec] = RawOps(self, spec)
         return o
 
     def _wsink(self):
@@ -507,6 +546,7 @@ class Engine:
         spec.np_full ^= 1 << 7
         spec.np0 = spec.np_full & spec.word_mask
         self.fp_spec = spec
+        self._ops[spec] = RawOps(self, spec)
         self._tower = None
         self._curve = None
 

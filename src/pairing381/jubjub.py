@@ -11,7 +11,7 @@ addition are raw kernels, as in curve.py; the curve constant d is the
 addition's constant operand.
 """
 
-from .curve import ProjectivePoint, ladder
+from .curve import ProjectivePoint, _expect, ladder
 from .fields import X1, _method, kernel
 from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
 
@@ -105,6 +105,7 @@ def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
     """Constant-time k*P over the 252-bit subgroup order, always-add loop."""
     if not 0 <= k < JUBJUB_ELL:
         raise ValueError("scalar out of range")
+    _expect(point, JubjubPoint)
     if not point.on_curve():
         raise ValueError("point not on jubjub")
     return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add.op)

@@ -123,11 +123,10 @@ def multi_miller_loop(pairs) -> Fp12El:
     if not pairs:
         raise ValueError("no pairs")
     e = pairs[0][0].engine
-    o = e.raw_ops(*[fe for p, q in pairs
-                    for fe in (p.x, p.y, q.x.c0, q.x.c1, q.y.c0, q.y.c1)])
+    o = e.raw_ops(*[v for pq in pairs for v in pq])
     run = o.apply
-    f = Fp12El.one(e)._raw()
-    pts = [(p.x.val, p.y.val, q.x._raw(), q.y._raw()) for p, q in pairs]
+    f = Fp12El.one(e).val
+    pts = [(p.val[0], p.val[1], q.val[0], q.val[1]) for p, q in pairs]
     ts = [(xq, yq, f[0][0]) for _, _, xq, yq in pts]     # Z = f's Fp2 one
     for bit in bin(params.ABS_U)[3:]:
         f = run("fp12_sqr", f)
@@ -157,12 +156,12 @@ def final_exp(f: Fp12El) -> Fp12El:
     easy part are conjugations.
     """
     t0 = _unitary_of(f)
-    o = t0.engine.raw_ops(*t0._leaves())
+    o = t0.o
     run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
 
     def exp_u(x):   # x^|u| by cyclotomic squarings: 63 of them, 5 multiplies
         return pow_raw(run, x, params.ABS_U, "fp12_cyclo_sqr", "fp12_mul")
-    t0 = t0._raw()
+    t0 = t0.val
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
     t1 = run("fp12_conj", run("fp12_mul", exp_u(m), m))      # m^(u-1)
     t2 = run("fp12_conj", run("fp12_mul", exp_u(t1), t1))    # ^(u-1)^2

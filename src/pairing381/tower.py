@@ -14,16 +14,17 @@ Fp inversion via the norm map. An Fp2 add, sub or neg is one a2 and 2 Fp adds,
 a conjugate one a2 and 1 Fp add, a multiplication by xi one a2 and 2 Fp adds.
 Multiplying an Fp2 element by a plain Fp scalar is charged as two direct Fp
 muls, not as an Fp2 op. Every op here is a raw kernel over a primitive set
-(fields.RawOps) on tuples of raw Fp values; each element class only supplies
-_leaves, _raw and _wrap, and its methods are fields._method wrappers, the one
-path by which a wrapped value runs a counted op: check the operands, one
-tally of the op's record, the kernel. An Fp6/Fp12 op (and a Frobenius map) is
+(fields.RawOps) on tuples of raw Fp values; each element class is a
+fields._Value that names its part class (an Fp2 value holds its RawOps and
+the pair of raw Fp values), and its methods are fields._method wrappers, the
+one path by which a value runs a counted op: check the operands, one tally
+of the op's record, the kernel. An Fp6/Fp12 op (and a Frobenius map) is
 one tally of a composite record: the records of the Fp2 ops its body
 applies, concatenated in call order, so its counters and trace are exactly
 those of its Fp2 steps.
 """
 
-from .fields import X1, FieldElement, _call, _method, kernel, pow_public
+from .fields import X1, FieldElement, _method, _Value, kernel, pow_public
 from .params import P
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
@@ -76,20 +77,13 @@ def _inv2(o, a):
     return mul(a0, t), o.neg(mul(a1, t))
 
 
-class Fp2El:
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: FieldElement, c1: FieldElement):
-        self.c0 = c0
-        self.c1 = c1
-
-    @property
-    def engine(self):
-        return self.c0.engine
+class Fp2El(_Value, part=FieldElement, names=("c0", "c1")):
+    __slots__ = ()
 
     @staticmethod
     def of(engine, a0: int, a1: int) -> "Fp2El":
-        return Fp2El(engine.fp(a0), engine.fp(a1))
+        x0, x1 = engine.fp(a0), engine.fp(a1)
+        return Fp2El._wrap(x0.o, (x0.val, x1.val))
 
     @staticmethod
     def zero(engine) -> "Fp2El":
@@ -98,17 +92,6 @@ class Fp2El:
     @staticmethod
     def one(engine) -> "Fp2El":
         return Fp2El.of(engine, 1, 0)
-
-    def _leaves(self):
-        return self.c0, self.c1
-
-    def _raw(self):
-        return self.c0.val, self.c1.val
-
-    @staticmethod
-    def _wrap(o, v) -> "Fp2El":
-        e, spec = o.engine, o.spec
-        return Fp2El(FieldElement(e, spec, v[0]), FieldElement(e, spec, v[1]))
 
     __add__ = _method("add2")
     __sub__ = _method("sub2")
@@ -119,17 +102,6 @@ class Fp2El:
     mul_by_xi = _method("xi2")
     inverse = _method("inv2", inverse=True)
     mul_fp = _method("mul_fp")           # times an Fp scalar
-
-    def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Fp2El):
-            return NotImplemented
-        return self.c0 == other.c0 and self.c1 == other.c1
-
-    def __hash__(self):
-        return hash((self.c0, self.c1))
 
     def to_ints(self) -> tuple[int, int]:
         return (self.c0.to_int(), self.c1.to_int())
@@ -307,17 +279,8 @@ for _power, _k in ((1, X2), (2, X1), (3, X2)):
     kernel(f"frob{_power}", X12, (_k,) * 6, out=X12)(_frobenius(_power))
 
 
-class Fp6El:
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0: Fp2El, c1: Fp2El, c2: Fp2El):
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
-
-    @property
-    def engine(self):
-        return self.c0.engine
+class Fp6El(_Value, part=Fp2El, names=("c0", "c1", "c2")):
+    __slots__ = ()
 
     @staticmethod
     def zero(engine) -> "Fp6El":
@@ -327,18 +290,6 @@ class Fp6El:
     def one(engine) -> "Fp6El":
         return Fp6El(Fp2El.one(engine), Fp2El.zero(engine), Fp2El.zero(engine))
 
-    def _leaves(self) -> list:
-        return [self.c0.c0, self.c0.c1, self.c1.c0, self.c1.c1,
-                self.c2.c0, self.c2.c1]
-
-    def _raw(self):
-        return self.c0._raw(), self.c1._raw(), self.c2._raw()
-
-    @staticmethod
-    def _wrap(o, v) -> "Fp6El":
-        w = Fp2El._wrap
-        return Fp6El(w(o, v[0]), w(o, v[1]), w(o, v[2]))
-
     __add__ = _method("fp6_add")
     __sub__ = _method("fp6_sub")
     __neg__ = _method("fp6_neg")
@@ -346,39 +297,13 @@ class Fp6El:
     square = _method("fp6_sqr")
     inverse = _method("fp6_inv", inverse=True)
 
-    def __eq__(self, other):
-        if not isinstance(other, Fp6El):
-            return NotImplemented
-        return self.c0 == other.c0 and self.c1 == other.c1 and self.c2 == other.c2
 
-    def __hash__(self):
-        return hash((self.c0, self.c1, self.c2))
-
-
-class Fp12El:
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: Fp6El, c1: Fp6El):
-        self.c0 = c0
-        self.c1 = c1
-
-    @property
-    def engine(self):
-        return self.c0.engine
+class Fp12El(_Value, part=Fp6El, names=("c0", "c1")):
+    __slots__ = ()
 
     @staticmethod
     def one(engine) -> "Fp12El":
         return Fp12El(Fp6El.one(engine), Fp6El.zero(engine))
-
-    def _leaves(self) -> list:
-        return self.c0._leaves() + self.c1._leaves()
-
-    def _raw(self):
-        return self.c0._raw(), self.c1._raw()
-
-    @staticmethod
-    def _wrap(o, v) -> "Fp12El":
-        return Fp12El(Fp6El._wrap(o, v[0]), Fp6El._wrap(o, v[1]))
 
     __add__ = _method("fp12_add")
     __sub__ = _method("fp12_sub")
@@ -391,14 +316,6 @@ class Fp12El:
 
     def is_one(self) -> bool:
         return self == Fp12El.one(self.engine)
-
-    def __eq__(self, other):
-        if not isinstance(other, Fp12El):
-            return NotImplemented
-        return self.c0 == other.c0 and self.c1 == other.c1
-
-    def __hash__(self):
-        return hash((self.c0, self.c1))
 
     def coeffs(self) -> list[Fp2El]:
         """Coefficients indexed by z-degree 0..5."""
@@ -430,9 +347,9 @@ class TowerCtx:
             norms = [c * c.conjugate() for c in frob1]
             assert all(n.c1.is_zero() for n in norms)
             frob3 = [c.mul_fp(n.c0) for c, n in zip(frob1, norms)]
-            self.frob = {1: tuple(c._raw() for c in frob1),
-                         2: tuple(n.c0.val for n in norms),
-                         3: tuple(c._raw() for c in frob3)}
+            self.frob = {1: tuple(c.val for c in frob1),
+                         2: tuple(n.val[0] for n in norms),
+                         3: tuple(c.val for c in frob3)}
             # skew Frobenius constants for the twist endomorphism
             self.skew_cx = frob1[2].inverse()
             self.skew_cy = frob1[3].inverse()
@@ -457,4 +374,5 @@ class TowerCtx:
             return f.conjugate()
         if power not in (1, 2, 3):
             raise ValueError(f"unsupported Frobenius power {power}")
-        return _call(f"frob{power}", Fp12El, f, raw=(self.frob[power],))
+        return Fp12El._wrap(f.o, f.o.apply(f"frob{power}", f.val,
+                                           self.frob[power]))

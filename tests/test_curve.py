@@ -21,6 +21,7 @@ from pairing381.curve import (
     skew_frobenius,
     subgroup_check_canonical,
 )
+from pairing381.jubjub import jubjub_ecsm
 from pairing381.params import P, Q, U_SQ
 
 
@@ -184,7 +185,9 @@ def test_point_operands_of_other_groups_or_engines_rejected(engine):
     for op in (lambda: g1.add(g2), lambda: g2.add(g1), lambda: jub.add(g1),
                lambda: g1.add_mixed(g2), lambda: g1 + jub,
                lambda: g1.add(g1.x), lambda: g2.add(h2),
-               lambda: g2.add_mixed(h2), lambda: h2 + g2):
+               lambda: g2.add_mixed(h2), lambda: h2 + g2,
+               lambda: G1Point(g2.x, g2.y, g2.z), lambda: jubjub_ecsm(5, g1),
+               lambda: ecsm(5, jub), lambda: g2_ecsm_split(5, g1)):
         with pytest.raises(TypeError):
             op()
     assert engine.counter == before

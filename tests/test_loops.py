@@ -68,11 +68,18 @@ def _loop_call(case, e, rng):
     return cases[case]
 
 
+def _leaves(v) -> list:
+    """The Fp or Fq elements of a value, by its parts in order."""
+    parts = [getattr(v, n) for n in ("c0", "c1", "c2", "x", "y", "z")
+             if hasattr(v, n)]
+    return [fe for p in parts for fe in _leaves(p)] if parts else [v]
+
+
 def _digest(v) -> str:
     """SHA-256 of the value's Fp or Fq leaves in order, each as 48
     big-endian bytes."""
     return hashlib.sha256(b"".join(fe.to_int().to_bytes(48, "big")
-                                   for fe in v._leaves())).hexdigest()
+                                   for fe in _leaves(v))).hexdigest()
 
 
 # Each case at w = 64 on inputs from random.Random(0xC0FFEE): the counter

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from pairing381 import Engine, FieldElement, OpCounter
-from pairing381.pairing import final_exp, pairing
+from pairing381.pairing import pairing
 from pairing381.params import P
 from pairing381.tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
@@ -251,17 +251,15 @@ def test_fp2_operands_from_other_engines_or_fields_rejected(engine, rng):
                lambda: x.mul_fp(y.c0)):
         with pytest.raises(TypeError):
             op()
-    mixed = Fp2El(engine.fp(1), engine.fq(1))
-    for op in (mixed.square, mixed.mul_by_xi, mixed.inverse,
-               lambda: mixed * x):
-        with pytest.raises(TypeError):
-            op()
     # an Fp value and an Fp2 value share their leaves' field and engine, so
-    # only the operand types tell them apart: rejected before any tally
+    # only the operand types tell them apart: rejected before any tally, as
+    # is an Fp2 value built from Fp and Fq parts or from Fp2 parts
     fp, fp2 = engine.fp(3), rand_fp2(engine, rng)
     before = engine.counter.snapshot()
     for op in (lambda: fp * fp2, lambda: fp2 * fp, lambda: fp + fp2,
-               lambda: fp2.mul_fp(fp2)):
+               lambda: fp2.mul_fp(fp2),
+               lambda: Fp2El(engine.fp(1), engine.fq(1)),
+               lambda: Fp2El(fp2, fp2)):
         with pytest.raises(TypeError):
             op()
     assert engine.counter == before
@@ -269,13 +267,10 @@ def test_fp2_operands_from_other_engines_or_fields_rejected(engine, rng):
     # before anything is counted
     a6, b6 = rand_fp6(engine, rng), rand_fp6(other, rng)
     f, g = rand_fp12(engine, rng), rand_fp12(other, rng)
-    split = Fp12El(f.c0, g.c1)
-    tw = engine.tower
     before = engine.counter.snapshot()
     for op in (lambda: a6 + b6, lambda: a6 - b6, lambda: a6 * b6,
-               lambda: f + g, lambda: f - g, lambda: f * g, split.square,
-               split.inverse, split.conjugate, split.cyclotomic_square,
-               lambda: tw.frobenius(split, 1), lambda: final_exp(split)):
+               lambda: f + g, lambda: f - g, lambda: f * g,
+               lambda: Fp12El(f.c0, g.c1)):
         with pytest.raises(TypeError):
             op()
     assert engine.counter == before
@@ -353,23 +348,20 @@ def _composite_call(op, e, rng):
     }[op]
 
 
-def _leaves_and_raw(a):
-    """The Fp leaves and the raw value of a tower value or a tuple of them."""
-    if isinstance(a, FieldElement):
-        return [a], a.val
-    if isinstance(a, Fp2El):
-        return [a.c0, a.c1], a._raw()
+def _values_and_raw(a):
+    """The tower values in a tower value or a tuple of them, and its raw
+    value."""
     if isinstance(a, tuple):
-        leaves, raws = zip(*map(_leaves_and_raw, a))
-        return sum(leaves, []), raws
-    return a._leaves(), a._raw()
+        values, raws = zip(*map(_values_and_raw, a))
+        return sum(values, []), raws
+    return [a], a.val
 
 
 def _pairing_kernel(op, *args):
     """One charged run of a raw pairing kernel (sparse_mul, dbl_step or
     add_step) on tower values; the result comes back as tower values."""
-    leaves, raws = _leaves_and_raw(args)
-    o = leaves[0].engine.raw_ops(*leaves)
+    values, raws = _values_and_raw(args)
+    o = values[0].engine.raw_ops(*values)
     out = o.apply(op, *raws)
     if op == "sparse_mul":
         return Fp12El._wrap(o, out)

@@ -21,8 +21,10 @@ needs at least two seeds, so that each side has a median and quartiles:
   * --trace 1: per_layer[W] gets per-side runs, median and quartiles of
     every metric of the traced runs, per-layer ones included, so a layer
     figure is compared against its spread, not as one pair of runs.
-Other keys already in the file are kept. BENCHMARK.json and perfbench/ are
-read, never written.
+Both modes also record each side's incorrect runs (seed and FAILED lines)
+under "incorrect"; the tool exits 1, after writing --out, if any change-side
+run was not correct. Other keys already in the file are kept. BENCHMARK.json
+and perfbench/ are read, never written.
 """
 
 import argparse
@@ -56,9 +58,10 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_side(side: str, root: Path, workload: str, seed: int, seconds: int,
-             trace: int) -> dict:
-    """One perfbench run from root; the result JSON it prints last. A run
-    that crashes has its side, seed and stderr tail printed, then re-raises."""
+             trace: int) -> tuple[dict, list]:
+    """One perfbench run from root: the result JSON it prints last, and its
+    FAILED lines if the run is not correct (printed too). A run that crashes
+    has its side, seed and stderr tail printed, then re-raises."""
     try:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -71,10 +74,11 @@ def run_side(side: str, root: Path, workload: str, seed: int, seconds: int,
               file=sys.stderr)
         raise
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    failed = []
     if not result["correct"]:
         failed = [line for line in proc.stdout.splitlines() if "FAILED" in line]
         print(f"# {side} seed {seed}: {failed}", file=sys.stderr)
-    return result
+    return result, failed
 
 
 def summary(runs: list) -> dict:
@@ -168,11 +172,15 @@ def main(argv=None) -> int:
         sha = export(args.rev, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
         got = {"parent": [], "change": []}
+        incorrect = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                got[side].append(run_side(side, sides[side], args.workload,
-                                          seed, args.seconds, args.trace))
+                result, failed = run_side(side, sides[side], args.workload,
+                                          seed, args.seconds, args.trace)
+                got[side].append(result)
+                if not result["correct"]:
+                    incorrect[side].append({"seed": seed, "failed": failed})
             if args.claim:
                 x, y = (got[s][-1]["metrics"][args.claim]["value"]
                         for s in ("parent", "change"))
@@ -187,11 +195,13 @@ def main(argv=None) -> int:
     if args.trace:
         out.setdefault("per_layer", {})[args.workload] = {
             "seconds": args.seconds, "seeds": args.seeds, "trace": 1,
-            **{s: side_table(got[s]) for s in ("parent", "change")}}
+            **{s: side_table(got[s]) for s in ("parent", "change")},
+            "incorrect": incorrect}
     else:
         out.setdefault("end_to_end", {})[args.workload] = {
             "seconds": args.seconds, "seeds": args.seeds,
             **{s: side_table(got[s]) for s in ("parent", "change")},
+            "incorrect": incorrect,
             "failed": {s: sum(r["failed"] for r in got[s])
                        for s in ("parent", "change")},
             "no_regression": no_regression(got["parent"], got["change"])}
@@ -199,7 +209,7 @@ def main(argv=None) -> int:
             out["claim"] = claim(args.claim, args.workload, args.seeds,
                                  got["parent"], got["change"])
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 0
+    return 1 if incorrect["change"] else 0
 
 
 if __name__ == "__main__":
