@@ -26,7 +26,7 @@ those (_select, uncounted) and wrap only the result.
 from operator import attrgetter
 
 from . import params
-from .fields import X1, FieldElement, _method, _Value, kernel
+from .fields import X1, FieldElement, _Context, _method, _Value, kernel
 from .tower import X2, Fp2El
 
 
@@ -207,7 +207,7 @@ class _CurvePoint(ProjectivePoint):
             return lhs == rhs
 
 
-class G1Point(_CurvePoint):
+class G1Point(_CurvePoint, field="fp"):
     __slots__ = ()
     double = _method("g1_double")
     add_mixed = _method("g1_add_mixed")     # other must have z = 1
@@ -232,7 +232,7 @@ class G1Point(_CurvePoint):
         return t + t
 
 
-class G2Point(_CurvePoint, part=Fp2El):
+class G2Point(_CurvePoint, part=Fp2El, field="fp"):
     __slots__ = ()
     double = _method("g2_double")
     add_mixed = _method("g2_add_mixed")     # other must have z = 1
@@ -337,7 +337,7 @@ def scalar_split(k: int) -> tuple[int, int]:
 
 def skew_frobenius(point: G2Point) -> G2Point:
     """phi(P) = p*P on the q-order subgroup, by coordinate-wise Frobenius."""
-    ctx = point.engine.curve
+    ctx = point.engine.tower
     return G2Point(
         point.x.conjugate() * ctx.skew_cx,
         point.y.conjugate() * ctx.skew_cy,
@@ -388,24 +388,20 @@ def subgroup_check_canonical(point) -> bool:
     return plain_mul(point, params.Q).is_identity()
 
 
-class CurveCtx:
-    """Generators and endomorphism constants, validated at construction."""
+class CurveCtx(_Context):
+    """Generators and endomorphism constants, derived and validated once per
+    process for each field spec and backend (fields._Context)."""
 
-    def __init__(self, engine):
-        self.engine = engine
-        tw = engine.tower
-        # register early: the validation below routes through engine.curve
-        engine._curve = self
-        with engine.uncounted():
-            self.skew_cx = tw.skew_cx
-            self.skew_cy = tw.skew_cy
-            self.g1_gen = G1Point.affine(engine, params.G1_GEN_X, params.G1_GEN_Y)
-            self.g2_gen = G2Point.affine(engine, params.G2_GEN_X, params.G2_GEN_Y)
-            assert self.g1_gen.on_curve(), "G1 generator not on curve"
-            assert self.g2_gen.on_curve(), "G2 generator not on twist"
-            self.omega = self._derive_omega()
-            assert g1_subgroup_check(self.g1_gen)
-            assert g2_subgroup_check(self.g2_gen)
+    def derive(self):
+        engine = self.engine
+        self.g1_gen = G1Point.affine(engine, params.G1_GEN_X, params.G1_GEN_Y)
+        self.g2_gen = G2Point.affine(engine, params.G2_GEN_X, params.G2_GEN_Y)
+        assert self.g1_gen.on_curve(), "G1 generator not on curve"
+        assert self.g2_gen.on_curve(), "G2 generator not on twist"
+        self.omega = self._derive_omega()
+        engine.curve = self     # the G1 check reads omega through engine.curve
+        assert g1_subgroup_check(self.g1_gen)
+        assert g2_subgroup_check(self.g2_gen)
 
     def _derive_omega(self):
         e = self.engine

@@ -10,14 +10,16 @@ Counting rules (the whole artifact depends on these):
     doubling, is one tally (RawOps.apply, the only code that applies a
     record) plus a raw kernel: a function of a primitive set (RawOps) and raw
     values, registered with @kernel. The kernel body is the only source of
-    its op. At the op's first counted use, per engine and field spec, one
-    walk (_Walker) runs the body on named placeholders: each Fp primitive it
-    meets (mul, sqr, add, sub, neg, inv) is one step of the record (counter
-    increments, trace tuple) and one line of a straight-line function,
-    compiled once per op and backend in the process and installed on that
-    RawOps; until then the body runs as a call tree. On bigint a record also
-    holds the word-law increments; on words the lines call the primitives,
-    whose cios.py loops charge the word counters as they run;
+    its op. At the op's first counted use in the process, per backend and
+    field (spec name and word size), one walk (_Walker) runs the body on
+    named placeholders: each Fp primitive it meets (mul, sqr, add, sub, neg,
+    inv) is one step of the record (counter increments, trace tuple) and one
+    line of a straight-line function, compiled once per op and backend. Each
+    RawOps takes the record and installs its own copy of the function at its
+    own first counted use of the op; until then the body runs as a call
+    tree. On bigint a record also holds the word-law increments; on words the
+    lines call the primitives, whose cios.py loops charge the word counters
+    as they run;
   * every element and point is one _Value: the RawOps of its engine and
     field, and its raw value. It runs an op by one path, a _method: the
     operand types are checked, the operands share one RawOps, and an
@@ -45,6 +47,7 @@ Counting rules (the whole artifact depends on these):
 
 from collections import Counter
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import count
 from operator import attrgetter
 
@@ -201,27 +204,35 @@ class _Walker:
         return r
 
 
-_CODE = {}   # (op, backend) -> make(o) of its compiled function
+_CODE = {}    # (op, backend) -> make(o) of its compiled function
+_WALKS = {}   # (op, backend, spec name, word size) -> (record, code) of its walk
 
 
 class _Records(dict):
-    """op -> record over one RawOps' field, built at the op's first counted
-    use by a _Walker, which also yields the function installed on the RawOps
-    (compiled once per op and backend in the process)."""
+    """op -> record over one RawOps' field, filled at the op's first counted
+    use on this RawOps from the process's walk of the op (a _Walker, run once
+    per op, backend and field), which also yields the function installed on
+    the RawOps (compiled once per op and backend in the process)."""
 
     def __init__(self, ops):
         super().__init__()
         self.ops = ops
 
     def __missing__(self, op):
-        walk = _Walker(self.ops, op)
+        o, backend = self.ops, self.ops.engine.backend
+        key = op, backend, o.spec.name, o.spec.word_size
+        if key not in _WALKS:
+            walk = _Walker(o, op)
+            _WALKS[key] = walk.record, walk.code
+        record, code = _WALKS[key]
         if op not in _PRIMITIVES:     # a primitive is one function already
-            key = op, self.ops.engine.backend
-            if key not in _CODE:
-                _CODE[key] = _factory(key[1], op, *walk.code)
-            setattr(self.ops, op, _CODE[key](self.ops))
-        rec = self[op] = walk.record
-        return rec
+            for called in code[3]:    # make(o) binds their functions
+                self[called]
+            if (op, backend) not in _CODE:
+                _CODE[op, backend] = _factory(backend, op, *code)
+            setattr(o, op, _CODE[op, backend](o))
+        self[op] = record
+        return record
 
 
 KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
@@ -229,8 +240,12 @@ KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result
 
 def kernel(name: str, *args, out, marker=None):
     """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
-    kernel that is not an Fp primitive becomes a method of RawOps."""
+    kernel that is not an Fp primitive becomes a method of RawOps. A walk or
+    compiled function may inline or call any registered op, so registering
+    one drops them all: engines made afterwards walk the new body."""
     def register(fn):
+        _WALKS.clear()
+        _CODE.clear()
         KERNELS[name] = (fn, marker, args, out)
         if name not in _PRIMITIVES:
             setattr(RawOps, name, fn)
@@ -263,20 +278,23 @@ class _Value:
     """An element or a point: the RawOps of its engine and field, which fixes
     both, and its raw value in the layout the kernels use.
 
-    A composite class (an extension element, a point) names its part class
-    and its part names: it is built from one part per name, each of the part
-    class and all on one RawOps, or TypeError; each name is then a read-only
-    view of that part, built on access. An op's result, and a loop's, is
-    wrapped from a RawOps and a raw value by _wrap.
+    A composite class (an extension element, a point) names its part class,
+    its part names and the name of its base field: it is built from one part
+    per name, each of the part class and all on one RawOps over that field,
+    or TypeError; each name is then a read-only view of that part, built on
+    access. An op's result, and a loop's, is wrapped from a RawOps and a raw
+    value by _wrap.
     """
 
     __slots__ = ("o", "val")
-    _part, _names = None, ()
+    _part, _names, _field = None, (), None
 
-    def __init_subclass__(cls, part=None, names=()):
+    def __init_subclass__(cls, part=None, names=(), field=None):
         super().__init_subclass__()
         if part is not None:
             cls._part = part
+        if field is not None:
+            cls._field = field
         if names:
             cls._names = names
             for i, name in enumerate(names):
@@ -292,6 +310,9 @@ class _Value:
             if type(x) is not part or x.o is not o:
                 raise TypeError(f"{type(self).__name__} parts must be "
                                 f"{part.__name__} values of one field and engine")
+        if o.spec.name != self._field:
+            raise TypeError(f"{type(self).__name__} is over {self._field}, "
+                            f"not {o.spec.name}")
         self.o, self.val = o, tuple(map(_val, parts))
 
     @classmethod
@@ -452,9 +473,6 @@ class Engine:
         self._suspend = 0
         self._scratch = OpCounter()  # sink for word ops while suspended
         self._ops = {s: RawOps(self, s) for s in (self.fp_spec, self.fq_spec)}
-        self._tower = None
-        self._curve = None
-        self._jubjub = None
 
     # ----- element construction (uncounted boundary work) -----
 
@@ -509,28 +527,22 @@ class Engine:
         finally:
             self.trace = prev
 
-    # ----- lazily built higher-layer contexts -----
+    # ----- derived constants, built at first use (see _Context) -----
 
-    @property
+    @cached_property
     def tower(self):
-        if self._tower is None:
-            from .tower import TowerCtx
-            self._tower = TowerCtx(self)
-        return self._tower
+        from .tower import TowerCtx
+        return TowerCtx(self)
 
-    @property
+    @cached_property
     def curve(self):
-        if self._curve is None:
-            from .curve import CurveCtx
-            self._curve = CurveCtx(self)
-        return self._curve
+        from .curve import CurveCtx
+        return CurveCtx(self)
 
-    @property
+    @cached_property
     def jubjub(self):
-        if self._jubjub is None:
-            from .jubjub import JubjubCtx
-            self._jubjub = JubjubCtx(self)
-        return self._jubjub
+        from .jubjub import JubjubCtx
+        return JubjubCtx(self)
 
     # ----- self-test hooks -----
 
@@ -547,8 +559,8 @@ class Engine:
         spec.np0 = spec.np_full & spec.word_mask
         self.fp_spec = spec
         self._ops[spec] = RawOps(self, spec)
-        self._tower = None
-        self._curve = None
+        self.__dict__.pop("tower", None)    # derived afresh over spec
+        self.__dict__.pop("curve", None)
 
     def montgomery_sane(self) -> bool:
         """Cheap invariant: to/from Montgomery round-trip and 1*1 == 1."""
@@ -565,3 +577,32 @@ class Engine:
         except ZeroDivisionError:
             return False
         return True
+
+
+_DERIVED = {}   # (context class, field spec, backend) -> its constants, raw
+
+
+class _Context:
+    """An engine's derived constants over the field named by `field`.
+
+    derive() sets them, self-checks included, uncounted, once per process
+    for each field spec object and backend (a spec from inject_fault() is a
+    new one). Every engine gets each value rebuilt on its own RawOps from
+    the cached raw value: a shared value would charge its first engine.
+    """
+
+    field = "fp"
+
+    def __init__(self, engine):
+        self.engine = engine
+        o = engine._ops[getattr(engine, self.field + "_spec")]
+        key = type(self), o.spec, engine.backend
+        if key not in _DERIVED:
+            with engine.uncounted():
+                self.derive()
+            _DERIVED[key] = [
+                (name, type(v), v.val) if isinstance(v, _Value) else
+                (name, None, v) for name, v in vars(self).items()
+                if name != "engine"]
+        for name, cls, raw in _DERIVED[key]:
+            setattr(self, name, cls._wrap(o, raw) if cls else raw)

@@ -12,7 +12,7 @@ addition's constant operand.
 """
 
 from .curve import ProjectivePoint, _expect, ladder
-from .fields import X1, _method, kernel
+from .fields import X1, _Context, _method, kernel
 from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
 
 
@@ -51,7 +51,7 @@ def _add(o, p, q, d):
     return x3, y3, mul(f, g)
 
 
-class JubjubPoint(ProjectivePoint):
+class JubjubPoint(ProjectivePoint, field="fq"):
     __slots__ = ()
 
     @classmethod
@@ -137,19 +137,20 @@ def _tonelli_shanks(n: int, p: int):
     return r
 
 
-class JubjubCtx:
-    """Curve constant and a deterministically derived generator.
+class JubjubCtx(_Context):
+    """Curve constant and a deterministically derived generator, once per
+    process for each field spec and backend (fields._Context).
 
     The generator is the cofactor-cleared point with the smallest y whose
     doubled-out image is not the identity; x is the even root. Order ell is
     verified in the test suite via ell*G = identity.
     """
 
-    def __init__(self, engine):
-        self.engine = engine
-        with engine.uncounted():
-            self.d = engine.fq(JUBJUB_D)
-            self.generator = self._derive_generator()
+    field = "fq"
+
+    def derive(self):
+        self.d = self.engine.fq(JUBJUB_D)
+        self.generator = self._derive_generator()
 
     def _derive_generator(self):
         e = self.engine

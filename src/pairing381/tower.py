@@ -24,7 +24,10 @@ applies, concatenated in call order, so its counters and trace are exactly
 those of its Fp2 steps.
 """
 
-from .fields import X1, FieldElement, _method, _Value, kernel, pow_public
+from types import MappingProxyType
+
+from .fields import (X1, FieldElement, _Context, _method, _Value, kernel,
+                     pow_public)
 from .params import P
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
@@ -77,7 +80,7 @@ def _inv2(o, a):
     return mul(a0, t), o.neg(mul(a1, t))
 
 
-class Fp2El(_Value, part=FieldElement, names=("c0", "c1")):
+class Fp2El(_Value, part=FieldElement, names=("c0", "c1"), field="fp"):
     __slots__ = ()
 
     @staticmethod
@@ -279,7 +282,7 @@ for _power, _k in ((1, X2), (2, X1), (3, X2)):
     kernel(f"frob{_power}", X12, (_k,) * 6, out=X12)(_frobenius(_power))
 
 
-class Fp6El(_Value, part=Fp2El, names=("c0", "c1", "c2")):
+class Fp6El(_Value, part=Fp2El, names=("c0", "c1", "c2"), field="fp"):
     __slots__ = ()
 
     @staticmethod
@@ -298,7 +301,7 @@ class Fp6El(_Value, part=Fp2El, names=("c0", "c1", "c2")):
     inverse = _method("fp6_inv", inverse=True)
 
 
-class Fp12El(_Value, part=Fp6El, names=("c0", "c1")):
+class Fp12El(_Value, part=Fp6El, names=("c0", "c1"), field="fp"):
     __slots__ = ()
 
     @staticmethod
@@ -328,32 +331,33 @@ class Fp12El(_Value, part=Fp6El, names=("c0", "c1")):
         return Fp12El(Fp6El(cs[0], cs[2], cs[4]), Fp6El(cs[1], cs[3], cs[5]))
 
 
-class TowerCtx:
-    """Per-engine Frobenius constants, derived at first use and self-checked.
+class TowerCtx(_Context):
+    """Frobenius constants, derived and self-checked once per process for
+    each field spec and backend (fields._Context).
 
     zeta = xi^((p-1)/6); the constant applied to the z-degree-d coefficient is
     zeta^d for pi, its Fp norm for pi^2, and their product for pi^3. Nothing
     here is transcribed from tables. frob[power] holds them as raw values,
-    the constant operands of the frob1/frob2/frob3 kernels.
+    the constant operands of the frob1/frob2/frob3 kernels (read-only: every
+    engine shares them).
     """
 
-    def __init__(self, engine):
-        self.engine = engine
-        with engine.uncounted():
-            zeta = pow_public(Fp2El.of(engine, 1, 1), (P - 1) // 6)
-            frob1 = [Fp2El.one(engine)]
-            for _ in range(5):
-                frob1.append(frob1[-1] * zeta)
-            norms = [c * c.conjugate() for c in frob1]
-            assert all(n.c1.is_zero() for n in norms)
-            frob3 = [c.mul_fp(n.c0) for c, n in zip(frob1, norms)]
-            self.frob = {1: tuple(c.val for c in frob1),
-                         2: tuple(n.val[0] for n in norms),
-                         3: tuple(c.val for c in frob3)}
-            # skew Frobenius constants for the twist endomorphism
-            self.skew_cx = frob1[2].inverse()
-            self.skew_cy = frob1[3].inverse()
-            self._self_check()
+    def derive(self):
+        engine = self.engine
+        zeta = pow_public(Fp2El.of(engine, 1, 1), (P - 1) // 6)
+        frob1 = [Fp2El.one(engine)]
+        for _ in range(5):
+            frob1.append(frob1[-1] * zeta)
+        norms = [c * c.conjugate() for c in frob1]
+        assert all(n.c1.is_zero() for n in norms)
+        frob3 = [c.mul_fp(n.c0) for c, n in zip(frob1, norms)]
+        self.frob = MappingProxyType({1: tuple(c.val for c in frob1),
+                                      2: tuple(n.val[0] for n in norms),
+                                      3: tuple(c.val for c in frob3)})
+        # skew Frobenius constants for the twist endomorphism
+        self.skew_cx = frob1[2].inverse()
+        self.skew_cy = frob1[3].inverse()
+        self._self_check()
 
     def _self_check(self):
         e = self.engine

@@ -1,0 +1,112 @@
+"""The words cost report and the constants every engine is given.
+
+run_bench's JSON (wall_time aside) is pinned for a fixed seed on the report
+ops whose inputs come from _rand_g1/_rand_g2, so where and how those inputs
+are drawn cannot move a counter, a value or a report field. A second engine
+must get the same constants as the first, as values of its own, and the
+words constants must be the limb form of the bigint ones.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from pairing381 import (CsprngState, Engine, PublicKey, Signature, keygen,
+                        sign, verify)
+from pairing381.bench import run_bench
+from pairing381.cios import to_limbs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from spans import Tracer  # noqa: E402
+
+SEED = bytes(range(32))
+
+# op: (m1_equivalent, SHA-256 of the report minus wall_time, keys sorted)
+REPORTS = {
+    "pairing": (15105, "98169082de931f753e306466441f8ab1"
+                       "291a4b4d3426659e9f03c669391f4d6f"),
+    "ecsm-g1": (5455, "c226d7fafe5cec9c20a407090a2f6398"
+                      "94deef7fdd7eb225804774cad02021c5"),
+    "ecsm-jubjub": (0, "6065b1f9bd6bc2c558369b4b0d7fc189"
+                       "2da6f3364afc4ccff1ce00f9c1d57698"),
+    "hash-g1": (5015, "a9ad4ce029dd685581da7b6e8a56bc49"
+                      "a3fb77ca8bbba21f56941351648cb559"),
+    "ecsm-g2": (14643, "a09aebd0e4f5c7d65b77808c0c532fe8"
+                       "9b7a040176030004e718a2ede19e2b70"),
+    "hardened-pairing": (35203, "e09fbdb024159bd6aa9abe2ffe6f862e"
+                                "7983df97c2b0d654f364f7e575337493"),
+    "multipairing:2:sharedmlfe": (19678, "f089854ab09acd1178ebdaaa5cc13ef8"
+                                         "0f3b0880fdb15261173834e12df8056b"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(REPORTS))
+def test_report_is_pinned(op):
+    report = run_bench(op, 64, SEED)
+    assert report.pop("wall_time") > 0
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert (report["m1_equivalent"], digest.hexdigest()) == REPORTS[op]
+
+
+def _values(e):
+    return {"omega": e.curve.omega, "g1_gen": e.curve.g1_gen,
+            "g2_gen": e.curve.g2_gen, "jubjub": e.jubjub.generator}
+
+
+def _raw(e):
+    raw = {name: v.val for name, v in _values(e).items()}
+    raw["frob"] = tuple(e.tower.frob[power] for power in (1, 2, 3))
+    return raw
+
+
+def _limbs(v, spec):
+    return to_limbs(v, spec) if type(v) is int else tuple(
+        _limbs(x, spec) for x in v)
+
+
+def test_every_engine_gets_the_constants_as_values_of_its_own(twin_engines):
+    for first in twin_engines:
+        second = Engine(word_size=64, backend=first.backend)
+        assert _raw(second) == _raw(first)
+        for name, v in _values(second).items():
+            assert v.engine is second and v.o in second._ops.values(), name
+    big, words = map(_raw, twin_engines)
+    spec = twin_engines[0].fp_spec
+    for name, v in big.items():
+        assert words[name] == _limbs(
+            v, twin_engines[0].fq_spec if name == "jubjub" else spec), name
+
+
+def test_traced_report_then_verify_is_consistent():
+    """A traced report, then a traced verify from bytes on another bigint
+    engine in the same process, as the benchmark's traced runs do: the spans
+    add up, no self time is negative, and no span of the report runs on the
+    verify engine or charges it."""
+    e = Engine()
+    sk, pk = keygen(e, CsprngState(b"\x22" * 32))
+    msg = b"traced after a report"
+    pkb, sigb = pk.to_bytes(), sign(e, sk, msg).to_bytes()
+    tracer = Tracer()
+    with tracer.installed():
+        for kind, request in (
+                ("report", lambda: run_bench("ecsm-g1", 64, SEED)),
+                ("verify", lambda: verify(PublicKey.from_bytes(e, pkb), msg,
+                                          Signature.from_bytes(e, sigb)))):
+            root = tracer.open("request:" + kind, e)
+            m0 = e.counter.m1_equivalent()
+            root.start = tracer.clock()
+            out = request()
+            root.end = tracer.clock()
+            root.m1eq = e.counter.m1_equivalent() - m0
+            tracer.close()
+    assert out is True
+    assert tracer.problems() == []
+    assert min(tracer.self_times()) >= 0
+    report = tracer.spans[0]
+    assert report.name == "request:report" and report.m1eq == 0
+    ecsms = [s for s in tracer.spans if s.name == "ecsm" and s.parent == 0]
+    assert len(ecsms) == 2      # the input's ladder and the reported one
+    assert all(s.engine is not e for s in ecsms)

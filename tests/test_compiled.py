@@ -20,8 +20,9 @@ import pairing381.pairing  # noqa: F401  registers the pairing kernels
 from pairing381 import Engine, fields
 from pairing381.cios import from_limbs, to_limbs
 from pairing381.counters import OpCounter
-from pairing381.fields import (KERNELS, X1, RawOps, _PRIMITIVES, _TEMPLATES,
-                               _Walker)
+from pairing381.fields import (KERNELS, X1, FieldElement, RawOps, _PRIMITIVES,
+                               _TEMPLATES, _Walker, kernel)
+from pairing381.params import P
 from pairing381.tower import Fp2El
 
 KIND = {"mul": "m", "add": "a", "sub": "a", "neg": "a", "inv": "i"}
@@ -124,6 +125,26 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
     if _totals(record, "1")["m"] and not op.startswith("jubjub"):
         assert got["bigint", True] != got["bigint", False]
         assert got["words", True] != got["words", False]
+
+
+@pytest.mark.parametrize("backend", ["bigint", "words"])
+def test_reregistered_kernel_runs_its_new_body(backend):
+    """Registering a kernel under a used name drops every walk and compiled
+    function: a fresh engine charges and runs the new body, not the old."""
+    def run():
+        e = Engine(backend=backend)
+        o, before = e.raw_ops(e.fp(5)), e.counter.snapshot()
+        out = o.apply("t1", e.fp(5).val)
+        return FieldElement._wrap(o, out).to_int(), e.counter.delta(before).a1
+
+    try:
+        kernel("t1", X1, out=X1)(lambda o, a: o.neg(a))
+        assert run() == (P - 5, 1)
+        kernel("t1", X1, out=X1)(lambda o, a: o.add(a, a))
+        assert run() == (10, 1)
+    finally:
+        del KERNELS["t1"]
+        delattr(RawOps, "t1")
 
 
 def test_kernels_compile_at_first_counted_use_once_per_process(monkeypatch):

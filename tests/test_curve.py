@@ -21,7 +21,8 @@ from pairing381.curve import (
     skew_frobenius,
     subgroup_check_canonical,
 )
-from pairing381.jubjub import jubjub_ecsm
+from pairing381.jubjub import JubjubPoint, jubjub_ecsm
+from pairing381.tower import Fp2El
 from pairing381.params import P, Q, U_SQ
 
 
@@ -191,6 +192,20 @@ def test_point_operands_of_other_groups_or_engines_rejected(engine):
         with pytest.raises(TypeError):
             op()
     assert engine.counter == before
+
+
+def test_points_and_elements_over_another_field_rejected(engine):
+    """G1 and G2 points and the tower elements lie over Fp, Jubjub points
+    over Fq: each constructor rejects coordinates of the other field before
+    any tally, so no kernel runs its formula over the wrong modulus."""
+    e = engine
+    before = e.counter.snapshot()
+    for op in (lambda: G1Point(e.fq(1), e.fq(2), e.fq(1)).double(),
+               lambda: JubjubPoint(e.fp(0), e.fp(1), e.fp(1)).double(),
+               lambda: Fp2El(e.fq(1), e.fq(2)).square()):
+        with pytest.raises(TypeError, match="over"):
+            op()
+    assert e.counter == before
 
 
 def test_hash_and_equality_leave_counters_untouched(engine):
