@@ -40,6 +40,14 @@ REPORTS = {
                                 "7983df97c2b0d654f364f7e575337493"),
     "multipairing:2:sharedmlfe": (19678, "f089854ab09acd1178ebdaaa5cc13ef8"
                                          "0f3b0880fdb15261173834e12df8056b"),
+    "ecsm-g2-split": (8090, "efe4bb42e3281e48afd5c026f85156a6"
+                            "15c6c7fff6270865eb596bd9b4518c9c"),
+    "hardened-ecsm": (5725, "8fd71a1e9c49b23fa0cec0ab960f04cd"
+                            "b355b603b15c07ee612a96afa6b9087e"),
+    "finalexp": (8264, "0ab69b527b3419b6a35813aec7742461"
+                       "00a1e4a537421a946b9ce9ad16c4a9f4"),
+    "miller": (6841, "859d70c93fde9b9726c7c33975049033"
+                     "c31364d7fd243eaf3d24f07a40d48b42"),
 }
 
 
