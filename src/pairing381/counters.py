@@ -77,12 +77,3 @@ class OpCounter:
             + FP_INV_MULS * self.i1
             + FP2_INV_M1 * self.i2
         )
-
-    def __str__(self) -> str:
-        parts = [
-            f"{f.name}={getattr(self, f.name)}"
-            for f in dc_fields(self)
-            if getattr(self, f.name)
-        ]
-        return "OpCounter(" + ", ".join(parts) + ")"
-

@@ -55,10 +55,6 @@ class ProjectivePoint(_Value, part=FieldElement, names=("x", "y", "z")):
             a = self.to_affine()
         return hash((a.x, a.y, a.is_identity()))
 
-    def _consts(self):
-        """Raw constant operands of the add kernels, after the two points."""
-        return ()
-
 
 def _select(m, a, b):
     """a if m = -1, b if m = 0, for two raw values of one shape: bit logic on
@@ -181,9 +177,6 @@ class _CurvePoint(ProjectivePoint):
     def __neg__(self):
         return type(self)(self.x, -self.y, self.z)
 
-    def __sub__(self, other):
-        return self.add(-other)
-
     def to_affine(self):
         """Normalize to z = 1 (identity passes through unchanged)."""
         if self.is_identity():
@@ -257,13 +250,17 @@ class G2Point(_CurvePoint, part=Fp2El, field="fp"):
         return (t + t).mul_by_xi()
 
 
-def _expect(point, *classes):
-    """Reject a point of another class, before any tally: a loop runs the
-    kernels of the class it was written for."""
+def _entry_check(point, *classes, k=0, bound=1):
+    """The entry check of a scalar multiplication or a pairing, before any
+    tally: k in [0, bound), point of one of classes (a loop runs the kernels
+    of the class it was written for) and on its curve (uncounted)."""
+    if not 0 <= k < bound:
+        raise ValueError("scalar out of range")
     if type(point) not in classes:
-        raise TypeError(f"{type(point).__name__} given where "
-                        + " or ".join(c.__name__ for c in classes)
-                        + " is expected")
+        names = " or ".join(c.__name__ for c in classes)
+        raise TypeError(f"{type(point).__name__} given where {names} is expected")
+    if not point.on_curve():
+        raise ValueError("point not on curve")
 
 
 def ecsm(k: int, point):
@@ -274,11 +271,7 @@ def ecsm(k: int, point):
     one inversion the cost anchors include). Identity input short-circuits:
     there is no affine base to add.
     """
-    if not 0 <= k < params.Q:
-        raise ValueError("scalar out of range")
-    _expect(point, G1Point, G2Point)
-    if not point.on_curve():
-        raise ValueError("point not on curve")
+    _entry_check(point, G1Point, G2Point, k=k, bound=params.Q)
     if point.is_identity():
         return point
     return ladder(k, point.normalized(), 255, type(point).add_mixed.op)
@@ -292,11 +285,11 @@ def ladder(k: int, base, bits: int, add: str):
     trace does not depend on k. Returns the affine result.
     """
     cls, o = type(base), base.o
-    run, dbl, b, consts = o.apply, cls.double.op, base.val, base._consts()
+    run, dbl, b = o.apply, cls.double.op, base.val
     acc = cls.identity(base.engine).val
     for i in range(bits - 1, -1, -1):
         acc = run(dbl, acc)
-        cand = run(add, acc, b, *consts)
+        cand = run(add, acc, b)
         acc = _select(-((k >> i) & 1), cand, acc)
     return cls._wrap(o, acc).to_affine()
 
@@ -315,7 +308,7 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
         raise ValueError("point not on curve")
     table = (cls.identity(p1.engine), p1, p2, p1.add(p2))   # add checks p2
     o = p1.engine.raw_ops(*table)
-    run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, p1._consts()
+    run, dbl, add = o.apply, cls.double.op, cls.add.op
     t0, t1, t2, t3 = (t.val for t in table)
     acc = t0
     for i in range(bits - 1, -1, -1):
@@ -323,7 +316,7 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
         m1 = -((k1 >> i) & 1)
         entry = _select(-((k2 >> i) & 1), _select(m1, t3, t2),
                         _select(m1, t1, t0))
-        acc = run(add, acc, entry, *consts)
+        acc = run(add, acc, entry)
     return cls._wrap(o, acc).to_affine()
 
 
@@ -347,8 +340,8 @@ def skew_frobenius(point: G2Point) -> G2Point:
 
 def g2_ecsm_split(k: int, point: G2Point) -> G2Point:
     """k*P via the 128-bit split k = k1 + k2*u^2 and phi^2(P) = u^2*P."""
+    _entry_check(point, G2Point, k=k, bound=params.Q)
     k1, k2 = scalar_split(k)
-    _expect(point, G2Point)
     p2 = skew_frobenius(skew_frobenius(point))
     return multi_exp(k1, point, k2, p2, bits=128)
 
@@ -359,12 +352,12 @@ def plain_mul(point, n: int):
     if n < 0:
         point, n = -point, -n
     o = point.o
-    run, dbl, add, consts = o.apply, cls.double.op, cls.add.op, point._consts()
+    run, dbl, add = o.apply, cls.double.op, cls.add.op
     p, acc = point.val, cls.identity(point.engine).val
     for bit in bin(n)[2:] if n else "":
         acc = run(dbl, acc)
         if bit == "1":
-            acc = run(add, acc, p, *consts)
+            acc = run(add, acc, p)
     return cls._wrap(o, acc)
 
 

@@ -10,16 +10,18 @@ Counting rules (the whole artifact depends on these):
     doubling, is one tally (RawOps.apply, the only code that applies a
     record) plus a raw kernel: a function of a primitive set (RawOps) and raw
     values, registered with @kernel. The kernel body is the only source of
-    its op. At the op's first counted use in the process, per backend and
-    field (spec name and word size), one walk (_Walker) runs the body on
-    named placeholders: each Fp primitive it meets (mul, sqr, add, sub, neg,
-    inv) is one step of the record (counter increments, trace tuple) and one
-    line of a straight-line function, compiled once per op and backend. Each
-    RawOps takes the record and installs its own copy of the function at its
-    own first counted use of the op; until then the body runs as a call
-    tree. On bigint a record also holds the word-law increments; on words the
-    lines call the primitives, whose cios.py loops charge the word counters
-    as they run;
+    its op. At the op's first counted use over a field spec and backend in
+    the process, one walk (_Walker) runs the body on named placeholders: each
+    Fp primitive it meets (mul, sqr, add, sub, neg, inv) is one step of the
+    record (counter increments, trace tuple) and one line of a straight-line
+    function, compiled then; a named constant of the field (CONSTANTS, such
+    as Jubjub's d) is a name the function binds. One store per field spec
+    and backend (RawOps.store) keeps the walks and the derived constants.
+    Each RawOps takes the record and installs its own copy of the function
+    at its own first counted use of the op; until then the body runs as a
+    call tree. On bigint a record also holds the word-law increments; on
+    words the lines call the primitives, whose cios.py loops charge the word
+    counters as they run;
   * every element and point is one _Value: the RawOps of its engine and
     field, and its raw value. It runs an op by one path, a _method: the
     operand types are checked, the operands share one RawOps, and an
@@ -30,9 +32,9 @@ Counting rules (the whole artifact depends on these):
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
     neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
     so its trace says m1);
-  * multiplications executed inside an inversion's exponentiation chain go to
-    inv_m1/inv_mq, never to m1/mq, so an inversion's full fixed cost is
-    carried by its i-counter exactly once;
+  * multiplications executed inside an inversion's exponentiation chain
+    (pow_raw over the primitives) go to inv_m1/inv_mq, never to m1/mq, so an
+    inversion's full fixed cost is carried by its i-counter exactly once;
   * an op with a marker (each Fp2 op: m2, a2, ...) bumps it first, and its Fp
     steps go to their own buckets (m1_in2, ...), never to m1/s1/a1/i1, which
     count direct Fp work only; the raw Fp view is the sum of the two, and the
@@ -47,7 +49,7 @@ Counting rules (the whole artifact depends on these):
 
 from collections import Counter
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
 from operator import attrgetter
 
@@ -94,8 +96,9 @@ _BIND = {   # what a compiled function reads from its RawOps
 
 
 def _factory(backend, op, params, lines, out, calls=()):
-    """Compile make(o), which binds o's constants, primitives and the ops in
-    calls, and returns the straight-line function op(params) of lines."""
+    """Compile make(o), which binds o's constants, primitives and the names
+    in calls (ops and named constants), and returns the straight-line
+    function op(params) of lines."""
     bind = "".join(f"    {c} = o.{c}\n" for c in sorted(calls))
     body = "".join(f"        {line}\n" for line in lines)
     src = (f"def make(o):\n    {_BIND[backend]}\n{bind}    def {op}({params}):"
@@ -127,8 +130,9 @@ class _Walker:
     .record is the op's (counter increments, trace tuple): each Fp primitive
     step counts once, in the _in2 bucket iff the innermost enclosing op has
     a marker; a marker op appends its marker when entered; a called op adds
-    its record. .code is (params, lines, result, called ops) of the op's
-    straight-line function, one _TEMPLATES line per step."""
+    its record; a named constant it reads is a placeholder of that name.
+    .code is (params, lines, result, .calls: the called ops and constants)
+    of the op's straight-line function, one _TEMPLATES line per step."""
 
     def __init__(self, ops, op):
         spec, backend = ops.spec, ops.engine.backend
@@ -181,11 +185,15 @@ class _Walker:
         self.nested.pop()
         return out
 
-    def __getattr__(self, op):
-        """A registered op called from the body is walked inline."""
-        if op not in KERNELS:
-            raise AttributeError(op)
-        return lambda *args: self._enter(op, args)
+    def __getattr__(self, name):
+        """A registered op called from the body is walked inline; a named
+        constant of the field is a placeholder that make(o) binds."""
+        if (self.ops.spec.name, name) in CONSTANTS:
+            self.calls.add(name)
+            return _Symbol(name)
+        if name not in KERNELS:
+            raise AttributeError(name)
+        return lambda *args: self._enter(name, args)
 
     def _step(self, kind, prim, a, b=None):
         name = kind + self.f
@@ -204,48 +212,47 @@ class _Walker:
         return r
 
 
-_CODE = {}    # (op, backend) -> make(o) of its compiled function
-_WALKS = {}   # (op, backend, spec name, word size) -> (record, code) of its walk
+_STORES = {}   # (field spec object, backend) -> the store its RawOps share
 
 
 class _Records(dict):
     """op -> record over one RawOps' field, filled at the op's first counted
-    use on this RawOps from the process's walk of the op (a _Walker, run once
-    per op, backend and field), which also yields the function installed on
-    the RawOps (compiled once per op and backend in the process)."""
+    use on this RawOps from its store: the op's walk (a _Walker, run once per
+    store) gives the record, the names make(o) binds and make itself, which
+    installs the op's compiled function on the RawOps."""
 
     def __init__(self, ops):
         super().__init__()
         self.ops = ops
 
     def __missing__(self, op):
-        o, backend = self.ops, self.ops.engine.backend
-        key = op, backend, o.spec.name, o.spec.word_size
-        if key not in _WALKS:
+        o = self.ops
+        if op not in o.store:
             walk = _Walker(o, op)
-            _WALKS[key] = walk.record, walk.code
-        record, code = _WALKS[key]
-        if op not in _PRIMITIVES:     # a primitive is one function already
-            for called in code[3]:    # make(o) binds their functions
+            make = (None if op in _PRIMITIVES    # one function already
+                    else _factory(o.engine.backend, op, *walk.code))
+            o.store[op] = walk.record, walk.calls, make
+        record, calls, make = o.store[op]
+        if make:
+            for called in calls & KERNELS.keys():   # make(o) binds them
                 self[called]
-            if (op, backend) not in _CODE:
-                _CODE[op, backend] = _factory(backend, op, *code)
-            setattr(o, op, _CODE[op, backend](o))
+            setattr(o, op, make(o))
         self[op] = record
         return record
 
 
 KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
+CONSTANTS = {}     # (field, name) -> int, held raw as o.name by RawOps made later
 
 
 def kernel(name: str, *args, out, marker=None):
     """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
     kernel that is not an Fp primitive becomes a method of RawOps. A walk or
     compiled function may inline or call any registered op, so registering
-    one drops them all: engines made afterwards walk the new body."""
+    one drops every store: engines made afterwards walk the new body (and
+    derive their constants again)."""
     def register(fn):
-        _WALKS.clear()
-        _CODE.clear()
+        _STORES.clear()
         KERNELS[name] = (fn, marker, args, out)
         if name not in _PRIMITIVES:
             setattr(RawOps, name, fn)
@@ -386,26 +393,27 @@ class FieldElement(_Value):
         return f"<{self.spec.name} 0x{self.to_int():x}>"
 
 
-def pow_raw(run, a, exp: int, sqr: str, mul: str):
+def pow_raw(a, exp: int, sqr, mul):
     """a^exp on a raw value by MSB-first square-and-multiply, for a public
-    exponent exp >= 1: run(sqr, acc) per bit after the leading one, then
-    run(mul, acc, a) if the bit is set. The sequence of operations depends
-    on exp, so exp must never be secret.
+    exponent exp >= 1: acc = sqr(acc) per bit after the leading one, then
+    acc = mul(acc, a) if the bit is set. The sequence of steps depends on
+    exp, so exp must never be secret. The steps are RawOps primitives (an
+    inversion's Fermat chain) or counted ops applied by name.
     """
     acc = a
     for bit in bin(exp)[3:]:
-        acc = run(sqr, acc)
+        acc = sqr(acc)
         if bit == "1":
-            acc = run(mul, acc, a)
+            acc = mul(acc, a)
     return acc
 
 
 def pow_public(x, exp: int):
     """x^exp (see pow_raw) for an element of any class, by the ops of its
-    square and *."""
-    cls = type(x)
-    return x._wrap(x.o, pow_raw(x.o.apply, x.val, exp, cls.square.op,
-                                cls.__mul__.op))
+    square and *, one tally per step."""
+    cls, run = type(x), x.o.apply
+    return x._wrap(x.o, pow_raw(x.val, exp, partial(run, cls.square.op),
+                                partial(run, cls.__mul__.op)))
 
 
 class RawOps:
@@ -415,14 +423,25 @@ class RawOps:
     limb tuples on words, where the cios.py loops charge their word
     operations as they run). Every other registered kernel is a method, and
     its compiled function, once built, an instance attribute that shadows
-    it. Only apply tallies: it charges the op's record, then runs the kernel.
+    it; a named constant of the field (CONSTANTS) is an attribute too. Only
+    apply tallies: it charges the op's record, then runs the kernel.
+
+    store holds what depends only on the field spec object and the backend,
+    once per process: each op's walk and compiled factory, each _Context's
+    raw constants. A new spec (inject_fault()) or word size gets a new one.
     """
 
     def __init__(self, engine, spec):
         self.engine = engine
         self.spec = spec
+        self.store = _STORES.setdefault((spec, engine.backend), {})
         self.records = _Records(self)
-        if engine.backend == "bigint":
+        words = engine.backend == "words"
+        for (field, name), value in CONSTANTS.items():   # as raw values
+            if field == spec.name:
+                mont = value * spec.r1 % spec.modulus
+                setattr(self, name, to_limbs(mont, spec) if words else mont)
+        if not words:
             for p, make in _BIG.items():
                 setattr(self, p, make(self))
             return
@@ -434,16 +453,10 @@ class RawOps:
         self.sqr = lambda a: cios_mont_mul(a, a, spec, sink())
 
     def inv(self, a):
-        """a^(modulus-2) on a raw nonzero value, by the fixed MSB-first
-        square-and-multiply chain: 380 squarings and 228 multiplications for
-        Fp, 254 and 163 for Fq, charged to inv_m1/inv_mq."""
-        mul = self.mul
-        acc = a
-        for bit in bin(self.spec.modulus - 2)[3:]:
-            acc = mul(acc, acc)
-            if bit == "1":
-                acc = mul(acc, a)
-        return acc
+        """a^(modulus-2) on a raw nonzero value, by pow_raw's fixed chain:
+        380 squarings and 228 multiplications for Fp, 254 and 163 for Fq,
+        charged to inv_m1/inv_mq."""
+        return pow_raw(a, self.spec.modulus - 2, self.sqr, self.mul)
 
     def apply(self, op: str, *raw):
         """Tally op once, then run its kernel on raw values."""
@@ -579,16 +592,14 @@ class Engine:
         return True
 
 
-_DERIVED = {}   # (context class, field spec, backend) -> its constants, raw
-
-
 class _Context:
     """An engine's derived constants over the field named by `field`.
 
     derive() sets them, self-checks included, uncounted, once per process
     for each field spec object and backend (a spec from inject_fault() is a
-    new one). Every engine gets each value rebuilt on its own RawOps from
-    the cached raw value: a shared value would charge its first engine.
+    new one), and the field's RawOps store keeps them as raw values. Every
+    engine gets each value rebuilt on its own RawOps: a shared value would
+    charge its first engine.
     """
 
     field = "fp"
@@ -596,13 +607,12 @@ class _Context:
     def __init__(self, engine):
         self.engine = engine
         o = engine._ops[getattr(engine, self.field + "_spec")]
-        key = type(self), o.spec, engine.backend
-        if key not in _DERIVED:
+        if type(self) not in o.store:
             with engine.uncounted():
                 self.derive()
-            _DERIVED[key] = [
+            o.store[type(self)] = [
                 (name, type(v), v.val) if isinstance(v, _Value) else
                 (name, None, v) for name, v in vars(self).items()
                 if name != "engine"]
-        for name, cls, raw in _DERIVED[key]:
+        for name, cls, raw in o.store[type(self)]:
             setattr(self, name, cls._wrap(o, raw) if cls else raw)

@@ -7,16 +7,17 @@ path. Projective coordinates (X : Y : Z) with identity (0 : 1 : 1).
 Cost layout per ECSM iteration: doubling 3M + 4S, unified addition 11M + 1S,
 both over Fq. The 252-bit fixed loop plus the final affine conversion gives
 252*19 + 2 = 4,790 Fq mul/sqr operations and one Fq inversion. Doubling and
-addition are raw kernels, as in curve.py; the curve constant d is the
-addition's constant operand.
+addition are raw kernels, as in curve.py; the addition reads the curve
+constant d as o.jubjub_d, a named constant of Fq.
 """
 
-from .curve import ProjectivePoint, _expect, ladder
-from .fields import X1, _Context, _method, kernel
+from .curve import ProjectivePoint, _entry_check, ladder, plain_mul
+from .fields import CONSTANTS, X1, _Context, _method, kernel
 from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
 
 
 _PT = (X1, X1, X1)           # placeholder shape of a raw point
+CONSTANTS["fq", "jubjub_d"] = JUBJUB_D
 
 
 @kernel("jubjub_double", _PT, out=_PT)
@@ -33,10 +34,10 @@ def _double(o, p):
     return mul(sub(sub(b, c), d), j), mul(f, sub(e, d)), mul(f, j)
 
 
-@kernel("jubjub_add", _PT, _PT, X1, out=_PT)
-def _add(o, p, q, d):
+@kernel("jubjub_add", _PT, _PT, out=_PT)
+def _add(o, p, q):
     """Unified projective addition, complete for this curve."""
-    mul, add, sub = o.mul, o.add, o.sub
+    mul, add, sub, d = o.mul, o.add, o.sub, o.jubjub_d
     (X1, Y1, Z1), (X2, Y2, Z2) = p, q
     a = mul(Z1, Z2)
     b = o.sqr(a)
@@ -70,17 +71,7 @@ class JubjubPoint(ProjectivePoint, field="fq"):
         return JubjubPoint(-self.x, self.y, self.z)
 
     double = _method("jubjub_double")
-    _add = _method("jubjub_add")
-
-    def add(self, other: "JubjubPoint") -> "JubjubPoint":
-        """Unified projective addition, complete for this curve."""
-        return self._add(other, self.engine.jubjub.d)
-
-    add.op = _add.op
-    __add__ = add
-
-    def _consts(self):
-        return (self.engine.jubjub.d.val,)
+    add = __add__ = _method("jubjub_add")
 
     def to_affine(self) -> "JubjubPoint":
         # always inverts, identity included, so the ladder's trace ends the
@@ -103,11 +94,7 @@ class JubjubPoint(ProjectivePoint, field="fq"):
 
 def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
     """Constant-time k*P over the 252-bit subgroup order, always-add loop."""
-    if not 0 <= k < JUBJUB_ELL:
-        raise ValueError("scalar out of range")
-    _expect(point, JubjubPoint)
-    if not point.on_curve():
-        raise ValueError("point not on jubjub")
+    _entry_check(point, JubjubPoint, k=k, bound=JUBJUB_ELL)
     return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add.op)
 
 
@@ -163,9 +150,7 @@ class JubjubCtx(_Context):
             if x is not None:
                 if x % 2 == 1:
                     x = Q - x
-                pt = JubjubPoint.affine(e, x, y)
-                for _ in range(JUBJUB_COFACTOR.bit_length() - 1):
-                    pt = pt.double()
+                pt = plain_mul(JubjubPoint.affine(e, x, y), JUBJUB_COFACTOR)
                 if not pt.is_identity():
                     return pt.to_affine()
             y += 1

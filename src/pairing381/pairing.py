@@ -19,8 +19,11 @@ easy part of the final exponentiation, which is what licenses the scalings
 and the dropped vertical lines.
 """
 
+from functools import partial
+
 from . import params
-from .curve import g1_subgroup_check, g2_subgroup_check
+from .curve import (G1Point, G2Point, _entry_check, g1_subgroup_check,
+                    g2_subgroup_check)
 from .fields import X1, _method, kernel, pow_public, pow_raw
 from .tower import X2, X12, Fp12El
 
@@ -108,12 +111,14 @@ _unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 def _prep_pair(p, q):
     """Boundary validation; returns affine (p, q) or None for a degenerate pair."""
+    _entry_check(p, G1Point)
+    _entry_check(q, G2Point)
     if p.is_identity() or q.is_identity():
         return None
     with p.engine.uncounted():
-        if not (p.on_curve() and g1_subgroup_check(p)):
+        if not g1_subgroup_check(p):
             raise ValueError("left pairing input invalid")
-        if not (q.on_curve() and g2_subgroup_check(q)):
+        if not g2_subgroup_check(q):
             raise ValueError("right pairing input invalid")
         return p.normalized(), q.normalized()
 
@@ -158,9 +163,10 @@ def final_exp(f: Fp12El) -> Fp12El:
     t0 = _unitary_of(f)
     o = t0.o
     run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
+    sqr, mul = partial(run, "fp12_cyclo_sqr"), partial(run, "fp12_mul")
 
     def exp_u(x):   # x^|u| by cyclotomic squarings: 63 of them, 5 multiplies
-        return pow_raw(run, x, params.ABS_U, "fp12_cyclo_sqr", "fp12_mul")
+        return pow_raw(x, params.ABS_U, sqr, mul)
     t0 = t0.val
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
     t1 = run("fp12_conj", run("fp12_mul", exp_u(m), m))      # m^(u-1)

@@ -30,6 +30,7 @@ from . import params
 from .curve import (
     G1Point,
     G2Point,
+    _entry_check,
     ecsm,
     g1_subgroup_check,
     g2_ecsm_split,
@@ -175,12 +176,9 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
     addition instead of the mixed one; scalar splitting runs the two halves
     through the shared-doubling double ladder whose table precomputes 2P.
     """
-    if not 0 <= k < params.Q:
-        raise ValueError("scalar out of range")
     if not (config.randomized_projective or config.scalar_splitting):
         return ecsm(k, point)
-    if not point.on_curve():
-        raise ValueError("point not on curve")
+    _entry_check(point, G1Point, G2Point, k=k, bound=params.Q)
     if point.is_identity():
         return point
     base = point

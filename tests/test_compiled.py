@@ -1,8 +1,8 @@
 """Compiled kernels: each op's straight-line function against its own body.
 
 At an op's first counted use, fields walks its kernel once on named
-placeholders, which builds the op's record and emits one function per op and
-backend. These tests hold every registered kernel to three things, on bigint,
+placeholders, which builds the op's record and emits one function per op,
+field spec and backend. These tests hold every registered kernel to three things, on bigint,
 on words and on engines whose Montgomery constant was corrupted by
 inject_fault(): the compiled function computes what the body computes on a
 RawOps (and bigint what the words loops compute), an uncounted call charges
@@ -157,7 +157,7 @@ def test_kernels_compile_at_first_counted_use_once_per_process(monkeypatch):
         compiled.append(name)
         return compile(source, name, mode)
 
-    monkeypatch.setattr(fields, "_CODE", {})
+    monkeypatch.setattr(fields, "_STORES", {})
     monkeypatch.setattr(fields, "compile", spy, raising=False)
 
     def installed(e):
@@ -178,6 +178,21 @@ def test_kernels_compile_at_first_counted_use_once_per_process(monkeypatch):
     x2, y2 = Fp2El.of(e2, 2, 3), Fp2El.of(e2, 5, 7)
     assert (x2 * y2).to_ints() == want.to_ints()
     assert compiled == ["<mul2 on bigint>"] and installed(e2) == {"mul2"}
+
+
+def test_named_constants_are_bound_by_name_and_field():
+    """A kernel reads a named constant of its field as o.name: the walk binds
+    it in make(o) as it binds a called op, the RawOps supplies the raw value,
+    and another name, or a constant of the other field, is AttributeError."""
+    e = Engine()
+    fp, fq = e._ops[e.fp_spec], e._ops[e.fq_spec]
+    assert _Walker(fq, "jubjub_add").calls == {"jubjub_d"}
+    assert fq.jubjub_d == e.jubjub.d.val
+    for o, name in ((fq, "nonesuch"), (fp, "jubjub_d")):
+        with pytest.raises(AttributeError):
+            getattr(o, name)
+        with pytest.raises(AttributeError):
+            getattr(_Walker(o, "jubjub_double"), name)
 
 
 def test_template_lines_at_the_reduction_edges(engines):

@@ -194,6 +194,17 @@ def test_point_operands_of_other_groups_or_engines_rejected(engine):
     assert engine.counter == before
 
 
+def test_split_ladder_rejects_an_off_curve_point_before_any_tally(engine):
+    """The entry check runs before the two skew Frobenius maps."""
+    g2 = engine.curve.g2_gen
+    off = G2Point(g2.x, g2.x, g2.z)
+    assert not off.on_curve()
+    before = engine.counter.snapshot()
+    with pytest.raises(ValueError, match="not on curve"):
+        g2_ecsm_split(5, off)
+    assert engine.counter == before
+
+
 def test_points_and_elements_over_another_field_rejected(engine):
     """G1 and G2 points and the tower elements lie over Fp, Jubjub points
     over Fq: each constructor rejects coordinates of the other field before

@@ -56,6 +56,18 @@ def test_invalid_inputs_rejected(engine):
         pairing(g1, off2)
 
 
+def test_inputs_of_the_wrong_class_rejected_before_any_tally(engine):
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    before = engine.counter.snapshot()
+    for op in (lambda: pairing(g2, g1), lambda: miller_loop(g2, g1),
+               lambda: multi_pairing([(g1, g2), (g2, g1)]),
+               lambda: pairing(g1, g1), lambda: miller_loop(g2, g2)):
+        with pytest.raises(TypeError) as info:
+            op()
+        assert {"G1Point", "G2Point"} <= set(str(info.value).split())
+    assert engine.counter == before
+
+
 def test_miller_loop_cost(engine):
     g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
     before = engine.counter.snapshot()

@@ -131,11 +131,17 @@ def test_hardened_ecsm_overhead(engine, crng, rng):
 
 
 def test_hardened_ecsm_validation(engine, crng):
-    cfg = CountermeasureConfig(rng=crng)
-    with pytest.raises(ValueError):
-        hardened_ecsm(Q, engine.curve.g1_gen, cfg)
-    with pytest.raises(ValueError):
-        hardened_ecsm(3, G1Point.affine(engine, 1, 1), cfg)
+    for flags in (False, True):
+        cfg = CountermeasureConfig(rng=crng, randomized_projective=flags,
+                                   scalar_splitting=flags)
+        before = engine.counter.snapshot()
+        with pytest.raises(ValueError):
+            hardened_ecsm(Q, engine.curve.g1_gen, cfg)
+        with pytest.raises(ValueError):
+            hardened_ecsm(3, G1Point.affine(engine, 1, 1), cfg)
+        with pytest.raises(TypeError):
+            hardened_ecsm(3, engine.jubjub.generator, cfg)
+        assert engine.counter == before
 
 
 def test_hardened_pairing_value_and_overhead(engine, crng, rng):

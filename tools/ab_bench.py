@@ -22,9 +22,10 @@ needs at least two seeds, so that each side has a median and quartiles:
     every metric of the traced runs, per-layer ones included, so a layer
     figure is compared against its spread, not as one pair of runs.
 Both modes also record each side's incorrect runs (seed and FAILED lines)
-under "incorrect"; the tool exits 1, after writing --out, if any change-side
-run was not correct. Other keys already in the file are kept. BENCHMARK.json
-and perfbench/ are read, never written.
+under "incorrect". The tool exits 1, after writing --out, if any change-side
+run was not correct or, with --trace 0, if any no_regression verdict reads
+worse; it prints each such metric with the workload. Other keys already in
+the file are kept. BENCHMARK.json and perfbench/ are read, never written.
 """
 
 import argparse
@@ -192,24 +193,29 @@ def main(argv=None) -> int:
                    "against the change, alternating which runs first.")
     out["host"] = {"python": platform.python_version(), "nproc": os.cpu_count()}
     out["command"] = COMMAND
+    worse = []
     if args.trace:
         out.setdefault("per_layer", {})[args.workload] = {
             "seconds": args.seconds, "seeds": args.seeds, "trace": 1,
             **{s: side_table(got[s]) for s in ("parent", "change")},
             "incorrect": incorrect}
     else:
+        table = no_regression(got["parent"], got["change"])
+        worse = [m for m, row in table.items() if row["verdict"] == "worse"]
         out.setdefault("end_to_end", {})[args.workload] = {
             "seconds": args.seconds, "seeds": args.seeds,
             **{s: side_table(got[s]) for s in ("parent", "change")},
             "incorrect": incorrect,
             "failed": {s: sum(r["failed"] for r in got[s])
                        for s in ("parent", "change")},
-            "no_regression": no_regression(got["parent"], got["change"])}
+            "no_regression": table}
         if args.claim:
             out["claim"] = claim(args.claim, args.workload, args.seeds,
                                  got["parent"], got["change"])
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 1 if incorrect["change"] else 0
+    for metric in worse:
+        print(f"# worse: {metric} on {args.workload}", file=sys.stderr)
+    return 1 if incorrect["change"] or worse else 0
 
 
 if __name__ == "__main__":
