@@ -2,12 +2,13 @@
 
 At an op's first counted use, fields walks its kernel once on named
 placeholders, which builds the op's record and emits one function per op,
-field spec and backend. These tests hold every registered kernel to three things, on bigint,
-on words and on engines whose Montgomery constant was corrupted by
-inject_fault(): the compiled function computes what the body computes on a
-RawOps (and bigint what the words loops compute), an uncounted call charges
-nothing, and the emitted steps, counted by kind from the source text alone
-(a called op's from its own text), add up to the record's Fp-level totals.
+field spec and backend. These tests hold every registered kernel to three
+things, on bigint, on words and on engines whose Montgomery constant was
+corrupted by inject_fault(): the compiled function computes what the body
+computes on a RawOps (and bigint what the words loops compute), an uncounted
+call charges nothing, and the emitted steps, counted by kind from the source
+text alone (a called op's from its own text), add up to the record's
+Fp-level totals.
 """
 
 import random
