@@ -1,8 +1,9 @@
 """The words cost report and the constants every engine is given.
 
-run_bench's JSON (wall_time aside) is pinned for a fixed seed on the report
-ops whose inputs come from _rand_g1/_rand_g2, so where and how those inputs
-are drawn cannot move a counter, a value or a report field. A second engine
+run_bench's JSON (wall_time aside) is pinned for a fixed seed on every
+concrete op, the sized ones at n=2 in each mode, so neither how an op's
+inputs are drawn nor how it is measured can move a counter, a value or a
+report field. A second engine
 must get the same constants as the first, as values of its own, and the
 words constants must be the limb form of the bigint ones.
 """
@@ -48,6 +49,14 @@ REPORTS = {
                        "00a1e4a537421a946b9ce9ad16c4a9f4"),
     "miller": (6841, "859d70c93fde9b9726c7c33975049033"
                      "c31364d7fd243eaf3d24f07a40d48b42"),
+    "multipairing:2:naive": (30264, "ffdd9e8e189bc25192991e9b5ec6e654"
+                                    "f578a2d8b31cf3b2ab8a75b3cd852b70"),
+    "multipairing:2:sharedfe": (22000, "e87893d0ef4d034af8c7084234a4a8e1"
+                                       "fda1070603456c46e1d7da07732dc77f"),
+    "ipe:2:plain": (29286, "cbb4b8390462adafae8e7ddb2672e6f8"
+                           "62762b24533f923831d13b67c6fe2444"),
+    "ipe:2:splitscalar": (16180, "a0d62cf75836d44295b0259a02b1485c"
+                                 "6273e5f62277a864114e55d86d205864"),
 }
 
 
