@@ -3,11 +3,11 @@
 Each report comes from a fresh engine on the word-array execution path, so
 the word_mul/word_add fields are measured rather than modeled. Its inputs are
 drawn and prepared first on a bigint engine, which computes the same values
-faster, and moved over by limb conversion (uncounted boundary work). Then the
-counters are reset, exactly one operation runs, and the counter state is the
-report. Counter fields are therefore deterministic for a fixed seed; only
-wall_time varies. Engine constants are derived once per process, before the
-clock starts.
+faster, and moved over by limb conversion (uncounted boundary work). Then
+exactly one operation runs, and its counter delta is the report. Counter
+fields are therefore deterministic for a fixed seed; only wall_time varies.
+Engine constants are derived once per process, before the clock starts.
+Each op is declared once, in _OPS.
 
 Reported Fp counters are the direct ones (work nested inside Fp2 operations
 has its own *_in2 buckets, which the report leaves out), so the stated
@@ -16,6 +16,7 @@ m1_equivalent convention holds literally on the report's own fields.
 
 import os
 import time
+from typing import Callable, NamedTuple
 
 from .cios import to_limbs
 from .counters import FP2_INV_M1, FP_INV_MULS, OpCounter
@@ -60,22 +61,6 @@ PAPER_ANCHORS = {
 
 IPE_MODES = ("plain", "splitscalar")
 
-BENCH_OPS = (
-    "pairing",
-    "miller",
-    "finalexp",
-    "ecsm-g1",
-    "ecsm-g2",
-    "ecsm-g2-split",
-    "ecsm-jubjub",
-    "hash-g1",
-    "multipairing:<n>:<mode>",
-    "ipe:<n>:<mode>",
-    "hardened-ecsm",
-    "hardened-pairing",
-)
-
-
 _REPORTED = ("m1", "s1", "a1", "i1", "m2", "s2", "a2", "i2",
              "mq", "sq", "aq", "iq", "word_mul", "word_add")
 
@@ -88,110 +73,119 @@ def _rand_g2(engine, rng):
     return g2_ecsm_split(rng.nonzero_below(params.Q), engine.curve.g2_gen)
 
 
-def _to_words(engine, x):
-    """x, an element or point of a bigint engine, as one of the words engine
-    (same word size): each raw Montgomery int becomes its limb tuple."""
-    spec = x.o.spec
+class _Draw:
+    """One report's inputs, drawn in order from its seed's stream on the
+    bigint engine prep and moved to its words engine by limb conversion."""
 
-    def limbs(v):
-        return to_limbs(v, spec) if type(v) is int else tuple(map(limbs, v))
-    return type(x)._wrap(engine._ops[spec], limbs(x.val))
+    def __init__(self, engine, rng):
+        self.engine = engine
+        self.rng = rng
+        self.prep = Engine(word_size=engine.params.word_size)
+
+    def words(self, x):
+        """x, an element or point of prep, as one of engine."""
+        spec = x.o.spec
+
+        def limbs(v):
+            return to_limbs(v, spec) if type(v) is int else tuple(map(limbs, v))
+        return type(x)._wrap(self.engine._ops[spec], limbs(x.val))
+
+    def g1(self):
+        return self.words(_rand_g1(self.prep, self.rng))
+
+    def g2(self):
+        return self.words(_rand_g2(self.prep, self.rng))
+
+    def k(self, bound=params.Q):
+        return self.rng.nonzero_below(bound)
 
 
-def _measure(engine, thunk):
-    engine.counter.reset()
-    t0 = time.perf_counter()
-    out = thunk()
-    wall = time.perf_counter() - t0
-    return out, engine.counter.snapshot(), wall
+class _Op(NamedTuple):
+    """A bench op: how its inputs are drawn, what runs, what it reports."""
+
+    draw: Callable      # (d), or (d, n, mode) if sized: the inputs, in order
+    run: Callable       # (*inputs): the call the report counts
+    curve: bool = True  # False: reads no curve constant (0.5 s to derive)
+    modes: tuple = ()   # sized as name:<n>:<mode>, mode one of these
+    baseline: Callable | None = None    # (*inputs): an overhead ratio's base
+    extra: Callable = lambda *sized: {}     # (*sized): the fields it adds
+    own_report: bool = False                # run returns the report itself
+
+
+# Every bench op. The lambdas name the functions they call, so a tracer that
+# replaces this module's imports sees each call.
+_OPS = {
+    "pairing": _Op(lambda d: (d.g1(), d.g2()), lambda p, q: pairing(p, q)),
+    "miller": _Op(lambda d: (d.g1(), d.g2()), lambda p, q: miller_loop(p, q)),
+    "finalexp": _Op(lambda d: (d.words(miller_loop(_rand_g1(d.prep, d.rng),
+                                                   _rand_g2(d.prep, d.rng))),),
+                    lambda f: final_exp(f)),
+    "ecsm-g1": _Op(lambda d: (d.g1(), d.k()), lambda p, k: ecsm(k, p),
+                   curve=False),
+    "ecsm-g2": _Op(lambda d: (d.g2(), d.k()), lambda q, k: ecsm(k, q),
+                   curve=False),
+    "ecsm-g2-split": _Op(lambda d: (d.g2(), d.k()),
+                         lambda q, k: g2_ecsm_split(k, q)),
+    "ecsm-jubjub": _Op(
+        lambda d: (d.engine.jubjub.generator, d.k(params.JUBJUB_ELL)),
+        lambda g, k: jubjub_ecsm(k, g), curve=False),
+    "hash-g1": _Op(
+        lambda d: (d.engine, d.rng.bytes(32)),
+        lambda e, msg: hash_to_g1(e, msg, DEFAULT_DST), curve=False,
+        extra=lambda: {"m1_informational_anchor": PAPER_ANCHORS["hash-g1"][0]}),
+    "multipairing": _Op(
+        lambda d, n, mode: ([(d.g1(), d.g2()) for _ in range(n)], mode),
+        lambda pairs, mode: multi_pairing(pairs, mode),
+        modes=MULTI_PAIRING_MODES, extra=lambda n, mode: dict(n=n, mode=mode)),
+    "ipe": _Op(lambda d, n, mode: (d.engine, n, mode, d.rng),
+               lambda *args: ipe_encrypt_benchmark(*args),
+               modes=IPE_MODES, own_report=True),
+    "hardened-ecsm": _Op(
+        lambda d: (d.g1(), d.k(), CountermeasureConfig(
+            rng=d.rng, randomized_projective=True, scalar_splitting=True)),
+        lambda p, k, cfg: hardened_ecsm(k, p, cfg), curve=False,
+        baseline=lambda p, k, cfg: ecsm(k, p)),
+    "hardened-pairing": _Op(
+        lambda d: (d.g1(), d.g2(),
+                   CountermeasureConfig(rng=d.rng, randomized_pairing=True)),
+        lambda p, q, cfg: hardened_pairing(p, q, cfg),
+        baseline=lambda p, q, cfg: pairing(p, q)),
+}
+
+BENCH_OPS = tuple(name + (":<n>:<mode>" if op.modes else "")
+                  for name, op in _OPS.items())
 
 
 def run_bench(op: str, word_size: int = 64, seed: bytes | None = None) -> dict:
     """Run one named operation on a fresh engine and report its exact cost."""
-    if seed is None:
-        seed = os.urandom(32)
-    rng = CsprngState(seed)
-    engine = Engine(word_size=word_size, backend="words")
-    prep = Engine(word_size=word_size)      # draws and prepares the inputs
-    extra: dict = {}
-    if op not in ("ecsm-g1", "ecsm-g2", "ecsm-jubjub", "hash-g1",
-                  "hardened-ecsm"):     # these read no curve constant
-        engine.curve
-
-    def g1():
-        return _to_words(engine, _rand_g1(prep, rng))
-
-    def g2():
-        return _to_words(engine, _rand_g2(prep, rng))
-
-    if op == "pairing":
-        p, q = g1(), g2()
-        _, counters, wall = _measure(engine, lambda: pairing(p, q))
-    elif op == "miller":
-        p, q = g1(), g2()
-        _, counters, wall = _measure(engine, lambda: miller_loop(p, q))
-    elif op == "finalexp":
-        f = _to_words(engine, miller_loop(_rand_g1(prep, rng),
-                                          _rand_g2(prep, rng)))
-        _, counters, wall = _measure(engine, lambda: final_exp(f))
-    elif op == "ecsm-g1":
-        p = g1()
-        k = rng.nonzero_below(params.Q)
-        _, counters, wall = _measure(engine, lambda: ecsm(k, p))
-    elif op == "ecsm-g2":
-        q = g2()
-        k = rng.nonzero_below(params.Q)
-        _, counters, wall = _measure(engine, lambda: ecsm(k, q))
-    elif op == "ecsm-g2-split":
-        q = g2()
-        k = rng.nonzero_below(params.Q)
-        _, counters, wall = _measure(engine, lambda: g2_ecsm_split(k, q))
-    elif op == "ecsm-jubjub":
-        g = engine.jubjub.generator
-        k = rng.nonzero_below(params.JUBJUB_ELL)
-        _, counters, wall = _measure(engine, lambda: jubjub_ecsm(k, g))
-    elif op == "hash-g1":
-        msg = rng.bytes(32)
-        _, counters, wall = _measure(
-            engine, lambda: hash_to_g1(engine, msg, DEFAULT_DST))
-        extra["m1_informational_anchor"] = PAPER_ANCHORS["hash-g1"][0]
-    elif op.startswith("multipairing:"):
-        n, mode = _parse_sized_op(op, MULTI_PAIRING_MODES)
-        pairs = [(g1(), g2()) for _ in range(n)]
-        _, counters, wall = _measure(engine, lambda: multi_pairing(pairs, mode))
-        extra.update(n=n, mode=mode)
-    elif op.startswith("ipe:"):
-        n, mode = _parse_sized_op(op, IPE_MODES)
-        t0 = time.perf_counter()
-        report = ipe_encrypt_benchmark(engine, n, mode, rng)
-        report.update(op=op, word_size=word_size, seed=seed.hex(),
-                      wall_time=time.perf_counter() - t0)
-        return report
-    elif op == "hardened-ecsm":
-        p = g1()
-        k = rng.nonzero_below(params.Q)
-        cfg = CountermeasureConfig(rng=rng, randomized_projective=True,
-                                   scalar_splitting=True)
-        _, counters, wall = _measure(engine, lambda: hardened_ecsm(k, p, cfg))
-        _, base, _ = _measure(engine, lambda: ecsm(k, p))
-        extra.update(_overhead(counters, base))
-    elif op == "hardened-pairing":
-        p, q = g1(), g2()
-        cfg = CountermeasureConfig(rng=rng, randomized_pairing=True)
-        _, counters, wall = _measure(
-            engine, lambda: hardened_pairing(p, q, cfg))
-        _, base, _ = _measure(engine, lambda: pairing(p, q))
-        extra.update(_overhead(counters, base))
-    else:
+    decl = _OPS.get(op.split(":")[0])
+    if decl is None or (":" in op) != bool(decl.modes):
         raise ValueError(
             f"unknown op {op!r}; choose from: " + ", ".join(BENCH_OPS))
-
+    sized = _parse_sized_op(op, decl.modes) if decl.modes else ()
+    if seed is None:
+        seed = os.urandom(32)
+    engine = Engine(word_size=word_size, backend="words")
+    if decl.curve:
+        engine.curve
+    inputs = decl.draw(_Draw(engine, CsprngState(seed)), *sized)
+    counted = []    # the op's call, then its baseline's
+    for call in filter(None, (decl.run, decl.baseline)):
+        before = engine.counter.snapshot()
+        t0 = time.perf_counter()
+        out = call(*inputs)
+        wall = time.perf_counter() - t0
+        counted.append((out, engine.counter.delta(before), wall))
+    (out, counters, wall), *baseline = counted
     report = {"op": op, "word_size": word_size, "seed": seed.hex()}
+    if decl.own_report:
+        return {**out, **report, "wall_time": wall}
     report.update((k, getattr(counters, k)) for k in _REPORTED)
-    report["m1_equivalent"] = counters.m1_equivalent()
-    report["wall_time"] = wall
-    report["convention"] = CONVENTION
-    report.update(extra)
+    report.update(m1_equivalent=counters.m1_equivalent(), wall_time=wall,
+                  convention=CONVENTION)
+    report.update(decl.extra(*sized))
+    for _, base, _ in baseline:
+        report.update(_overhead(counters, base))
     return report
 
 
@@ -213,13 +207,10 @@ def ipe_encrypt_benchmark(engine, vector_len: int, mode: str,
     totals = {}
     results = {}
     for m in IPE_MODES:
+        mul = ecsm if m == "plain" else g2_ecsm_split
         before = engine.counter.snapshot()
-        if m == "plain":
-            pts = [ecsm(k, base) for k in scalars]
-        else:
-            pts = [g2_ecsm_split(k, base) for k in scalars]
+        results[m] = [mul(k, base) for k in scalars]
         totals[m] = engine.counter.delta(before).m1_equivalent()
-        results[m] = pts
     agree = all(a == b for a, b in zip(results["plain"], results["splitscalar"]))
     per = {m: totals[m] / vector_len for m in IPE_MODES}
     return {
@@ -278,10 +269,10 @@ def sweep(word_sizes=None) -> list[dict]:
     """
     if word_sizes is None:
         word_sizes = params.ANALYTIC_WORD_SIZES
-    pairing_cost = _pairing_m1_equivalent()
+    models = [(w, *params.cios_cost_model(w)) for w in word_sizes]  # raises
+    pairing_cost = _pairing_m1_equivalent()     # on a bad size, before this
     rows = []
-    for w in word_sizes:
-        model_mul, model_add = params.cios_cost_model(w)
+    for w, model_mul, model_add in models:
         row = {
             "word_size": w,
             "word_mul_per_mont_mul": model_mul,

@@ -301,12 +301,15 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
     table entry (identity, P1, P2 or the precomputed P1+P2) is chosen by
     masked 4-way select.
     """
-    if k1 < 0 or k2 < 0 or max(k1.bit_length(), k2.bit_length()) > bits:
-        raise ValueError("scalar out of range for fixed width")
+    _entry_check(p1, G1Point, G2Point, k=k1, bound=1 << bits)
+    _entry_check(p2, type(p1), k=k2, bound=1 << bits)
+    return _multi_exp(k1, p1, k2, p2, bits)
+
+
+def _multi_exp(k1: int, p1, k2: int, p2, bits: int):
+    """multi_exp after its entry checks, which its callers have run."""
     cls = type(p1)
-    if not (p1.on_curve() and p2.on_curve()):
-        raise ValueError("point not on curve")
-    table = (cls.identity(p1.engine), p1, p2, p1.add(p2))   # add checks p2
+    table = (cls.identity(p1.engine), p1, p2, p1.add(p2))
     o = p1.engine.raw_ops(*table)
     run, dbl, add = o.apply, cls.double.op, cls.add.op
     t0, t1, t2, t3 = (t.val for t in table)
@@ -321,9 +324,7 @@ def multi_exp(k1: int, p1, k2: int, p2, bits: int = 128):
 
 
 def scalar_split(k: int) -> tuple[int, int]:
-    """k = k1 + k2*u^2 with both halves at most 128 bits."""
-    if not 0 <= k < params.Q:
-        raise ValueError("scalar out of range")
+    """k = k1 + k2*u^2 with both halves at most 128 bits, for k in [0, q)."""
     k2, k1 = divmod(k, params.U_SQ)
     return k1, k2
 
@@ -343,7 +344,7 @@ def g2_ecsm_split(k: int, point: G2Point) -> G2Point:
     _entry_check(point, G2Point, k=k, bound=params.Q)
     k1, k2 = scalar_split(k)
     p2 = skew_frobenius(skew_frobenius(point))
-    return multi_exp(k1, point, k2, p2, bits=128)
+    return _multi_exp(k1, point, k2, p2, bits=128)
 
 
 def plain_mul(point, n: int):

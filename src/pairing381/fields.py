@@ -52,6 +52,7 @@ from contextlib import contextmanager
 from functools import cached_property, partial
 from itertools import count
 from operator import attrgetter
+from weakref import WeakKeyDictionary
 
 from .cios import cios_mont_mul, from_limbs, to_limbs, word_mod_add, word_mod_sub
 from .counters import OpCounter
@@ -212,7 +213,7 @@ class _Walker:
         return r
 
 
-_STORES = {}   # (field spec object, backend) -> the store its RawOps share
+_STORES = WeakKeyDictionary()  # field spec -> {backend: its RawOps' store}
 
 
 class _Records(dict):
@@ -427,14 +428,14 @@ class RawOps:
     apply tallies: it charges the op's record, then runs the kernel.
 
     store holds what depends only on the field spec object and the backend,
-    once per process: each op's walk and compiled factory, each _Context's
-    raw constants. A new spec (inject_fault()) or word size gets a new one.
+    while the spec lives: each op's walk and compiled factory and each
+    _Context's raw constants. inject_fault() or a word size makes a new spec.
     """
 
     def __init__(self, engine, spec):
         self.engine = engine
         self.spec = spec
-        self.store = _STORES.setdefault((spec, engine.backend), {})
+        self.store = _STORES.setdefault(spec, {}).setdefault(engine.backend, {})
         self.records = _Records(self)
         words = engine.backend == "words"
         for (field, name), value in CONSTANTS.items():   # as raw values

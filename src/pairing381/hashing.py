@@ -18,7 +18,6 @@ from . import _iso_g1 as iso
 from . import params
 from .curve import G1Point, plain_mul
 from .fields import FieldElement, pow_public
-from .tower import fp_sqrt
 
 
 def sha256(msg: bytes) -> bytes:
@@ -107,15 +106,11 @@ def _sswu(engine, u: FieldElement):
     zu2 = Z * u2
     t = zu2.square() + zu2                 # Z^2 u^4 + Z u^2
     if t.is_zero():
-        # u = 0 corner: x = B / (Z A); Z was picked so that g(x) is square
-        x = B * (Z * A).inverse()
-        gx = (x.square() + A) * x + B
-        y = fp_sqrt(gx)
-        if _sgn0(u) != _sgn0(y):
-            y = -y
-        return x, y
-    n1 = -B * (t + e.fp(1))                # numerator of x1
-    d1 = A * t                             # denominator
+        # u = 0 (RFC 9380 6.6.2): x1 = B / (Z A), where Z makes g(x1) square
+        n1, d1 = B, Z * A
+    else:
+        n1 = -B * (t + e.fp(1))            # numerator of x1
+        d1 = A * t                         # denominator
     d2 = d1.square()
     gn = (n1.square() + A * d2) * n1 + B * d2 * d1   # numerator of g(x1)
     gd = d2 * d1                                     # denominator (d1^3)

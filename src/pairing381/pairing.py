@@ -109,18 +109,25 @@ def _unitary(o, f):
 _unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
-def _prep_pair(p, q):
-    """Boundary validation; returns affine (p, q) or None for a degenerate pair."""
-    _entry_check(p, G1Point)
-    _entry_check(q, G2Point)
-    if p.is_identity() or q.is_identity():
-        return None
-    with p.engine.uncounted():
-        if not g1_subgroup_check(p):
-            raise ValueError("left pairing input invalid")
-        if not g2_subgroup_check(q):
-            raise ValueError("right pairing input invalid")
-        return p.normalized(), q.normalized()
+def _live_pairs(pairs) -> list:
+    """Boundary validation: every pair's entry check, then, uncounted, the
+    subgroup checks of each pair without the identity; returns those, affine."""
+    if not pairs:
+        raise ValueError("no pairs")
+    for p, q in pairs:
+        _entry_check(p, G1Point)
+        _entry_check(q, G2Point)
+    live = []
+    for p, q in pairs:
+        if p.is_identity() or q.is_identity():
+            continue
+        with p.engine.uncounted():
+            if not g1_subgroup_check(p):
+                raise ValueError("left pairing input invalid")
+            if not g2_subgroup_check(q):
+                raise ValueError("right pairing input invalid")
+            live.append((p.normalized(), q.normalized()))
+    return live
 
 
 def multi_miller_loop(pairs) -> Fp12El:
@@ -146,10 +153,8 @@ def multi_miller_loop(pairs) -> Fp12El:
 
 
 def miller_loop(p, q) -> Fp12El:
-    pq = _prep_pair(p, q)
-    if pq is None:
-        return Fp12El.one(p.engine)
-    return multi_miller_loop([pq])
+    live = _live_pairs([(p, q)])
+    return multi_miller_loop(live) if live else Fp12El.one(p.engine)
 
 
 def final_exp(f: Fp12El) -> Fp12El:
@@ -209,12 +214,9 @@ def multi_pairing(pairs, mode: str = "sharedmlfe") -> Fp12El:
     """
     if mode not in MULTI_PAIRING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not pairs:
-        raise ValueError("no pairs")
-    e = pairs[0][0].engine
-    live = [pq for pq in (_prep_pair(p, q) for p, q in pairs) if pq is not None]
+    live = _live_pairs(pairs)
     if not live:
-        return Fp12El.one(e)
+        return Fp12El.one(pairs[0][0].engine)
     if mode == "sharedmlfe":
         return final_exp(multi_miller_loop(live))
     acc = None

@@ -100,7 +100,6 @@ class FieldSpec:
             raise ValueError(f"unsupported word size {word_size}")
         self.name = name
         self.modulus = modulus
-        self.bits = modulus.bit_length()
         self.byte_len = rbits // 8
         self.rbits = rbits
         self.word_size = word_size
@@ -109,7 +108,6 @@ class FieldSpec:
         self.word_mask = (1 << word_size) - 1
         self.full_mask = (1 << rbits) - 1
         self.r1 = (1 << rbits) % modulus
-        self.r2 = self.r1 * self.r1 % modulus
         self.rinv = pow(self.r1, -1, modulus)
         self.np_full = (-pow(modulus, -1, 1 << rbits)) % (1 << rbits)
         self.np0 = self.np_full & self.word_mask

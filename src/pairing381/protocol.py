@@ -31,12 +31,12 @@ from .curve import (
     G1Point,
     G2Point,
     _entry_check,
+    _multi_exp,
     ecsm,
     g1_subgroup_check,
     g2_ecsm_split,
     g2_subgroup_check,
     ladder,
-    multi_exp,
 )
 from .encoding import g1_from_bytes, g1_to_bytes, g2_from_bytes, g2_to_bytes
 from .hashing import CsprngState, hash_to_g1
@@ -187,7 +187,7 @@ def hardened_ecsm(k: int, point, config: CountermeasureConfig):
         base = type(point)(point.x * lam, point.y * lam, point.z * lam)
     if config.scalar_splitting:
         r = config.rng.below(params.Q)
-        return multi_exp(r, base, (k - r) % params.Q, base, bits=255)
+        return _multi_exp(r, base, (k - r) % params.Q, base, bits=255)
     return ladder(k, base, 255, type(point).add.op)
 
 

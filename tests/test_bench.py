@@ -3,9 +3,9 @@
 run_bench's JSON (wall_time aside) is pinned for a fixed seed on every
 concrete op, the sized ones at n=2 in each mode, so neither how an op's
 inputs are drawn nor how it is measured can move a counter, a value or a
-report field. A second engine
-must get the same constants as the first, as values of its own, and the
-words constants must be the limb form of the bigint ones.
+report field. A second engine must get the same constants as the first, as
+values of its own, and the words constants must be the limb form of the
+bigint ones.
 """
 
 import hashlib
@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from pairing381 import (CsprngState, Engine, PublicKey, Signature, keygen,
-                        sign, verify)
+from pairing381 import (CsprngState, Engine, PublicKey, Signature, bench,
+                        keygen, sign, verify)
 from pairing381.bench import run_bench
 from pairing381.cios import to_limbs
 
@@ -66,6 +66,14 @@ def test_report_is_pinned(op):
     assert report.pop("wall_time") > 0
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert (report["m1_equivalent"], digest.hexdigest()) == REPORTS[op]
+
+
+def test_sweep_rejects_a_size_without_a_cost_law_before_its_pairing(
+        monkeypatch):
+    monkeypatch.setattr(bench, "_pairing_m1_equivalent",
+                        lambda: pytest.fail("the pairing ran"))
+    with pytest.raises(ValueError, match="unsupported word size 17"):
+        bench.sweep([16, 17])
 
 
 def _values(e):

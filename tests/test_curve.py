@@ -205,6 +205,18 @@ def test_split_ladder_rejects_an_off_curve_point_before_any_tally(engine):
     assert engine.counter == before
 
 
+def test_split_ladder_checks_the_curve_once(engine, monkeypatch):
+    """The entry check is g2_ecsm_split's one curve check: its loop checks
+    neither the input nor its skew image again."""
+    checked = []
+    on_curve = G2Point.on_curve
+    monkeypatch.setattr(G2Point, "on_curve", lambda p: (
+        checked.append(p) or on_curve(p)))
+    g2 = engine.curve.g2_gen
+    assert g2_ecsm_split(0xC0FFEE, g2) == plain_mul(g2, 0xC0FFEE)
+    assert checked == [g2]
+
+
 def test_points_and_elements_over_another_field_rejected(engine):
     """G1 and G2 points and the tower elements lie over Fp, Jubjub points
     over Fq: each constructor rejects coordinates of the other field before

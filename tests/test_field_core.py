@@ -1,9 +1,11 @@
 """Base field arithmetic: values against the integer model, exact per-op
 costs and traces, Montgomery sanity, and the fault-injection hook."""
 
+import gc
+
 import pytest
 
-from pairing381 import Engine, OpCounter
+from pairing381 import Engine, OpCounter, fields
 from pairing381.params import P, Q
 
 
@@ -99,6 +101,21 @@ def test_montgomery_sane_and_fault_injection():
     assert not e.montgomery_sane()
     # the fault is engine-local: a fresh engine is clean
     assert Engine().montgomery_sane()
+
+
+def test_a_faulted_engines_store_dies_with_it():
+    """Each inject_fault() makes a new field spec, which gets its own store
+    of walks and constants; once the engine is gone, so is that store."""
+    gc.collect()
+    stores = len(fields._STORES)
+    faulted = [Engine() for _ in range(3)]
+    for e in faulted:
+        e.inject_fault()
+        assert not e.montgomery_sane()
+    assert len(fields._STORES) == stores + 3
+    del e, faulted
+    gc.collect()
+    assert len(fields._STORES) == stores
 
 
 def test_mixed_field_operands_rejected(engine):

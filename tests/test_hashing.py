@@ -92,10 +92,13 @@ def test_hash_to_g1_cost_is_stable(engine):
 
 
 def test_sswu_zero_input_lands_on_the_domain_curve(engine):
-    # u = 0 takes the exceptional branch, x = B / (Z A), with its own root
+    # u = 0 is RFC 9380's exceptional case: x = B / (Z A), and y takes the
+    # sign of u, so sgn0(y) = 0
     x, y = _sswu(engine, engine.fp(0))
     a, b = engine.fp(iso.A1), engine.fp(iso.B1)
     assert y.square() == (x.square() + a) * x + b
+    assert x.to_int() == iso.B1 * pow(iso.SSWU_Z * iso.A1, -1, P) % P
+    assert y.to_int() & 1 == 0
 
 
 def test_hash_to_g1_when_the_isogeny_yields_the_identity(engine, monkeypatch):

@@ -2,6 +2,7 @@
 operation budgets, product-of-pairings modes, and input validation."""
 
 import hashlib
+import importlib
 
 import pytest
 
@@ -112,6 +113,25 @@ def test_multi_pairing_modes_agree(engine, rng):
         want = want * pairing(p, q)
     vals = {m: multi_pairing(pairs, mode=m) for m in MULTI_PAIRING_MODES}
     assert vals["naive"] == vals["sharedfe"] == vals["sharedmlfe"] == want
+
+
+def test_every_pair_is_entry_checked_before_any_subgroup_check(engine,
+                                                                monkeypatch):
+    """A pair of the wrong class after a valid pair raises before the valid
+    pair's subgroup checks run, and before any tally."""
+    module = importlib.import_module("pairing381.pairing")
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    checked = []
+    for name in ("g1_subgroup_check", "g2_subgroup_check"):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda p, check=check: (
+            checked.append(p) or check(p)))
+    before = engine.counter.snapshot()
+    with pytest.raises(TypeError):
+        multi_pairing([(g1, g2), (g2, g1)])
+    assert checked == [] and engine.counter == before
+    multi_pairing([(g1, g2)])
+    assert checked == [g1, g2]
 
 
 def test_multi_pairing_skips_degenerate_pairs(engine):
