@@ -282,7 +282,8 @@ def cmd_selftest(args) -> int:
 
 def cmd_bench(args) -> int:
     seed = bytes.fromhex(args.seed) if args.seed else None
-    _emit(run_bench(args.op, word_size=args.word_size, seed=seed), args.human)
+    report = run_bench(args.op, word_size=args.word_size, seed=seed)
+    _emit(report, args.human)
     return EXIT_OK
 
 
