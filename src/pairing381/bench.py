@@ -126,7 +126,7 @@ _OPS = {
     "hash-g1": _Op(
         lambda d: (d.engine, d.rng.bytes(32)),
         lambda e, msg: hash_to_g1(e, msg, DEFAULT_DST), curve=False,
-        extra=lambda: {"m1_informational_anchor": PAPER_ANCHORS["hash-g1"][0]}),
+        extra=lambda: dict(m1_informational_anchor=PAPER_ANCHORS["hash-g1"][0])),
     "multipairing": _Op(
         lambda d, n, mode: ([(d.g1(), d.g2()) for _ in range(n)], mode),
         lambda pairs, mode: multi_pairing(pairs, mode),
