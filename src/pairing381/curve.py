@@ -26,7 +26,8 @@ those (_select, uncounted) and wrap only the result.
 from operator import attrgetter
 
 from . import params
-from .fields import X1, FieldElement, _Context, _method, _Value, kernel
+from .fields import (X1, FieldElement, _Context, _expect, _method, _Value,
+                     kernel)
 from .tower import X2, Fp2El
 
 
@@ -51,9 +52,11 @@ class ProjectivePoint(_Value, part=FieldElement, names=("x", "y", "z")):
                     and self.y * other.z == other.y * self.z)
 
     def __hash__(self):
+        if self.is_identity():   # alike; to_affine leaves a Weierstrass one as is
+            return hash(type(self))
         with self.engine.uncounted():
             a = self.to_affine()
-        return hash((a.x, a.y, a.is_identity()))
+        return hash((a.x, a.y))
 
 
 def _select(m, a, b):
@@ -252,13 +255,12 @@ class G2Point(_CurvePoint, part=Fp2El, field="fp"):
 
 def _entry_check(point, *classes, k=0, bound=1):
     """The entry check of a scalar multiplication or a pairing, before any
-    tally: k in [0, bound), point of one of classes (a loop runs the kernels
-    of the class it was written for) and on its curve (uncounted)."""
+    tally: k an int in [0, bound), point of one of classes (a loop runs the
+    kernels of the class it was written for) and on its curve (uncounted)."""
+    _expect(k, int)
     if not 0 <= k < bound:
         raise ValueError("scalar out of range")
-    if type(point) not in classes:
-        names = " or ".join(c.__name__ for c in classes)
-        raise TypeError(f"{type(point).__name__} given where {names} is expected")
+    _expect(point, *classes)
     if not point.on_curve():
         raise ValueError("point not on curve")
 
@@ -383,8 +385,9 @@ def subgroup_check_canonical(point) -> bool:
 
 
 class CurveCtx(_Context):
-    """Generators and endomorphism constants, derived and validated once per
-    process for each field spec and backend (fields._Context)."""
+    """Generators and omega (params.OMEGA), validated once per process for
+    each field spec and backend (fields._Context): the G1 generator's
+    subgroup check, which reads omega, also confirms its choice of root."""
 
     def derive(self):
         engine = self.engine
@@ -392,24 +395,7 @@ class CurveCtx(_Context):
         self.g2_gen = G2Point.affine(engine, params.G2_GEN_X, params.G2_GEN_Y)
         assert self.g1_gen.on_curve(), "G1 generator not on curve"
         assert self.g2_gen.on_curve(), "G2 generator not on twist"
-        self.omega = self._derive_omega()
+        self.omega = engine.fp(params.OMEGA)
         engine.curve = self     # the G1 check reads omega through engine.curve
-        assert g1_subgroup_check(self.g1_gen)
+        assert g1_subgroup_check(self.g1_gen), "G1 generator fails the omega check"
         assert g2_subgroup_check(self.g2_gen)
-
-    def _derive_omega(self):
-        e = self.engine
-        p = params.P
-        base = 2
-        while True:
-            w = pow(base, (p - 1) // 3, p)
-            if w != 1:
-                break
-            base += 1
-        # two nontrivial roots; pick the one acting as multiplication by -u^2
-        lam_g = plain_mul(self.g1_gen, params.LAMBDA_G1)
-        for cand in (w, w * w % p):
-            omega = e.fp(cand)
-            if G1Point(self.g1_gen.x * omega, self.g1_gen.y, self.g1_gen.z) == lam_g:
-                return omega
-        raise AssertionError("no cube root matches the endomorphism eigenvalue")

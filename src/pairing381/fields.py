@@ -346,6 +346,14 @@ class _Value:
         return hash((self.o.spec.name, self.val))
 
 
+def _expect(value, *classes) -> None:
+    """TypeError unless value's class is one of classes: the class check of
+    an entry point, before any tally."""
+    if type(value) not in classes:
+        names = " or ".join(c.__name__ for c in classes)
+        raise TypeError(f"{type(value).__name__} given where {names} is expected")
+
+
 def _method(op, inverse=False):
     """A method of a value running op: one tally of its record, then its
     kernel on raw values, the result wrapped as self's class. Before anything
@@ -594,20 +602,18 @@ class Engine:
 
 
 class _Context:
-    """An engine's derived constants over the field named by `field`.
+    """An engine's checked constants over Fp: the tower's and the curve's.
 
     derive() sets them, self-checks included, uncounted, once per process
-    for each field spec object and backend (a spec from inject_fault() is a
-    new one), and the field's RawOps store keeps them as raw values. Every
+    for each Fp spec object and backend (a spec from inject_fault() is a
+    new one), and the spec's RawOps store keeps them as raw values. Every
     engine gets each value rebuilt on its own RawOps: a shared value would
     charge its first engine.
     """
 
-    field = "fp"
-
     def __init__(self, engine):
         self.engine = engine
-        o = engine._ops[getattr(engine, self.field + "_spec")]
+        o = engine._ops[engine.fp_spec]
         if type(self) not in o.store:
             with engine.uncounted():
                 self.derive()

@@ -8,12 +8,13 @@ Cost layout per ECSM iteration: doubling 3M + 4S, unified addition 11M + 1S,
 both over Fq. The 252-bit fixed loop plus the final affine conversion gives
 252*19 + 2 = 4,790 Fq mul/sqr operations and one Fq inversion. Doubling and
 addition are raw kernels, as in curve.py; the addition reads the curve
-constant d as o.jubjub_d, a named constant of Fq.
+constant d as o.jubjub_d, a named constant of Fq. The generator is a params
+value, checked at import (on the curve) and by the tests (of order ell).
 """
 
-from .curve import ProjectivePoint, _entry_check, ladder, plain_mul
-from .fields import CONSTANTS, X1, _Context, _method, kernel
-from .params import JUBJUB_COFACTOR, JUBJUB_D, JUBJUB_ELL, Q
+from .curve import ProjectivePoint, _entry_check, ladder
+from .fields import CONSTANTS, X1, _method, kernel
+from .params import JUBJUB_D, JUBJUB_ELL, JUBJUB_GEN_X, JUBJUB_GEN_Y
 
 
 _PT = (X1, X1, X1)           # placeholder shape of a raw point
@@ -98,59 +99,10 @@ def jubjub_ecsm(k: int, point: JubjubPoint) -> JubjubPoint:
     return ladder(k, point, JUBJUB_ELL.bit_length(), JubjubPoint.add.op)
 
 
-def _tonelli_shanks(n: int, p: int):
-    """Integer square root mod p, or None. Used only for generator derivation."""
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+class JubjubCtx:
+    """The curve constant d and the generator (params.JUBJUB_GEN_X/Y), built
+    on each engine at its first use of .jubjub."""
 
-
-class JubjubCtx(_Context):
-    """Curve constant and a deterministically derived generator, once per
-    process for each field spec and backend (fields._Context).
-
-    The generator is the cofactor-cleared point with the smallest y whose
-    doubled-out image is not the identity; x is the even root. Order ell is
-    verified in the test suite via ell*G = identity.
-    """
-
-    field = "fq"
-
-    def derive(self):
-        self.d = self.engine.fq(JUBJUB_D)
-        self.generator = self._derive_generator()
-
-    def _derive_generator(self):
-        e = self.engine
-        y = 2
-        while True:
-            num = (y * y - 1) % Q
-            den = (1 + JUBJUB_D * y * y) % Q
-            x2 = num * pow(den, -1, Q) % Q
-            x = _tonelli_shanks(x2, Q)
-            if x is not None:
-                if x % 2 == 1:
-                    x = Q - x
-                pt = plain_mul(JubjubPoint.affine(e, x, y), JUBJUB_COFACTOR)
-                if not pt.is_identity():
-                    return pt.to_affine()
-            y += 1
+    def __init__(self, engine):
+        self.d = engine.fq(JUBJUB_D)
+        self.generator = JubjubPoint.affine(engine, JUBJUB_GEN_X, JUBJUB_GEN_Y)

@@ -24,7 +24,7 @@ from functools import partial
 from . import params
 from .curve import (G1Point, G2Point, _entry_check, g1_subgroup_check,
                     g2_subgroup_check)
-from .fields import X1, _method, kernel, pow_public, pow_raw
+from .fields import X1, _expect, _method, kernel, pow_public, pow_raw
 from .tower import X2, X12, Fp12El
 
 _STEP_OUT = (X2, X2, X2, (X2, X2, X2))    # new T and the line (z0, z3, z5)
@@ -110,18 +110,21 @@ _unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
 def _live_pairs(pairs) -> list:
-    """Boundary validation: every pair's entry check, then, uncounted, the
-    subgroup checks of each pair without the identity; returns those, affine."""
+    """Boundary validation: every pair's entry check and one engine for all,
+    then, uncounted, the subgroup checks of each pair without the identity;
+    returns those, affine."""
     if not pairs:
         raise ValueError("no pairs")
     for p, q in pairs:
         _entry_check(p, G1Point)
         _entry_check(q, G2Point)
+    e = pairs[0][0].engine
+    e.raw_ops(*[v for pq in pairs for v in pq])
     live = []
     for p, q in pairs:
         if p.is_identity() or q.is_identity():
             continue
-        with p.engine.uncounted():
+        with e.uncounted():
             if not g1_subgroup_check(p):
                 raise ValueError("left pairing input invalid")
             if not g2_subgroup_check(q):
@@ -165,6 +168,7 @@ def final_exp(f: Fp12El) -> Fp12El:
     hard part, built from five |u|-exponentiations. Inversions after the
     easy part are conjugations.
     """
+    _expect(f, Fp12El)
     t0 = _unitary_of(f)
     o = t0.o
     run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants

@@ -18,8 +18,12 @@ TRACE = U + 1
 H1 = (U - 1) ** 2 // 3          # G1 cofactor: #E(Fp) = q * h1
 H_EFF_G1 = 1 - U                # effective cofactor used when clearing G1
 
-# G1 endomorphism eigenvalue: sigma(x,y) = (omega x, y) acts as *LAMBDA_G1 on G1
+# G1 endomorphism sigma(x,y) = (OMEGA x, y), OMEGA a cube root of unity mod p
+# (2 is not a cube mod p). On G1 it acts as *LAMBDA_G1, a cube root of unity
+# mod q: the fact that licenses curve.g1_subgroup_check. CurveCtx asserts that
+# check on the G1 generator, which the other root OMEGA^2 would fail.
 LAMBDA_G1 = (-U * U) % Q
+OMEGA = pow(2, (P - 1) // 3, P)
 
 U_SQ = U * U                    # 128 bits, < q; scalar splitting divisor
 
@@ -47,12 +51,14 @@ G2_GEN_Y = (
 )
 
 # Jubjub: twisted Edwards curve a x^2 + y^2 = 1 + d x^2 y^2 over Fq with a = -1
-# and d = -10240/10241. Subgroup order ELL is rechecked prime at import; the
-# deterministic generator derivation lives in jubjub.py.
+# and d = -10240/10241. At import ELL is rechecked prime and the generator on
+# the curve; the tests and selftest check that its order is ELL.
 JUBJUB_A = Q - 1
 JUBJUB_D = (-10240 * pow(10241, -1, Q)) % Q
 JUBJUB_ELL = 0x0E7DB4EA6533AFA906673B0101343B00A6682093CCC81082D0970E5ED6F72CB7
-JUBJUB_COFACTOR = 8
+# 8*P, for P with the least y >= 2 and even x whose 8*P is not the identity
+JUBJUB_GEN_X = 0x3A6C6DA047782F422FAD2D689CB64925D3E0878DF5BAAC0E33300795B6AE05E6
+JUBJUB_GEN_Y = 0x4AE1F1107694F36ABA6D493320C0C7913492976D964D11ADAA206BA5C9701810
 
 
 def _is_probable_prime(n: int, rounds: int = 24) -> bool:
@@ -143,6 +149,7 @@ def _self_check() -> None:
     assert P % 3 == 1                     # cube roots of unity exist
     assert Q * H1 == P + 1 - TRACE        # G1 group order
     assert (LAMBDA_G1 * LAMBDA_G1 + LAMBDA_G1 + 1) % Q == 0
+    assert OMEGA != 1                     # so a primitive cube root mod p
     assert P % Q == U % Q                 # skew-Frobenius eigenvalue on G2
     # the implemented hard-part chain equals the 3d exponent as integers
     assert HARD_PART_EXP == (U - 1) ** 2 * (U + P) * (U**2 + P**2 - 1) + 3
@@ -152,6 +159,8 @@ def _self_check() -> None:
     assert _is_probable_prime(JUBJUB_ELL) and JUBJUB_ELL.bit_length() == 252
     assert pow(JUBJUB_D, (Q - 1) // 2, Q) == Q - 1   # d non-square: complete formulas
     assert pow(JUBJUB_A, (Q - 1) // 2, Q) == 1       # a = -1 is a square mod q
+    x2, y2 = JUBJUB_GEN_X**2, JUBJUB_GEN_Y**2
+    assert (y2 - x2 - 1 - JUBJUB_D * x2 * y2) % Q == 0  # generator on the curve
 
 
 _self_check()

@@ -39,6 +39,7 @@ from .curve import (
     ladder,
 )
 from .encoding import g1_from_bytes, g1_to_bytes, g2_from_bytes, g2_to_bytes
+from .fields import _expect
 from .hashing import CsprngState, hash_to_g1
 from .pairing import multi_pairing, pairing
 from .tower import Fp2El
@@ -71,6 +72,7 @@ class PublicKey:
     __slots__ = ("point",)
 
     def __init__(self, point: G2Point):
+        _expect(point, G2Point)     # the class only: verify checks the rest
         self.point = point
 
     def to_bytes(self) -> bytes:
@@ -85,6 +87,7 @@ class Signature:
     __slots__ = ("point",)
 
     def __init__(self, point: G1Point):
+        _expect(point, G1Point)     # the class only: verify checks the rest
         self.point = point
 
     def to_bytes(self) -> bytes:
@@ -130,10 +133,11 @@ def aggregate_verify(pks: list, msgs: list, agg_sig: Signature,
         raise ValueError("need equally many public keys and messages, at least one")
     if len(set(msgs)) != len(msgs):
         raise ValueError("aggregate verification requires distinct messages")
+    e = agg_sig.point.engine
+    e.raw_ops(agg_sig.point, *[pk.point for pk in pks])     # one engine
     if not _valid(agg_sig.point, g1_subgroup_check) or not all(
             _valid(pk.point, g2_subgroup_check) for pk in pks):
         return False
-    e = pks[0].point.engine
     pairs = [(hash_to_g1(e, m, dst), pk.point) for pk, m in zip(pks, msgs)]
     pairs.append((agg_sig.point, -e.curve.g2_gen))
     return multi_pairing(pairs, mode="sharedmlfe").is_one()
@@ -199,7 +203,10 @@ def hardened_pairing(p: G1Point, q: G2Point, config: CountermeasureConfig):
     """
     if not config.randomized_pairing:
         return pairing(p, q)
+    _entry_check(p, G1Point)
+    _entry_check(q, G2Point)
     e = p.engine
+    e.raw_ops(p, q)
     a = config.rng.nonzero_below(params.Q)
     b = e.fq(a).inverse().to_int()
     return pairing(ecsm(a, p), ecsm(b, q))

@@ -26,8 +26,8 @@ those of its Fp2 steps.
 
 from types import MappingProxyType
 
-from .fields import (X1, FieldElement, _Context, _method, _Value, kernel,
-                     pow_public)
+from .fields import (X1, FieldElement, _Context, _expect, _method, _Value,
+                     kernel, pow_public)
 from .params import P
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
@@ -333,7 +333,7 @@ class Fp12El(_Value, part=Fp6El, names=("c0", "c1"), field="fp"):
 
 class TowerCtx(_Context):
     """Frobenius constants, derived and self-checked once per process for
-    each field spec and backend (fields._Context).
+    each Fp spec and backend (fields._Context).
 
     zeta = xi^((p-1)/6); the constant applied to the z-degree-d coefficient is
     zeta^d for pi, its Fp norm for pi^2, and their product for pi^3. Nothing
@@ -374,6 +374,7 @@ class TowerCtx(_Context):
         assert pi[6] == probe.conjugate(), "pi^6 is not conjugation"
 
     def frobenius(self, f: Fp12El, power: int) -> Fp12El:
+        _expect(f, Fp12El)
         if power == 6:
             return f.conjugate()
         if power not in (1, 2, 3):

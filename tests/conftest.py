@@ -47,3 +47,19 @@ def wire_input():
         return bytes(raw)
 
     return draw
+
+
+@pytest.fixture(scope="session")
+def cofactor_points(engine):
+    """A G1 and a G2 point on their curves but outside the order-q subgroup:
+    the points with the least x = 1, 2, ... (x = 4), and with the least real
+    x on the twist (x = 2)."""
+    from pairing381.curve import G1Point, G2Point
+    from pairing381.tower import Fp2El, fp2_sqrt, fp_sqrt
+
+    with engine.uncounted():
+        x1, x2 = engine.fp(4), Fp2El.of(engine, 2, 0)
+        y1 = fp_sqrt(x1.square() * x1 + engine.fp(4))
+        y2 = fp2_sqrt(x2.square() * x2 + Fp2El.of(engine, 4, 4))
+        return (G1Point(x1, y1, engine.fp(1)),
+                G2Point(x2, y2, Fp2El.one(engine)))

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from pairing381 import (CsprngState, Engine, PublicKey, Signature, bench,
-                        keygen, sign, verify)
+import pairing381 as lib
+from pairing381 import (CsprngState, Engine, PublicKey, Signature, aggregate,
+                        bench, keygen, sign)
 from pairing381.bench import run_bench
 from pairing381.cios import to_limbs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from spans import Tracer  # noqa: E402
+from spans import TARGETS, Tracer  # noqa: E402
 
 SEED = bytes(range(32))
 
@@ -106,28 +107,39 @@ def test_every_engine_gets_the_constants_as_values_of_its_own(twin_engines):
 
 
 def test_traced_report_then_verify_is_consistent():
-    """A traced report, then a traced verify from bytes on another bigint
-    engine in the same process, as the benchmark's traced runs do: the spans
-    add up, no self time is negative, and no span of the report runs on the
-    verify engine or charges it."""
+    """A traced report, then a traced verify from bytes, keygen, sign and
+    aggregate verify of 4 keys from bytes on another bigint engine in the
+    same process, as the benchmark's traced runs do: every traced function
+    runs, the spans add up, no self time is negative, and no span of the
+    report runs on the verify engine or charges it."""
     e = Engine()
-    sk, pk = keygen(e, CsprngState(b"\x22" * 32))
-    msg = b"traced after a report"
-    pkb, sigb = pk.to_bytes(), sign(e, sk, msg).to_bytes()
+    crng = CsprngState(b"\x22" * 32)
+    keys = [keygen(e, crng) for _ in range(4)]
+    msgs = [b"traced after a report %d" % i for i in range(4)]
+    sigs = [sign(e, sk, m) for (sk, _), m in zip(keys, msgs)]
+    pkbs = [pk.to_bytes() for _, pk in keys]
+    sigb, aggb = sigs[0].to_bytes(), aggregate(sigs).to_bytes()
     tracer = Tracer()
     with tracer.installed():
+        outs = []
         for kind, request in (
                 ("report", lambda: run_bench("ecsm-g1", 64, SEED)),
-                ("verify", lambda: verify(PublicKey.from_bytes(e, pkb), msg,
-                                          Signature.from_bytes(e, sigb)))):
+                ("verify", lambda: lib.verify(PublicKey.from_bytes(e, pkbs[0]),
+                                              msgs[0], Signature.from_bytes(e, sigb))),
+                ("keygen", lambda: lib.keygen(e, crng)),
+                ("sign", lambda: lib.sign(e, keys[0][0], b"traced")),
+                ("aggverify", lambda: lib.aggregate_verify(
+                    [PublicKey.from_bytes(e, b) for b in pkbs], msgs,
+                    Signature.from_bytes(e, aggb)))):
             root = tracer.open("request:" + kind, e)
             m0 = e.counter.m1_equivalent()
             root.start = tracer.clock()
-            out = request()
+            outs.append(request())
             root.end = tracer.clock()
             root.m1eq = e.counter.m1_equivalent() - m0
             tracer.close()
-    assert out is True
+    assert outs[1] is True and outs[4] is True
+    assert {name for _, name, _, _ in TARGETS} <= {s.name for s in tracer.spans}
     assert tracer.problems() == []
     assert min(tracer.self_times()) >= 0
     report = tracer.spans[0]

@@ -22,8 +22,9 @@ from pairing381.curve import (
     subgroup_check_canonical,
 )
 from pairing381.jubjub import JubjubPoint, jubjub_ecsm
+from pairing381.pairing import multi_pairing, pairing
 from pairing381.tower import Fp2El
-from pairing381.params import P, Q, U_SQ
+from pairing381.params import JUBJUB_ELL, P, Q, U_SQ
 
 
 def test_generators(engine):
@@ -75,6 +76,8 @@ def test_ecsm_edge_scalars(engine):
     bad = G1Point.affine(engine, 1, 1)
     with pytest.raises(ValueError):
         ecsm(5, bad)
+    for ident in (G1Point.identity(engine), G2Point.identity(engine)):
+        assert ecsm(5, ident) is ident
 
 
 def test_g1_ladder_exact_costs(engine, rng):
@@ -146,19 +149,13 @@ def test_split_ladder_cost_and_ratio(engine, rng):
     assert 14643 / split_cost >= 1.7
 
 
-def test_subgroup_checks_reject_cofactor_points(engine):
-    # find a curve point outside the order-q subgroup by direct search
-    x = 1
-    while True:
-        rhs = (x * x * x + 4) % P
-        y = pow(rhs, (P + 1) // 4, P)
-        if y * y % P == rhs:
-            pt = G1Point.affine(engine, x, y)
-            if not subgroup_check_canonical(pt):
-                break
-        x += 1
-    assert pt.on_curve()
-    assert not g1_subgroup_check(pt)
+def test_subgroup_checks_reject_cofactor_points(engine, cofactor_points):
+    p1, p2 = cofactor_points
+    assert p1.on_curve() and p2.on_curve()
+    assert not subgroup_check_canonical(p1)
+    assert not subgroup_check_canonical(p2)
+    assert not g1_subgroup_check(p1)
+    assert not g2_subgroup_check(p2)
     # and the fast check agrees with the canonical one on a subgroup point
     assert g1_subgroup_check(engine.curve.g1_gen)
     assert g2_subgroup_check(engine.curve.g2_gen)
@@ -179,17 +176,31 @@ def test_ladder_trace_is_scalar_independent(engine, rng):
 def test_point_operands_of_other_groups_or_engines_rejected(engine):
     """Points of two groups can share their coordinates' field and engine,
     so only the operand types tell them apart; points of two engines only
-    their leaves. Both are rejected before any tally."""
+    their leaves. Both are rejected before any tally on either engine; a
+    pairing of two engines' points before its subgroup checks."""
     g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
     jub, h2 = engine.jubjub.generator, Engine().curve.g2_gen
-    before = engine.counter.snapshot()
+    before, h2_before = engine.counter.snapshot(), h2.engine.counter.snapshot()
     for op in (lambda: g1.add(g2), lambda: g2.add(g1), lambda: jub.add(g1),
                lambda: g1.add_mixed(g2), lambda: g1 + jub,
                lambda: g1.add(g1.x), lambda: g2.add(h2),
                lambda: g2.add_mixed(h2), lambda: h2 + g2,
                lambda: G1Point(g2.x, g2.y, g2.z), lambda: jubjub_ecsm(5, g1),
-               lambda: ecsm(5, jub), lambda: g2_ecsm_split(5, g1)):
+               lambda: ecsm(5, jub), lambda: g2_ecsm_split(5, g1),
+               lambda: pairing(g1, h2), lambda: pairing(G1Point.identity(engine), h2),
+               lambda: multi_pairing([(g1, g2), (g1, h2)])):
         with pytest.raises(TypeError):
+            op()
+    assert engine.counter == before and h2.engine.counter == h2_before
+
+
+def test_a_scalar_that_is_not_an_int_is_rejected_before_any_tally(engine):
+    g1, g2, jub = engine.curve.g1_gen, engine.curve.g2_gen, engine.jubjub.generator
+    before = engine.counter.snapshot()
+    for op in (lambda: ecsm(2.0, g1), lambda: ecsm(2.0, g2),
+               lambda: g2_ecsm_split(2.0, g2), lambda: jubjub_ecsm(2.0, jub),
+               lambda: multi_exp(1, g1, 2.0, g1), lambda: ecsm("2", g1)):
+        with pytest.raises(TypeError, match="where int is expected"):
             op()
     assert engine.counter == before
 
@@ -229,6 +240,16 @@ def test_points_and_elements_over_another_field_rejected(engine):
         with pytest.raises(TypeError, match="over"):
             op()
     assert e.counter == before
+
+
+def test_equal_points_hash_equally(engine):
+    """Every identity of a class hashes alike, however it was reached."""
+    for g, order in ((engine.curve.g1_gen, Q), (engine.curve.g2_gen, Q),
+                     (engine.jubjub.generator, JUBJUB_ELL)):
+        idents = (type(g).identity(engine), plain_mul(g, order),
+                  g.double().add(-g.double()))
+        assert all(p.is_identity() for p in idents)
+        assert len(set(idents)) == 1
 
 
 def test_hash_and_equality_leave_counters_untouched(engine):

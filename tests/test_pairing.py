@@ -17,7 +17,7 @@ from pairing381.pairing import (
     pairing,
 )
 from pairing381.params import Q
-from pairing381.tower import Fp12El
+from pairing381.tower import Fp2El, Fp6El, Fp12El
 
 
 def test_bilinearity(engine, rng):
@@ -45,16 +45,32 @@ def test_identity_inputs_give_one(engine):
     assert pairing(g1, G2Point.identity(engine)).is_one()
 
 
-def test_invalid_inputs_rejected(engine):
+def test_invalid_inputs_rejected(engine, cofactor_points):
     g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    before = engine.counter.snapshot()
     off = G1Point.affine(engine, 1, 1)
     with pytest.raises(ValueError):
         pairing(off, g2)
-    from pairing381.tower import Fp2El
     off2 = G2Point(Fp2El.of(engine, 1, 0), Fp2El.of(engine, 1, 0),
                    Fp2El.one(engine))
     with pytest.raises(ValueError):
         pairing(g1, off2)
+    p1, p2 = cofactor_points      # on their curves, outside the subgroup
+    with pytest.raises(ValueError, match="left pairing input invalid"):
+        pairing(p1, g2)
+    with pytest.raises(ValueError, match="right pairing input invalid"):
+        pairing(g1, p2)
+    assert engine.counter == before
+
+
+def test_final_exp_and_frobenius_reject_a_non_fp12_before_any_tally(engine):
+    before = engine.counter.snapshot()
+    for x in (engine.fp(3), Fp2El.one(engine), Fp6El.one(engine)):
+        for op in (final_exp, lambda x: engine.tower.frobenius(x, 1),
+                   lambda x: engine.tower.frobenius(x, 6)):
+            with pytest.raises(TypeError, match="Fp12El is expected"):
+                op(x)
+    assert engine.counter == before
 
 
 def test_inputs_of_the_wrong_class_rejected_before_any_tally(engine):

@@ -4,7 +4,8 @@ countermeasure wrappers with their cost envelopes."""
 import pytest
 
 from pairing381.bench import ipe_encrypt_benchmark
-from pairing381.curve import G1Point, ecsm
+from pairing381 import Engine
+from pairing381.curve import G1Point, G2Point, ecsm
 from pairing381.hashing import CsprngState
 from pairing381.pairing import pairing
 from pairing381.params import Q
@@ -66,6 +67,33 @@ def test_degenerate_keys_and_signatures_rejected(engine, crng):
         SecretKey(Q)
 
 
+def test_keys_and_signatures_take_only_their_group(engine):
+    """The class only, before any tally: verify checks the curve and the
+    subgroup, as many times as the benchmark's traces pin."""
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    before = engine.counter.snapshot()
+    for cls, bad in ((PublicKey, (g1, engine.fp(5), 5)),
+                     (Signature, (g2, engine.jubjub.generator, None))):
+        for point in bad:
+            with pytest.raises(TypeError, match="is expected"):
+                cls(point)
+    assert engine.counter == before
+
+
+def test_keys_and_signature_of_two_engines_rejected_before_any_tally(engine,
+                                                                     crng):
+    other = Engine()
+    sk, pk = keygen(engine, crng)
+    sk2, pk2 = keygen(other, crng)
+    sig2 = sign(other, sk2, b"m")
+    before, before2 = engine.counter.snapshot(), other.counter.snapshot()
+    for op in (lambda: verify(pk, b"m", sig2),
+               lambda: aggregate_verify([pk2, pk], [b"m", b"n"], sig2)):
+        with pytest.raises(TypeError, match="different fields or engines"):
+            op()
+    assert engine.counter == before and other.counter == before2
+
+
 def test_key_and_signature_bytes(engine, crng):
     sk, pk = keygen(engine, crng)
     sig = sign(engine, sk, b"serialize me")
@@ -114,6 +142,8 @@ def test_hardened_ecsm_all_flag_combinations(engine, crng, rng):
             for _ in range(3):
                 k = rng.randrange(1, Q)
                 assert hardened_ecsm(k, g, cfg) == ecsm(k, g)
+            ident = G1Point.identity(engine)
+            assert hardened_ecsm(5, ident, cfg) is ident
 
 
 def test_hardened_ecsm_overhead(engine, crng, rng):
@@ -159,6 +189,23 @@ def test_hardened_pairing_value_and_overhead(engine, crng, rng):
     # flag off: plain path
     off = CountermeasureConfig(rng=crng)
     assert hardened_pairing(g1, g2, off) == want
+
+
+def test_hardened_pairing_rejects_bad_inputs_before_its_draw(engine, crng):
+    """Wrong classes, an off-curve point or two engines raise before the
+    draw, its Fq inversion and its two ladders."""
+    g1, g2, h2 = engine.curve.g1_gen, engine.curve.g2_gen, Engine().curve.g2_gen
+    cfg = CountermeasureConfig(rng=crng, randomized_pairing=True)
+    off = G2Point(g2.x, g2.x, g2.z)
+    before, before2 = engine.counter.snapshot(), h2.engine.counter.snapshot()
+    draws = crng.counter
+    for p, q, exc in ((g1, g1, TypeError), (g2, g2, TypeError),
+                      (g2, g1, TypeError), (g1, h2, TypeError),
+                      (g1, off, ValueError)):
+        with pytest.raises(exc):
+            hardened_pairing(p, q, cfg)
+    assert engine.counter == before and h2.engine.counter == before2
+    assert crng.counter == draws
 
 
 def test_ipe_benchmark_report(engine, crng):

@@ -78,6 +78,8 @@ def test_frobenius_structure(engine, rng):
     # an Fp scalar is fixed
     c = Fp12El.one(engine)
     assert tw.frobenius(c, 1) == c
+    with pytest.raises(ValueError, match="unsupported Frobenius power 4"):
+        tw.frobenius(f, 4)
 
 
 def test_fp2_counter_conventions(engine, rng):
@@ -117,6 +119,9 @@ def test_fp_and_fp2_square_roots(engine, rng):
         assert r is not None and r.square() == v
     for _ in range(5):
         s = rand_fp2(engine, rng).square()
+        r = fp2_sqrt(s)
+        assert r is not None and r.square() == s
+    for s in (Fp2El.zero(engine), Fp2El.of(engine, P - 1, 0)):  # 0; alpha = -1
         r = fp2_sqrt(s)
         assert r is not None and r.square() == s
 
