@@ -12,11 +12,12 @@ Counting rules (the whole artifact depends on these):
     values, registered with @kernel. The kernel body is the only source of
     its op. At the op's first counted use over a field spec and backend in
     the process, one walk (_Walker) runs the body on named placeholders: each
-    Fp primitive it meets (mul, sqr, add, sub, neg, inv) is one step of the
-    record (counter increments, trace tuple) and one line of a straight-line
-    function, compiled then; a named constant of the field (CONSTANTS, such
-    as Jubjub's d) is a name the function binds. One store per field spec
-    and backend (RawOps.store) keeps the walks and the derived constants.
+    Fp primitive it meets (mul, sqr, add, sub, neg, inv, pow) is one step of
+    the record (counter increments, trace tuple), a fixed power pow its
+    chain's steps, and one line of a straight-line function, compiled then;
+    a named constant of the field (CONSTANTS, such as Jubjub's d) is a name
+    the function binds. One store per field spec and backend (RawOps.store)
+    keeps the walks and the derived constants.
     Each RawOps takes the record and installs its own copy of the function
     at its own first counted use of the op; until then the body runs as a
     call tree. On bigint a record also holds the word-law increments; on
@@ -32,9 +33,15 @@ Counting rules (the whole artifact depends on these):
   * a step's kind is the primitive the body calls, so every mul/sqr/add/sub/
     neg/inv bumps exactly one base counter (the Fp2 inverse squares with mul,
     so its trace says m1);
-  * multiplications executed inside an inversion's exponentiation chain
-    (pow_raw over the primitives) go to inv_m1/inv_mq, never to m1/mq, so an
-    inversion's full fixed cost is carried by its i-counter exactly once;
+  * counters count the kernel's steps, which are the processor's program,
+    not the Python operations that compute the value: a fixed public power
+    (RawOps.pow: an inversion's Fermat chain, a square root's chain) is
+    charged step by step as pow_raw's squarings and multiplies, and is one
+    line of its op; words runs that chain on its primitives, bigint computes
+    it by CPython's pow and one Montgomery product;
+  * multiplications inside an inversion's exponentiation chain go to
+    inv_m1/inv_mq, never to m1/mq, so an inversion's full fixed cost is
+    carried by its i-counter exactly once;
   * an op with a marker (each Fp2 op: m2, a2, ...) bumps it first, and its Fp
     steps go to their own buckets (m1_in2, ...), never to m1/s1/a1/i1, which
     count direct Fp work only; the raw Fp view is the sum of the two, and the
@@ -83,16 +90,17 @@ _TEMPLATES = {
         "add": "{r} = {a} + {b}; {r} = {r} - n * ({r} >= n)",
         "sub": "{r} = {a} - {b}; {r} = {r} + n * ({r} < 0)",
         "neg": "{r} = -{a}; {r} = {r} + n * ({r} < 0)",
-        "inv": "{r} = inv({a})"},
+        "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
     "words": {
         "mul": "{r} = mul({a}, {b})", "add": "{r} = add({a}, {b})",
         "sub": "{r} = sub({a}, {b})", "neg": "{r} = neg({a})",
-        "inv": "{r} = inv({a})"},
+        "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
 }
 _BIND = {   # what a compiled function reads from its RawOps
-    "bigint": "s = o.spec; n, mask, np_full, rbits = "
-              "s.modulus, s.full_mask, s.np_full, s.rbits; inv = o.inv",
-    "words": "mul, add, sub, neg, inv = o.mul, o.add, o.sub, o.neg, o.inv",
+    "bigint": "s = o.spec; n, mask, np_full, rbits = s.modulus, "
+              "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow",
+    "words": "mul, add, sub, neg, inv, pow = "
+             "o.mul, o.add, o.sub, o.neg, o.inv, o.pow",
 }
 
 
@@ -107,6 +115,13 @@ def _factory(backend, op, params, lines, out, calls=()):
     ns = {}
     exec(compile(src, f"<{op} on {backend}>", "exec"), ns)
     return ns["make"]
+
+
+def _chain(exp: int, f: str) -> tuple:
+    """The trace of pow_raw's fixed chain for a public exp over field f: s
+    per squaring, then m on a one bit."""
+    return tuple(k + f for bit in bin(exp)[3:]
+                 for k in ("sm" if bit == "1" else "s"))
 
 
 def _size(shape) -> int:
@@ -142,10 +157,9 @@ class _Walker:
         w = backend == "bigint"   # words: the loops charge words
         mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
         sub = (0, w * spec.word_adds_per_modsub)
-        self.law = {"mul": mul, "inv": mul, "sub": sub, "neg": sub,
-                    "add": (0, w * spec.word_adds_per_modadd)}
-        self.chain = tuple(s + f for bit in bin(spec.modulus - 2)[3:]
-                           for s in ("sm" if bit == "1" else "s"))
+        self.law = {"mul": mul, "inv": mul, "pow": mul, "sub": sub,
+                    "neg": sub, "add": (0, w * spec.word_adds_per_modadd)}
+        self.chain = _chain(spec.modulus - 2, f)
         self.template = _TEMPLATES[backend]
         self.mul = lambda a, b: self._step("m", "mul", a, b)
         self.sqr = lambda a: self._step("s", "mul", a)
@@ -153,6 +167,7 @@ class _Walker:
         self.sub = lambda a, b: self._step("a", "sub", a, b)
         self.neg = lambda a: self._step("a", "neg", a)
         self.inv = lambda a: self._step("i", "inv", a)
+        self.pow = lambda a, exp: self._step("", "pow", a, exp)
         self.incs, self.trace, self.nested = Counter(), [], []
         self.names = map("v{}".format, count())
         args = [self._bind(shape) for shape in KERNELS[op][2]]
@@ -197,19 +212,24 @@ class _Walker:
         return lambda *args: self._enter(name, args)
 
     def _step(self, kind, prim, a, b=None):
-        name = kind + self.f
-        self.incs[name + self.nested[-1]] += 1
-        self.trace.append(name)
-        reps = 1
-        if kind == "i":   # an inversion: its Fermat chain follows it
+        """One line of prim's template, and its steps: one of kind or, for a
+        fixed power a^b (b a public int), pow_raw's chain, each squaring and
+        multiply one step. An inversion's Fermat chain follows its i step,
+        charged to inv_m."""
+        steps = _chain(b, self.f) if prim == "pow" else (kind + self.f,)
+        self.incs.update(s + self.nested[-1] for s in steps)
+        reps = len(steps)
+        if kind == "i":
             reps = len(self.chain)
             self.incs["inv_m" + self.f] += reps
-            self.trace += self.chain
+            steps += self.chain
+        self.trace += steps
         self.incs["word_mul"] += reps * self.law[prim][0]
         self.incs["word_add"] += reps * self.law[prim][1]
         r = _Symbol(next(self.names))
         self.lines.append(self.template[prim].format(
-            r=r.name, a=a.name, b=(a if b is None else b).name))
+            r=r.name, a=a.name,
+            b=b if prim == "pow" else (a if b is None else b).name))
         return r
 
 
@@ -436,8 +456,10 @@ class RawOps:
     apply tallies: it charges the op's record, then runs the kernel.
 
     store holds what depends only on the field spec object and the backend,
-    while the spec lives: each op's walk and compiled factory and each
-    _Context's raw constants. inject_fault() or a word size makes a new spec.
+    while the spec lives: each op's walk and compiled factory, each
+    _Context's raw constants and, on bigint, each fixed power's fix-up
+    constant, keyed by its exponent. inject_fault() or a word size makes a
+    new spec.
     """
 
     def __init__(self, engine, spec):
@@ -460,12 +482,27 @@ class RawOps:
         self.sub = lambda a, b: word_mod_sub(a, b, spec, sink())
         self.neg = lambda a: word_mod_sub(zero, a, spec, sink())
         self.sqr = lambda a: cios_mont_mul(a, a, spec, sink())
+        self.pow = lambda a, exp: pow_raw(a, exp, self.sqr, self.mul)
+
+    def pow(self, a, exp: int):
+        """a^exp on a raw value for a fixed public exp >= 1, whose record is
+        pow_raw's chain (see _Walker). Words runs that chain on its
+        primitives. Bigint computes pow(a, exp, n), which is a^exp R^exp for
+        a = a R, and takes it to the Montgomery form a^exp R by one product
+        with the public constant R^(2-exp), made once per spec, through its
+        own mul line, so a corrupted n' still corrupts the result."""
+        spec = self.spec
+        fix = self.store.get(exp)
+        if fix is None:
+            fix = self.store[exp] = pow(spec.r1, 2 - exp, spec.modulus)
+        return self.mul(pow(a, exp, spec.modulus), fix)
 
     def inv(self, a):
-        """a^(modulus-2) on a raw nonzero value, by pow_raw's fixed chain:
+        """a^(modulus-2) on a raw nonzero value: the fixed Fermat chain,
         380 squarings and 228 multiplications for Fp, 254 and 163 for Fq,
-        charged to inv_m1/inv_mq."""
-        return pow_raw(a, self.spec.modulus - 2, self.sqr, self.mul)
+        charged to inv_m1/inv_mq. Never pow(a, -1, n): Euclid's running time
+        depends on the value, and a ladder's to_affine inverts a secret z."""
+        return self.pow(a, self.spec.modulus - 2)
 
     def apply(self, op: str, *raw):
         """Tally op once, then run its kernel on raw values."""

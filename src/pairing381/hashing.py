@@ -9,7 +9,9 @@ the operation counters because its multiplication count is a reported figure.
 The square-root-of-ratio trick keeps the map at one exponentiation per field
 element: with s = U * V^3, y = U*V * s^((p-3)/4) satisfies y^2 = U/V exactly
 when s is a square; otherwise y^2 = -U/V, and multiplying by a precomputed
-sqrt(-Z) converts that into the second SSWU candidate.
+sqrt(-Z) converts that into the second SSWU candidate. That exponentiation
+is one counted step, tower.pow_p34, charged as its chain's 378 squarings and
+227 multiplies.
 """
 
 import hashlib
@@ -17,7 +19,8 @@ import hashlib
 from . import _iso_g1 as iso
 from . import params
 from .curve import G1Point, plain_mul
-from .fields import FieldElement, pow_public
+from .fields import FieldElement
+from .tower import pow_p34
 
 
 def sha256(msg: bytes) -> bytes:
@@ -97,7 +100,9 @@ def _sgn0(v: FieldElement) -> int:
 
 
 def _sswu(engine, u: FieldElement):
-    """Simplified SWU onto y^2 = x^3 + A1 x + B1; returns affine (x, y)."""
+    """Simplified SWU onto y^2 = x^3 + A1 x + B1; returns affine (x, y).
+    The square root of gn/gd is one fixed chain, s^((p-3)/4) (pow_p34), one
+    tally with the stepwise chain's record."""
     e = engine
     A = e.fp(iso.A1)
     B = e.fp(iso.B1)
@@ -117,7 +122,7 @@ def _sswu(engine, u: FieldElement):
     # one-exponentiation square root of gn/gd
     w = gn * gd
     s = w * gd.square()
-    y = w * pow_public(s, (params.P - 3) // 4)
+    y = w * pow_p34(s)
     if (y.square() * gd) == gn:
         x = n1 * d1.inverse()
     else:

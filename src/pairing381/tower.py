@@ -114,26 +114,38 @@ class Fp2El(_Value, part=FieldElement, names=("c0", "c1"), field="fp"):
         return f"<fp2 0x{a:x} + 0x{b:x}*a>"
 
 
+# The square roots' two fixed Fp chains, each one tally of pow_raw's steps
+# (fields.RawOps.pow): x^((p+1)/4), a root of x if x is a square, and
+# x^((p-3)/4), whose product with x is that root.
+for _name, _exp in (("pow_sqrt", (P + 1) // 4), ("pow_p34", (P - 3) // 4)):
+    kernel(_name, X1, out=X1)(lambda o, a, _exp=_exp: o.pow(a, _exp))
+pow_sqrt, pow_p34 = _method("pow_sqrt"), _method("pow_p34")
+
+
 def fp_sqrt(x: FieldElement):
-    """Square root in Fp (p = 3 mod 4), or None. Fixed public-exponent chain."""
-    cand = pow_public(x, (P + 1) // 4)
+    """Square root in Fp (p = 3 mod 4), or None: one fixed chain."""
+    cand = pow_sqrt(x)
     return cand if cand.square() == x else None
 
 
 def fp2_sqrt(a: Fp2El):
-    """Square root in Fp2 for p = 3 mod 4, or None if a is a non-residue."""
-    e = a.engine
-    if a.is_zero():
-        return Fp2El.zero(e)
-    a1 = pow_public(a, (P - 3) // 4)
-    x0 = a1 * a
-    alpha = a1 * x0                       # a^((p-1)/2)
-    minus_one = Fp2El.of(e, P - 1, 0)
-    if alpha == minus_one:
-        # sqrt = alpha_gen * x0 where alpha_gen^2 = -1
-        cand = Fp2El(-x0.c1, x0.c0)       # multiply by alpha: (a0+a1*al)*al
-    else:
-        cand = pow_public(alpha + Fp2El.one(e), (P - 1) // 2) * x0
+    """Square root in Fp2, or None if a is a non-square, by the norm
+    ("complex") method of Adj and Rodriguez-Henriquez (IEEE TC 2014): two
+    fixed Fp chains, no inversion. With s a root of the norm a0^2 + a1^2
+    and t = (a0 + s)/2, or (a0 - s)/2 if that is 0, u = t^((p-3)/4) gives
+    the root (u t, a1 u/2) when t is a square (u^2 t = 1), and otherwise,
+    when -t is one, (a1 u/2, -u t). Decoding runs it uncounted."""
+    a0, a1 = a.c0, a.c1
+    s = fp_sqrt(a0.square() + a1.square())
+    if s is None:
+        return None
+    half = a.engine.fp((P + 1) // 2)
+    t = (a0 + s) * half
+    if t.is_zero():
+        t = (a0 - s) * half
+    u = pow_p34(t)
+    ut, v = u * t, a1 * u * half
+    cand = Fp2El(ut, v) if u * ut == a.engine.fp(1) else Fp2El(v, -ut)
     return cand if cand.square() == a else None
 
 

@@ -69,7 +69,8 @@ def _totals(record, f):
 
 def _emitted(o, op, backend):
     """Steps counted from the op's emitted lines by the template each
-    matches, a called op's steps from its own lines."""
+    matches, a called op's steps from its own lines, and a fixed power's
+    chain from its exponent."""
     pattern = {prim: re.compile(re.sub(r"\\\{[rab]\\\}", r"\\w+",
                                        re.escape(t)))
                for prim, t in _TEMPLATES[backend].items()}
@@ -78,7 +79,10 @@ def _emitted(o, op, backend):
     counts = {"m": 0, "a": 0, "i": 0}
     for line in _Walker(o, op).code[1]:
         hits = [p for p, rx in pattern.items() if rx.fullmatch(line)]
-        if hits:
+        if hits == ["pow"]:   # a fixed power: pow_raw's squarings, multiplies
+            exp = int(re.fullmatch(r".*, (\d+)\)", line)[1])
+            counts["m"] += exp.bit_length() + exp.bit_count() - 2
+        elif hits:
             assert len(hits) == 1, line
             counts[KIND[hits[0]]] += 1
         elif call.fullmatch(line):

@@ -2,6 +2,8 @@
 trips, flag handling, and the rejection taxonomy (malformed bytes, off-curve
 points, wrong subgroup), also as properties over arbitrary input."""
 
+import random
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,22 @@ def test_g2_round_trip(compressed, size, engine, rng):
         raw = g2_to_bytes(pt, compressed=compressed)
         assert len(raw) == size
         assert g2_from_bytes(engine, raw) == pt
+
+
+def test_g2_compressed_round_trips_with_both_sign_flags(engine):
+    """32 seeded points and their negations: the decoder's square root,
+    whichever of +-y it returns, ends at the point the sign flag selects."""
+    g = engine.curve.g2_gen
+    rng = random.Random(0x5E2)
+    signs = set()
+    for _ in range(32):
+        with engine.uncounted():
+            pt = plain_mul(g, rng.randrange(1, 1 << 16)).to_affine()
+        for q in (pt, -pt):
+            raw = g2_to_bytes(q)
+            signs.add(raw[0] & 0x20)
+            assert g2_from_bytes(engine, raw) == q
+    assert signs == {0, 0x20}
 
 
 def test_identity_encodings(engine):

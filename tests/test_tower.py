@@ -126,6 +126,47 @@ def test_fp_and_fp2_square_roots(engine, rng):
         assert r is not None and r.square() == s
 
 
+def _norm_branch(a0, a1):
+    """Which root fp2_sqrt's norm method takes for a0 + a1 alpha, in
+    integers: whether t = (a0 + s)/2 (or (a0 - s)/2 if that is 0) is a
+    square, for s = (a0^2 + a1^2)^((p+1)/4), and whether t fell back."""
+    s = pow(a0 * a0 + a1 * a1, (P + 1) // 4, P)
+    half = (P + 1) // 2
+    t = (a0 + s) * half % P
+    fallback = t == 0
+    if fallback:
+        t = (a0 - s) * half % P
+    return pow(t, (P - 1) // 2, P) == 1, fallback
+
+
+def test_fp2_sqrt_norm_method_branches(twin_engines, rng):
+    """Each path of the norm method, on both backends: 0; a1 = 0 with a0 a
+    square (real root) and with a0 a non-square (purely imaginary root,
+    through the t = 0 fallback); both branches u^2 t = 1 and u^2 t = -1;
+    non-squares give None. A root is +-x for a = x^2, and both backends
+    return the same one."""
+    big, words = twin_engines
+    r = rng.randrange(1, P)
+    cases = [(0, 0), (r, 0), (0, r)]   # a = 0, r^2 and -r^2 (-1 a non-square)
+    cases += [(rng.randrange(P), rng.randrange(P)) for _ in range(16)]
+    seen = set()
+    for x0, x1 in cases:
+        x = Fp2El.of(big, x0, x1)
+        a = x.square()
+        root = fp2_sqrt(a)
+        assert root in (x, -x), (x0, x1)
+        assert fp2_sqrt(Fp2El.of(words, *a.to_ints())).to_ints() == root.to_ints()
+        seen.add(_norm_branch(*a.to_ints()) + (root.c1.is_zero(),
+                                                 root.c0.is_zero()))
+        if not a.is_zero():   # xi = 1 + alpha is a non-square
+            assert fp2_sqrt(a * Fp2El.of(big, 1, 1)) is None
+            assert fp2_sqrt(Fp2El.of(words, *(a * Fp2El.of(big, 1, 1))
+                                     .to_ints())) is None
+    assert (True, False, True, False) in seen      # a1 = 0, a0 a square
+    assert (False, True, False, True) in seen      # purely imaginary root
+    assert {(True, False, False, False), (False, False, False, False)} <= seen
+
+
 def test_cyclotomic_square_agrees_on_cyclotomic_subgroup(engine, rng):
     # z = f^((p^6-1)(p^2+1)) has order dividing p^4 - p^2 + 1; the
     # compressed squaring is only claimed there
