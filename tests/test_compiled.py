@@ -132,6 +132,44 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
         assert got["words", True] != got["words", False]
 
 
+def _edge_operand(rng, shape, modulus):
+    """A raw value of a placeholder shape whose every X1 slot is 0, 1,
+    modulus - 1 or a random value, drawn independently."""
+    if shape is X1:
+        return rng.choice((0, 1, modulus - 1, rng.randrange(modulus)))
+    return tuple(_edge_operand(rng, s, modulus) for s in shape)
+
+
+@pytest.mark.parametrize("op", sorted(KERNELS))
+def test_compiled_kernel_matches_body_at_edge_operands(engines, op):
+    """Operands at the edges of the range, where a value left one modulus
+    too large shows: 0 (whose negation is the modulus itself), 1 and
+    modulus - 1, mixed slot by slot with random values. On every engine the
+    compiled function equals the body, and bigint equals the words loops."""
+    fn, _, shapes, out = KERNELS[op]
+    rng = random.Random("edge " + op)
+    modulus = _spec(engines["bigint", False], op).modulus
+    trials = [[_edge_operand(rng, s, modulus) for s in shapes]
+              for _ in range(6)]
+    trials += [[_convert(_edge_operand(rng, s, modulus), s, lambda v: edge)
+                for s in shapes] for edge in (0, modulus - 1)]
+    for args in trials:
+        got = {}
+        for (backend, faulted), e in engines.items():
+            spec = _spec(e, op)
+            raw = args if backend == "bigint" else [
+                _convert(a, s, lambda v: to_limbs(v, spec))
+                for a, s in zip(args, shapes)]
+            o = e.raw_ops(e.fq(1) if spec is e.fq_spec else e.fp(1))
+            o.records[op]                  # builds the record, compiles op
+            with e.uncounted():
+                body = fn(RawOps(e, spec), *raw)
+                assert getattr(o, op)(*raw) == body, (backend, faulted, args)
+            got[backend, faulted] = body if backend == "bigint" else _convert(
+                body, out, lambda v: from_limbs(v, spec))
+        assert got["bigint", False] == got["words", False], args
+
+
 @pytest.mark.parametrize("backend", ["bigint", "words"])
 def test_reregistered_kernel_runs_its_new_body(backend):
     """Registering a kernel under a used name drops every walk and compiled
