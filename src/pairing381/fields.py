@@ -16,8 +16,11 @@ Counting rules (the whole artifact depends on these):
     the record (counter increments, trace tuple), a fixed power pow its
     chain's steps, and one line of a straight-line function, compiled then;
     a named constant of the field (CONSTANTS, such as Jubjub's d) is a name
-    the function binds. One store per field spec and backend (RawOps.store)
-    keeps the walks and the derived constants.
+    the function binds. On bigint the lines leave values unreduced: the walk
+    bounds each value by a multiple of the modulus and adds a reduction line,
+    no step, only where a product, a called op or an output needs one, so
+    outputs are canonical and equal the body's. One store per field spec and
+    backend (RawOps.store) keeps the walks and the derived constants.
     Each RawOps takes the record and installs its own copy of the function
     at its own first counted use of the op; until then the body runs as a
     call tree. On bigint a record also holds the word-law increments; on
@@ -67,10 +70,12 @@ from .params import system_params
 
 
 class _Symbol:
-    """A placeholder raw value, named by its variable in compiled code."""
+    """A placeholder raw value, named by its variable in compiled code, with
+    k, the bound its bigint line gives it: 0 <= value < k * modulus."""
 
-    def __init__(self, name=""):
+    def __init__(self, name="", k=1):
         self.name = name
+        self.k = k
 
     def __bool__(self, *other):
         raise TypeError("kernel branched on a value")
@@ -80,22 +85,29 @@ class _Symbol:
 
 X1 = _Symbol()     # placeholder shape of one raw Fp value
 
-# One line per Fp primitive step (a squaring is mul with b = a): bigint
-# inlines the branch-free Montgomery forms, and its primitives are built from
-# the same lines; words calls the primitives, whose loops charge the words.
+# One line per Fp primitive step (a squaring is mul with b = a). Words calls
+# the primitives, whose loops charge the words. Bigint inlines branch-free
+# Montgomery forms without their final correction: add a + b, sub a - b plus
+# the multiple {kn} of n that bounds b, neg that multiple of a's bound minus
+# a, mul the REDC without its final subtraction. _Walker tracks a bound for
+# each value and emits a _REDUCE line only where a product, a nested call or
+# an output needs one. The bigint primitives are these lines, each followed
+# by the conditional subtraction, so every primitive's value is in [0, n).
 _TEMPLATES = {
     "bigint": {
         "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
-               " * n) >> rbits; {r} = {r} - n * ({r} >= n)",
-        "add": "{r} = {a} + {b}; {r} = {r} - n * ({r} >= n)",
-        "sub": "{r} = {a} - {b}; {r} = {r} + n * ({r} < 0)",
-        "neg": "{r} = -{a}; {r} = {r} + n * ({r} < 0)",
+               " * n) >> rbits",
+        "add": "{r} = {a} + {b}",
+        "sub": "{r} = {a} - {b} + {kn}",
+        "neg": "{r} = {kn} - {a}",
         "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
     "words": {
         "mul": "{r} = mul({a}, {b})", "add": "{r} = add({a}, {b})",
         "sub": "{r} = sub({a}, {b})", "neg": "{r} = neg({a})",
         "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
 }
+# a bigint value below 2n, then one of any size, taken in place to [0, n)
+_REDUCE = ("{r} = {r} - n * ({r} >= n)", "{r} %= n")
 _BIND = {   # what a compiled function reads from its RawOps
     "bigint": "s = o.spec; n, mask, np_full, rbits = s.modulus, "
               "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow",
@@ -104,11 +116,12 @@ _BIND = {   # what a compiled function reads from its RawOps
 }
 
 
-def _factory(backend, op, params, lines, out, calls=()):
-    """Compile make(o), which binds o's constants, primitives and the names
-    in calls (ops and named constants), and returns the straight-line
-    function op(params) of lines."""
-    bind = "".join(f"    {c} = o.{c}\n" for c in sorted(calls))
+def _factory(backend, op, params, lines, out, binds=()):
+    """Compile make(o), which binds o's constants and primitives and each
+    (name, expression) of binds (called ops, named constants, multiples of
+    the modulus), and returns the straight-line function op(params) of
+    lines."""
+    bind = "".join(f"    {name} = {value}\n" for name, value in sorted(binds))
     body = "".join(f"        {line}\n" for line in lines)
     src = (f"def make(o):\n    {_BIND[backend]}\n{bind}    def {op}({params}):"
            f"\n{body}        return {out}\n    return {op}\n")
@@ -147,20 +160,35 @@ class _Walker:
     step counts once, in the _in2 bucket iff the innermost enclosing op has
     a marker; a marker op appends its marker when entered; a called op adds
     its record; a named constant it reads is a placeholder of that name.
-    .code is (params, lines, result, .calls: the called ops and constants)
-    of the op's straight-line function, one _TEMPLATES line per step."""
+    .code is (params, lines, result, the names make(o) binds) of the op's
+    straight-line function, one _TEMPLATES line per step; .calls holds the
+    called ops and constants.
+
+    On bigint each value has a bound k (see _Symbol): 1 for an operand, a
+    constant and the result of inv, pow or a called op; ka + kb for add and
+    sub; ka + 1 for neg (-0 is ka*n itself); 2 for mul, whose REDC lands
+    below 2n when a*b < R*n, so when ka*kb <= limit = floor(R/n) (9 for Fp,
+    2 for Fq). A spec whose n' is not -1/n mod R (inject_fault()) has limit
+    1: there REDC is no reduction mod n, so each product keeps canonical
+    operands and the function still computes what the body does. A _REDUCE
+    line takes a value in place to bound 1: the larger operand of a product
+    over the limit (then the other), each argument of a called op and each
+    output, so outputs stay canonical and bigint equals words bit for bit.
+    On words every line's value is canonical."""
 
     def __init__(self, ops, op):
         spec, backend = ops.spec, ops.engine.backend
-        self.ops, self.calls = ops, set()
+        self.ops, self.calls, self.multiples = ops, set(), set()
         self.f = f = "1" if spec.name == "fp" else "q"
-        w = backend == "bigint"   # words: the loops charge words
+        self.lazy = w = backend == "bigint"   # words: the loops charge words
         mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
         sub = (0, w * spec.word_adds_per_modsub)
         self.law = {"mul": mul, "inv": mul, "pow": mul, "sub": sub,
                     "neg": sub, "add": (0, w * spec.word_adds_per_modadd)}
         self.chain = _chain(spec.modulus - 2, f)
         self.template = _TEMPLATES[backend]
+        n, r = spec.modulus, 1 << spec.rbits
+        self.limit = r // n if (n * spec.np_full + 1) % r == 0 else 1
         self.mul = lambda a, b: self._step("m", "mul", a, b)
         self.sqr = lambda a: self._step("s", "mul", a)
         self.add = lambda a, b: self._step("a", "add", a, b)
@@ -173,15 +201,28 @@ class _Walker:
         args = [self._bind(shape) for shape in KERNELS[op][2]]
         self.lines = [f"{_expr(a)} = a{i}" for i, a in enumerate(args)]
         out = self._enter(op, args)
+        self._reduce(out)
         self.record = (tuple((k, n) for k, n in self.incs.items() if n),
                        tuple(self.trace))
         params = ", ".join(f"a{i}" for i in range(len(args)))
-        self.code = (params, self.lines, _expr(out), self.calls)
+        binds = [(c, f"o.{c}") for c in self.calls]
+        binds += [(f"n{k}", f"{k} * n") for k in self.multiples]
+        self.code = (params, self.lines, _expr(out), binds)
 
     def _bind(self, shape):
         if shape is X1:
             return _Symbol(next(self.names))
         return tuple(map(self._bind, shape))
+
+    def _reduce(self, v):
+        """A _REDUCE line for each placeholder in v of bound k > 1: one
+        conditional subtraction for k = 2, % above; its bound is then 1."""
+        if isinstance(v, tuple):
+            for x in v:
+                self._reduce(x)
+        elif v.k > 1:
+            self.lines.append(_REDUCE[v.k > 2].format(r=v.name))
+            v.k = 1
 
     def _enter(self, op, args):
         fn, marker, _, shape = KERNELS[op]
@@ -190,6 +231,7 @@ class _Walker:
             self.calls.add(op)
             self.incs.update(dict(incs))
             self.trace += steps
+            self._reduce(args)
             out = self._bind(shape)
             self.lines.append(f"{_expr(out)} = {op}{_expr(args)}")
             return out
@@ -211,11 +253,19 @@ class _Walker:
             raise AttributeError(name)
         return lambda *args: self._enter(name, args)
 
+    def _multiple(self, k) -> str:
+        """The name of k*n in the function: n, or nk, which make(o) binds."""
+        if k == 1:
+            return "n"
+        self.multiples.add(k)
+        return f"n{k}"
+
     def _step(self, kind, prim, a, b=None):
         """One line of prim's template, and its steps: one of kind or, for a
         fixed power a^b (b a public int), pow_raw's chain, each squaring and
         multiply one step. An inversion's Fermat chain follows its i step,
-        charged to inv_m."""
+        charged to inv_m. On bigint a product first reduces operands until
+        ka*kb <= limit; it refuses to compile if that cannot hold."""
         steps = _chain(b, self.f) if prim == "pow" else (kind + self.f,)
         self.incs.update(s + self.nested[-1] for s in steps)
         reps = len(steps)
@@ -226,10 +276,24 @@ class _Walker:
         self.trace += steps
         self.incs["word_mul"] += reps * self.law[prim][0]
         self.incs["word_add"] += reps * self.law[prim][1]
-        r = _Symbol(next(self.names))
+        if prim != "pow":
+            b = a if b is None else b
+        k = kn = 1
+        if self.lazy and prim == "mul":
+            for x in sorted((a, b), key=attrgetter("k"), reverse=True):
+                if a.k * b.k > self.limit:
+                    self._reduce(x)
+            if a.k * b.k > self.limit:
+                raise ArithmeticError(f"a product's operand bounds exceed "
+                                      f"REDC's limit {self.limit}")
+            k = 2
+        elif self.lazy and prim in ("add", "sub", "neg"):
+            kn = b.k                              # neg: b is a
+            k = a.k + (1 if prim == "neg" else kn)
+        r = _Symbol(next(self.names), k)
         self.lines.append(self.template[prim].format(
-            r=r.name, a=a.name,
-            b=b if prim == "pow" else (a if b is None else b).name))
+            r=r.name, a=a.name, b=b if prim == "pow" else b.name,
+            kn=self._multiple(kn)))
         return r
 
 
@@ -287,9 +351,10 @@ for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
     kernel(_op, *(X1,) * _n, out=X1)(
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
     if _op != "inv":
-        _line = _TEMPLATES["bigint"]["mul" if _op == "sqr" else _op]
+        _line = _TEMPLATES["bigint"]["mul" if _op == "sqr" else _op].format(
+            r="r", a="a", b="ab"[_n - 1], kn="n")
         _BIG[_op] = _factory("bigint", _op, ", ".join("ab"[:_n]),
-                             [_line.format(r="r", a="a", b="ab"[_n - 1])], "r")
+                             [_line + "; " + _REDUCE[0].format(r="r")], "r")
 
 
 _val = attrgetter("val")
