@@ -15,8 +15,8 @@ validation.
 from typing import Callable, NamedTuple
 
 from .curve import G1Point, G2Point, g1_subgroup_check, g2_subgroup_check
-from .fields import pow_public
-from .params import ABS_U, P
+from .pairing import _exp_u
+from .params import P
 from .tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
 FLAG_COMPRESSED = 0x80
@@ -154,8 +154,9 @@ def gt_from_bytes(engine, data: bytes) -> Fp12El:
 def _in_gt(g: Fp12El) -> bool:
     """Scott's test (ePrint 2021/1130) for nonzero g: g^(p^4) g == g^(p^2)
     puts g in the cyclotomic subgroup, and there g is in Gt iff g^p == g^u,
-    with g^u = conj(g^|u|) as u < 0. Zero passes both identities."""
+    with g^u = conj(g^|u|) as u < 0, computed by final_exp's cyclotomic
+    chain, valid only once the first identity holds. Zero passes both."""
     tw = g.engine.tower
     g2 = tw.frobenius(g, 2)
-    return (tw.frobenius(g2, 2) * g == g2
-            and tw.frobenius(g, 1) == pow_public(g, ABS_U).conjugate())
+    return (tw.frobenius(g2, 2) * g == g2 and tw.frobenius(g, 1)
+            == g._wrap(g.o, _exp_u(g.o, g.val)).conjugate())

@@ -160,6 +160,13 @@ def miller_loop(p, q) -> Fp12El:
     return multi_miller_loop(live) if live else Fp12El.one(p.engine)
 
 
+def _exp_u(o, x):
+    """x^|u| for a raw Fp12 value x of the cyclotomic subgroup, by pow_raw:
+    63 cyclotomic squarings and 5 multiplies, one tally each."""
+    return pow_raw(x, params.ABS_U, partial(o.apply, "fp12_cyclo_sqr"),
+                   partial(o.apply, "fp12_mul"))
+
+
 def final_exp(f: Fp12El) -> Fp12El:
     """Map a Miller value into the order-q target group.
 
@@ -172,10 +179,7 @@ def final_exp(f: Fp12El) -> Fp12El:
     t0 = _unitary_of(f)
     o = t0.o
     run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
-    sqr, mul = partial(run, "fp12_cyclo_sqr"), partial(run, "fp12_mul")
-
-    def exp_u(x):   # x^|u| by cyclotomic squarings: 63 of them, 5 multiplies
-        return pow_raw(x, params.ABS_U, sqr, mul)
+    exp_u = partial(_exp_u, o)
     t0 = t0.val
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
     t1 = run("fp12_conj", run("fp12_mul", exp_u(m), m))      # m^(u-1)
