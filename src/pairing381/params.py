@@ -25,6 +25,15 @@ H_EFF_G1 = 1 - U                # effective cofactor used when clearing G1
 LAMBDA_G1 = (-U * U) % Q
 OMEGA = pow(2, (P - 1) // 3, P)
 
+# zeta = xi^((p-1)/6) in Fp2, as (c0, c1) with xi = 1 + alpha: the Frobenius
+# pi scales the z-degree-d coefficient of Fp12 by zeta^d (tower.TowerCtx).
+# Checked at import to satisfy zeta^6 = xi^(p-1) = conj(xi)/xi; the tests
+# compare it with the stepwise power, and TowerCtx self-checks pi^12 = 1.
+ZETA = (
+    0x1904D3BF02BB0667C231BEB4202C0D1F0FD603FD3CBD5F4F7B2443D784BAB9C4F67EA53D63E7813D8D0775ED92235FB8,
+    0x00FC3E2B36C4E03288E9E902231F9FB854A14787B6C7B36FEC0C8EC971F63C5F282D5AC14D6C7EC22CF78A126DDC4AF3,
+)
+
 U_SQ = U * U                    # 128 bits, < q; scalar splitting divisor
 
 # Fixed exponent for the final-exponentiation hard part. The implemented chain
@@ -151,6 +160,11 @@ def _self_check() -> None:
     assert (LAMBDA_G1 * LAMBDA_G1 + LAMBDA_G1 + 1) % Q == 0
     assert OMEGA != 1                     # so a primitive cube root mod p
     assert P % Q == U % Q                 # skew-Frobenius eigenvalue on G2
+
+    def fp2_mul(x, y):
+        return ((x[0] * y[0] - x[1] * y[1]) % P, (x[0] * y[1] + x[1] * y[0]) % P)
+    z3 = fp2_mul(fp2_mul(ZETA, ZETA), ZETA)
+    assert fp2_mul(fp2_mul(z3, z3), (1, 1)) == (1, P - 1)   # zeta^6 xi = conj(xi)
     # the implemented hard-part chain equals the 3d exponent as integers
     assert HARD_PART_EXP == (U - 1) ** 2 * (U + P) * (U**2 + P**2 - 1) + 3
     # fixed Fermat chains land exactly on the published totals

@@ -27,8 +27,8 @@ those of its Fp2 steps.
 from types import MappingProxyType
 
 from .fields import (X1, FieldElement, _Context, _expect, _method, _Value,
-                     kernel, pow_public)
-from .params import P
+                     kernel)
+from .params import P, ZETA
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
 X6 = (X2, X2, X2)
@@ -347,16 +347,16 @@ class TowerCtx(_Context):
     """Frobenius constants, derived and self-checked once per process for
     each Fp spec and backend (fields._Context).
 
-    zeta = xi^((p-1)/6); the constant applied to the z-degree-d coefficient is
-    zeta^d for pi, its Fp norm for pi^2, and their product for pi^3. Nothing
-    here is transcribed from tables. frob[power] holds them as raw values,
+    zeta = xi^((p-1)/6) is params.ZETA; the constant applied to the
+    z-degree-d coefficient is zeta^d for pi, its Fp norm for pi^2, and their
+    product for pi^3. frob[power] holds them as raw values,
     the constant operands of the frob1/frob2/frob3 kernels (read-only: every
     engine shares them).
     """
 
     def derive(self):
         engine = self.engine
-        zeta = pow_public(Fp2El.of(engine, 1, 1), (P - 1) // 6)
+        zeta = Fp2El.of(engine, *ZETA)
         frob1 = [Fp2El.one(engine)]
         for _ in range(5):
             frob1.append(frob1[-1] * zeta)

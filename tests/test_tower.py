@@ -8,7 +8,8 @@ import pytest
 
 from pairing381 import Engine, FieldElement, OpCounter
 from pairing381.pairing import pairing
-from pairing381.params import P
+from pairing381.fields import pow_public
+from pairing381.params import P, ZETA
 from pairing381.tower import Fp2El, Fp6El, Fp12El, fp2_sqrt, fp_sqrt
 
 
@@ -80,6 +81,17 @@ def test_frobenius_structure(engine, rng):
     assert tw.frobenius(c, 1) == c
     with pytest.raises(ValueError, match="unsupported Frobenius power 4"):
         tw.frobenius(f, 4)
+
+
+@pytest.mark.parametrize("backend", ["bigint", "words"])
+def test_zeta_is_the_stepwise_power_of_xi(backend, twin_engines):
+    """params.ZETA, the base of every Frobenius constant, is xi^((p-1)/6)
+    as pow_public computes it step by step, and pi's degree-1 constant."""
+    e = twin_engines[backend == "words"]
+    with e.uncounted():
+        zeta = pow_public(Fp2El.of(e, 1, 1), (P - 1) // 6)
+    assert zeta.to_ints() == ZETA
+    assert e.tower.frob[1][1] == zeta.val
 
 
 def test_fp2_counter_conventions(engine, rng):
