@@ -162,7 +162,8 @@ def _self_check() -> None:
     assert P % Q == U % Q                 # skew-Frobenius eigenvalue on G2
 
     def fp2_mul(x, y):
-        return ((x[0] * y[0] - x[1] * y[1]) % P, (x[0] * y[1] + x[1] * y[0]) % P)
+        return ((x[0] * y[0] - x[1] * y[1]) % P,
+                (x[0] * y[1] + x[1] * y[0]) % P)
     z3 = fp2_mul(fp2_mul(ZETA, ZETA), ZETA)
     assert fp2_mul(fp2_mul(z3, z3), (1, 1)) == (1, P - 1)   # zeta^6 xi = conj(xi)
     # the implemented hard-part chain equals the 3d exponent as integers

@@ -26,8 +26,7 @@ those of its Fp2 steps.
 
 from types import MappingProxyType
 
-from .fields import (X1, FieldElement, _Context, _expect, _method, _Value,
-                     kernel)
+from .fields import X1, FieldElement, _Context, _expect, _method, _Value, kernel
 from .params import P, ZETA
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
