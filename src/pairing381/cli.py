@@ -12,7 +12,8 @@ import sys
 
 from . import params
 from .bench import BENCH_OPS, PAPER_ANCHORS, run_bench, sweep
-from .curve import ecsm, plain_mul, subgroup_check_canonical
+from .curve import (ecsm, g1_subgroup_check, g2_subgroup_check, plain_mul,
+                    subgroup_check_canonical)
 from .encoding import (
     EncodingError,
     g1_from_bytes,
@@ -54,6 +55,19 @@ _SELFTEST_SEED = bytes.fromhex(
 def _suite_montgomery_constants(e, rng):
     assert e.montgomery_sane(), "Montgomery round-trip broken"
     return "to/from round-trip and unit multiplication hold"
+
+
+def _suite_fixed_constants(e, rng):
+    for name, bits in (("P", 381), ("Q", 255), ("JUBJUB_ELL", 252)):
+        n = getattr(params, name)
+        assert params._is_probable_prime(n) and n.bit_length() == bits, name
+    assert g1_subgroup_check(e.curve.g1_gen), "G1 generator fails its check"
+    assert g2_subgroup_check(e.curve.g2_gen), "G2 generator fails its check"
+    other = Engine()
+    other.curve.omega = other.fp(params.OMEGA ** 2 % params.P)
+    assert not g1_subgroup_check(other.curve.g1_gen), "omega^2 passes G1's"
+    return ("p, q and ell prime; the generators pass their subgroup checks, "
+            "and omega^2 in place of omega fails the G1 one")
 
 
 def _suite_inversion_chains(e, rng):
@@ -241,6 +255,7 @@ def _suite_protocol_roundtrip(e, rng):
 
 _SUITES = (
     ("montgomery-constants", _suite_montgomery_constants),
+    ("fixed-constants", _suite_fixed_constants),
     ("inversion-chains", _suite_inversion_chains),
     ("word-cost-law", _suite_word_cost_law),
     ("field-oracle", _suite_field_oracle),

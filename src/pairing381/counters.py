@@ -6,59 +6,60 @@ constant-time regression check: two runs of the same routine on different
 secrets must produce identical traces.
 """
 
-from dataclasses import dataclass, fields as dc_fields
-
 # Fixed costs of the Fermat inversion chains, used by the m1 weighting.
 FP_INV_MULS = 608   # 380 squarings + 228 multiplications
 FP2_INV_M1 = 612    # 4 direct Fp muls + one Fp inversion
 
 
-@dataclass
 class OpCounter:
-    # base field Fp
-    m1: int = 0
-    s1: int = 0
-    a1: int = 0
-    i1: int = 0
-    # scalar field Fq
-    mq: int = 0
-    sq: int = 0
-    aq: int = 0
-    iq: int = 0
-    # quadratic extension Fp2
-    m2: int = 0
-    s2: int = 0
-    a2: int = 0
-    i2: int = 0
-    # word-level operations (word-array execution path only)
-    word_mul: int = 0
-    word_add: int = 0
-    # Fp multiplications performed inside inversion chains; kept out of m1 so
-    # i1/iq/i2 carry their full fixed cost exactly once in m1_equivalent
-    inv_m1: int = 0
-    inv_mq: int = 0
-    # Fp operations that happened as the inner half of an Fp2 operation. They
-    # are kept out of m1/s1/a1/i1, which count direct Fp work only; the raw
-    # Fp view is the sum of the two buckets (m1 + m1_in2, ...).
-    m1_in2: int = 0
-    s1_in2: int = 0
-    a1_in2: int = 0
-    i1_in2: int = 0
+    """One int per counted kind, all zero unless given by keyword. Each is an
+    instance attribute, so RawOps.apply bumps them through __dict__."""
+
+    FIELDS = (
+        # base field Fp
+        "m1", "s1", "a1", "i1",
+        # scalar field Fq
+        "mq", "sq", "aq", "iq",
+        # quadratic extension Fp2
+        "m2", "s2", "a2", "i2",
+        # word-level operations (word-array execution path only)
+        "word_mul", "word_add",
+        # Fp multiplications performed inside inversion chains; kept out of
+        # m1 so i1/iq/i2 carry their full fixed cost exactly once in
+        # m1_equivalent
+        "inv_m1", "inv_mq",
+        # Fp operations that happened as the inner half of an Fp2 operation.
+        # They are kept out of m1/s1/a1/i1, which count direct Fp work only;
+        # the raw Fp view is the sum of the two buckets (m1 + m1_in2, ...).
+        "m1_in2", "s1_in2", "a1_in2", "i1_in2",
+    )
+
+    def __init__(self, **counts: int):
+        unknown = counts.keys() - set(self.FIELDS)
+        if unknown:
+            raise TypeError(f"unknown counters: {sorted(unknown)}")
+        for name in self.FIELDS:
+            setattr(self, name, counts.get(name, 0))
+
+    def __eq__(self, other):
+        if type(other) is not OpCounter:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v}" for k, v in vars(self).items())
+        return f"OpCounter({body})"
 
     def snapshot(self) -> "OpCounter":
-        return OpCounter(**{f.name: getattr(self, f.name) for f in dc_fields(self)})
+        return OpCounter(**vars(self))
 
     def delta(self, earlier: "OpCounter") -> "OpCounter":
-        return OpCounter(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in dc_fields(self)
-            }
-        )
+        return OpCounter(**{k: v - getattr(earlier, k)
+                            for k, v in vars(self).items()})
 
     def reset(self) -> None:
-        for f in dc_fields(self):
-            setattr(self, f.name, 0)
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
     def m1_equivalent(self) -> int:
         """Total cost in Fp-multiplication units.

@@ -59,7 +59,7 @@ Counting rules (the whole artifact depends on these):
 
 from collections import Counter
 from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import count
 from operator import attrgetter
 from weakref import WeakKeyDictionary
@@ -130,9 +130,11 @@ def _factory(backend, op, params, lines, out, binds=()):
     return ns["make"]
 
 
+@cache
 def _chain(exp: int, f: str) -> tuple:
     """The trace of pow_raw's fixed chain for a public exp over field f: s
-    per squaring, then m on a one bit."""
+    per squaring, then m on a one bit. Built once per (exp, f): every walk
+    of an op that inverts reads the Fermat chain."""
     return tuple(k + f for bit in bin(exp)[3:]
                  for k in ("sm" if bit == "1" else "s"))
 

@@ -1,8 +1,9 @@
 """System parameters for the BLS12-381 engine.
 
-Both primes are recomputed from the 64-bit curve parameter u and re-checked at
-import (bit lengths, primality, group-order identities), so no large literal in
-this file is load-bearing without a check behind it.
+Both primes are recomputed from the 64-bit curve parameter u. Import re-checks
+the cheap facts (bit lengths, group-order identities, omega, zeta, the Jubjub
+curve); the tests and selftest check primality and the generators' subgroups
+once. No large literal here is load-bearing without a check behind it.
 """
 
 from functools import lru_cache
@@ -20,8 +21,8 @@ H_EFF_G1 = 1 - U                # effective cofactor used when clearing G1
 
 # G1 endomorphism sigma(x,y) = (OMEGA x, y), OMEGA a cube root of unity mod p
 # (2 is not a cube mod p). On G1 it acts as *LAMBDA_G1, a cube root of unity
-# mod q: the fact that licenses curve.g1_subgroup_check. CurveCtx asserts that
-# check on the G1 generator, which the other root OMEGA^2 would fail.
+# mod q: the fact that licenses curve.g1_subgroup_check. The tests and
+# selftest run that check on the G1 generator, which OMEGA^2 would fail.
 LAMBDA_G1 = (-U * U) % Q
 OMEGA = pow(2, (P - 1) // 3, P)
 
@@ -45,8 +46,8 @@ HARD_PART_EXP = 3 * ((P**4 - P**2 + 1) // Q)
 EXECUTABLE_WORD_SIZES = (16, 32, 64)
 ANALYTIC_WORD_SIZES = (16, 24, 32, 48, 64, 96)
 
-# Standard generator points. Validated on-curve and in-subgroup at engine
-# construction; a transcription error here cannot survive startup.
+# Standard generator points. CurveCtx checks them on their curves at an
+# engine's first .curve; the tests and selftest check their subgroups.
 G1_GEN_X = 0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB
 G1_GEN_Y = 0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1
 
@@ -60,8 +61,9 @@ G2_GEN_Y = (
 )
 
 # Jubjub: twisted Edwards curve a x^2 + y^2 = 1 + d x^2 y^2 over Fq with a = -1
-# and d = -10240/10241. At import ELL is rechecked prime and the generator on
-# the curve; the tests and selftest check that its order is ELL.
+# and d = -10240/10241. At import the generator is rechecked on the curve and
+# ELL's bit length; the tests and selftest check that ELL is prime and is the
+# generator's order.
 JUBJUB_A = Q - 1
 JUBJUB_D = (-10240 * pow(10241, -1, Q)) % Q
 JUBJUB_ELL = 0x0E7DB4EA6533AFA906673B0101343B00A6682093CCC81082D0970E5ED6F72CB7
@@ -71,6 +73,7 @@ JUBJUB_GEN_Y = 0x4AE1F1107694F36ABA6D493320C0C7913492976D964D11ADAA206BA5C970181
 
 
 def _is_probable_prime(n: int, rounds: int = 24) -> bool:
+    """Miller-Rabin; the tests and selftest run it on P, Q and JUBJUB_ELL."""
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -153,7 +156,6 @@ def system_params(word_size: int = 64) -> SystemParams:
 
 def _self_check() -> None:
     assert P.bit_length() == 381 and Q.bit_length() == 255
-    assert _is_probable_prime(P) and _is_probable_prime(Q)
     assert P % 4 == 3                     # sqrt by one exponentiation
     assert P % 3 == 1                     # cube roots of unity exist
     assert Q * H1 == P + 1 - TRACE        # G1 group order
@@ -171,7 +173,7 @@ def _self_check() -> None:
     # fixed Fermat chains land exactly on the published totals
     assert (P - 2).bit_length() - 1 == 380 and bin(P - 2).count("1") - 1 == 228
     assert (Q - 2).bit_length() - 1 == 254 and bin(Q - 2).count("1") - 1 == 163
-    assert _is_probable_prime(JUBJUB_ELL) and JUBJUB_ELL.bit_length() == 252
+    assert JUBJUB_ELL.bit_length() == 252
     assert pow(JUBJUB_D, (Q - 1) // 2, Q) == Q - 1   # d non-square: complete formulas
     assert pow(JUBJUB_A, (Q - 1) // 2, Q) == 1       # a = -1 is a square mod q
     x2, y2 = JUBJUB_GEN_X**2, JUBJUB_GEN_Y**2

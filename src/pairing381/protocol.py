@@ -24,8 +24,6 @@ The hardened wrappers re-randomize the computation, never the result:
 Outputs are bit-identical to the plain operations for every random draw.
 """
 
-from dataclasses import dataclass
-
 from . import params
 from .curve import (
     G1Point,
@@ -146,7 +144,6 @@ def aggregate_verify(pks: list, msgs: list, agg_sig: Signature,
 # ----- randomized hardening -----
 
 
-@dataclass
 class CountermeasureConfig:
     """Which randomizations to apply, and the stream that feeds them.
 
@@ -154,10 +151,13 @@ class CountermeasureConfig:
     operations, so outputs (and counter traces) are bit-identical.
     """
 
-    rng: CsprngState
-    randomized_projective: bool = False
-    scalar_splitting: bool = False
-    randomized_pairing: bool = False
+    def __init__(self, rng: CsprngState, randomized_projective: bool = False,
+                 scalar_splitting: bool = False,
+                 randomized_pairing: bool = False):
+        self.rng = rng
+        self.randomized_projective = randomized_projective
+        self.scalar_splitting = scalar_splitting
+        self.randomized_pairing = randomized_pairing
 
 
 def _random_unit(point, rng: CsprngState):
