@@ -11,6 +11,7 @@ text alone (a called op's from its own text), add up to the record's
 Fp-level totals.
 """
 
+import hashlib
 import random
 import re
 
@@ -223,6 +224,30 @@ def test_kernels_compile_at_first_counted_use_once_per_process(monkeypatch):
     x2, y2 = Fp2El.of(e2, 2, 3), Fp2El.of(e2, 5, 7)
     assert (x2 * y2).to_ints() == want.to_ints()
     assert compiled == ["<mul2 on bigint>"] and installed(e2) == {"mul2"}
+
+
+BIGINT_SOURCE_SHA256 = (
+    "59fc25c82368992110f7c0c5aab566ffcc9444adf0441088e5d2b8b7d4cac024")
+
+
+def test_bigint_kernels_compile_pinned_source(monkeypatch):
+    """Every kernel's bigint function, built on fresh Fp and Fq RawOps,
+    compiles from the pinned source text: the SHA-256 of the sorted (code
+    name, source) pairs that compile() receives. Sorted, since a nested op
+    may compile in the middle of its caller's walk."""
+    compiled = []
+
+    def spy(source, name, mode):
+        compiled.append((name, source))
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(fields, "_STORES", {})
+    monkeypatch.setattr(fields, "compile", spy, raising=False)
+    e = Engine()
+    for op in KERNELS:
+        e._ops[_spec(e, op)].records[op]
+    digest = hashlib.sha256(repr(sorted(compiled)).encode()).hexdigest()
+    assert digest == BIGINT_SOURCE_SHA256
 
 
 def test_named_constants_are_bound_by_name_and_field():
