@@ -5,9 +5,11 @@
         [--seconds 25] [--trace 0|1] [--claim METRIC] [--out BENCH_n.json]
 
 REV is exported with `git archive` into a temporary directory (no worktree
-metadata is left in .git, even if the run is interrupted). For each seed the
+metadata is left in .git, even if the run is interrupted), and the working
+tree's src/ and perfbench/ are copied there without any __pycache__, so both
+sides compile from source and neither reads stale bytecode. For each seed the
 two sides run `perfbench/run.py` with identical arguments from their own
-checkout, one after the other: the parent side first on even pair indexes,
+copy, one after the other: the parent side first on even pair indexes,
 the change side first on odd ones. Each side reads only its own sources;
 perfbench/ is read, never edited.
 
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +59,15 @@ def export(rev: str, dest: Path) -> str:
         t.extractall(dest / "tree")
     tar.unlink()
     return sha
+
+
+def copy_tree(dest: Path, *dirs: str) -> Path:
+    """Copy each of dirs from the working tree into dest without any
+    __pycache__, as an export has none; return dest."""
+    for d in dirs:
+        shutil.copytree(ROOT / d, dest / d,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
 
 
 def run_side(side: str, root: Path, workload: str, seed: int, seconds: int,
@@ -171,7 +183,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         sha = export(args.rev, Path(tmp))
-        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        sides = {"parent": Path(tmp) / "tree",
+                 "change": copy_tree(Path(tmp) / "change", "src", "perfbench")}
         got = {"parent": [], "change": []}
         incorrect = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):

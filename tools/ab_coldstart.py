@@ -42,7 +42,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ab_bench import ROOT, export, summary
+from ab_bench import copy_tree, export, summary
 
 MSG = b"cold start"
 PROBES = {   # name -> (untimed setup, timed statement)
@@ -106,8 +106,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_coldstart-") as tmp:
         tmp = Path(tmp)
         sha = export(args.rev, tmp)
-        shutil.copytree(ROOT / "src", tmp / "change" / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        copy_tree(tmp / "change", "src")
         srcs = {"parent": tmp / "tree" / "src",
                 "change": tmp / "change" / "src"}
         cli = fixtures(srcs["change"], tmp)
