@@ -10,22 +10,21 @@ Counting rules (the whole artifact depends on these):
     doubling, is one tally (RawOps.apply, the only code that applies a
     record) plus a raw kernel: a function of a primitive set (RawOps) and raw
     values, registered with @kernel. The kernel body is the only source of
-    its op. At the op's first counted use over a field spec and backend in
-    the process, one walk (_Walker) runs the body on named placeholders: each
-    Fp primitive it meets (mul, sqr, add, sub, neg, inv, pow) is one step of
-    the record (counter increments, trace tuple), a fixed power pow its
-    chain's steps, and one line of a straight-line function, compiled then;
-    a named constant of the field (CONSTANTS, such as Jubjub's d) is a name
-    the function binds. On bigint the lines leave values unreduced: the walk
-    bounds each value by a multiple of the modulus and adds a reduction line,
-    no step, only where a product, a called op or an output needs one, so
-    outputs are canonical and equal the body's. One store per field spec and
-    backend (RawOps.store) keeps the walks and the derived constants.
-    Each RawOps takes the record and installs its own copy of the function
-    at its own first counted use of the op; until then the body runs as a
-    call tree. On bigint a record also holds the word-law increments; on
-    words the lines call the primitives, whose cios.py loops charge the word
-    counters as they run;
+    its op. At the op's first counted use over a field spec in the process,
+    one walk (_Walker) runs the body on named placeholders: each Fp
+    primitive it meets (mul, sqr, add, sub, neg, inv, pow) is one step of
+    the record (counter increments, word law included, trace tuple), a
+    fixed power pow its chain's steps, and one line of a straight-line
+    bigint function; a named constant of the field (CONSTANTS, such as
+    Jubjub's d) is a name the function binds. The lines leave values
+    unreduced: the walk bounds each value by a multiple of the modulus and
+    adds a reduction line, no step, only where a product, a called op or an
+    output needs one, so outputs are canonical and equal the body's. One
+    store per field spec (RawOps.store) keeps the walks and the derived
+    constants. Each RawOps takes the record at its own first counted use of
+    the op; until then the body runs as a call tree. Bigint then installs
+    its copy of the function, compiled once; words compiles nothing and runs
+    the body, its record less the word law, which the cios.py loops charge;
   * every element and point is one _Value: the RawOps of its engine and
     field, and its raw value. It runs an op by one path, a _method: the
     operand types are checked, the operands share one RawOps, and an
@@ -85,48 +84,38 @@ class _Symbol:
 
 X1 = _Symbol()     # placeholder shape of one raw Fp value
 
-# One line per Fp primitive step (a squaring is mul with b = a). Words calls
-# the primitives, whose loops charge the words. Bigint inlines branch-free
-# Montgomery forms without their final correction: add a + b, sub a - b plus
-# the multiple {kn} of n that bounds b, neg that multiple of a's bound minus
-# a, mul the REDC without its final subtraction. _Walker tracks a bound for
-# each value and emits a _REDUCE line only where a product, a nested call or
-# an output needs one. The bigint primitives are these lines, each followed
-# by the conditional subtraction, so every primitive's value is in [0, n).
+# One bigint line per Fp primitive step (a squaring is mul with b = a), a
+# branch-free Montgomery form without its final correction: add a + b, sub
+# a - b plus the multiple {kn} of n that bounds b, neg that multiple of a's
+# bound minus a, mul the REDC without its final subtraction. _Walker tracks
+# a bound for each value and emits a _REDUCE line only where a product, a
+# nested call or an output needs one. The bigint primitives are these lines,
+# each followed by the conditional subtraction, so every primitive's value
+# is in [0, n). Words compiles nothing: its kernels run their bodies.
 _TEMPLATES = {
-    "bigint": {
-        "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
-               " * n) >> rbits",
-        "add": "{r} = {a} + {b}",
-        "sub": "{r} = {a} - {b} + {kn}",
-        "neg": "{r} = {kn} - {a}",
-        "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
-    "words": {
-        "mul": "{r} = mul({a}, {b})", "add": "{r} = add({a}, {b})",
-        "sub": "{r} = sub({a}, {b})", "neg": "{r} = neg({a})",
-        "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"},
-}
+    "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
+           " * n) >> rbits",
+    "add": "{r} = {a} + {b}",
+    "sub": "{r} = {a} - {b} + {kn}",
+    "neg": "{r} = {kn} - {a}",
+    "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"}
 # a bigint value below 2n, then one of any size, taken in place to [0, n)
 _REDUCE = ("{r} = {r} - n * ({r} >= n)", "{r} %= n")
-_BIND = {   # what a compiled function reads from its RawOps
-    "bigint": "s = o.spec; n, mask, np_full, rbits = s.modulus, "
-              "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow",
-    "words": "mul, add, sub, neg, inv, pow = "
-             "o.mul, o.add, o.sub, o.neg, o.inv, o.pow",
-}
+_BIND = ("s = o.spec; n, mask, np_full, rbits = s.modulus, "    # from o
+         "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow")
 
 
-def _factory(backend, op, params, lines, out, binds=()):
+def _factory(op, params, lines, out, binds=()):
     """Compile make(o), which binds o's constants and primitives and each
     (name, expression) of binds (called ops, named constants, multiples of
-    the modulus), and returns the straight-line function op(params) of
-    lines."""
+    the modulus), and returns the straight-line bigint function op(params)
+    of lines."""
     bind = "".join(f"    {name} = {value}\n" for name, value in sorted(binds))
     body = "".join(f"        {line}\n" for line in lines)
-    src = (f"def make(o):\n    {_BIND[backend]}\n{bind}    def {op}({params}):"
+    src = (f"def make(o):\n    {_BIND}\n{bind}    def {op}({params}):"
            f"\n{body}        return {out}\n    return {op}\n")
     ns = {}
-    exec(compile(src, f"<{op} on {backend}>", "exec"), ns)
+    exec(compile(src, f"<{op} on bigint>", "exec"), ns)
     return ns["make"]
 
 
@@ -154,41 +143,37 @@ def _expr(v) -> str:
 class _Walker:
     """Runs an op's kernel once on named placeholders (a body that branches
     on a value fails), inlining the registered ops it calls up to Fp2 size.
-    A wider one (Fp6, Fp12) is a call to its own compiled function: inlining
-    it too ran a verify 1-3% faster but doubled the compile time, which the
-    first counted pairing pays.
+    A wider one (Fp6, Fp12) is a call to its own function, charged by its
+    own walk's record: inlining it too ran a verify 1-3% faster but doubled
+    the compile time, which the first counted pairing pays.
 
     .record is the op's (counter increments, trace tuple): each Fp primitive
     step counts once, in the _in2 bucket iff the innermost enclosing op has
-    a marker; a marker op appends its marker when entered; a called op adds
-    its record; a named constant it reads is a placeholder of that name.
-    .code is (params, lines, result, the names make(o) binds) of the op's
-    straight-line function, one _TEMPLATES line per step; .calls holds the
-    called ops and constants.
+    a marker, and charges the spec's word law; a marker op appends its
+    marker when entered; a called op adds its record; a named constant it
+    reads is a placeholder of that name. .code is (params, lines, result,
+    the names make(o) binds) of the op's straight-line bigint function, one
+    _TEMPLATES line per step; .calls holds the called ops and constants.
 
-    On bigint each value has a bound k (see _Symbol): 1 for an operand, a
-    constant and the result of inv, pow or a called op; ka + kb for add and
-    sub; ka + 1 for neg (-0 is ka*n itself); 2 for mul, whose REDC lands
-    below 2n when a*b < R*n, so when ka*kb <= limit = floor(R/n) (9 for Fp,
-    2 for Fq). A spec whose n' is not -1/n mod R (inject_fault()) has limit
-    1: there REDC is no reduction mod n, so each product keeps canonical
-    operands and the function still computes what the body does. A _REDUCE
-    line takes a value in place to bound 1: the larger operand of a product
-    over the limit (then the other), each argument of a called op and each
-    output, so outputs stay canonical and bigint equals words bit for bit.
-    On words every line's value is canonical."""
+    Each value has a bound k (see _Symbol): 1 for an operand, a constant and
+    the result of inv, pow or a called op; ka + kb for add and sub; ka + 1
+    for neg (-0 is ka*n itself); 2 for mul, whose REDC lands below 2n when
+    a*b < R*n, so when ka*kb <= limit = floor(R/n) (9 for Fp, 2 for Fq). A
+    spec whose n' is not -1/n mod R (inject_fault()) has limit 1: there REDC
+    is no reduction mod n, so each product keeps canonical operands and the
+    function still computes what the body does. A _REDUCE line takes a value
+    in place to bound 1: the larger operand of a product over the limit
+    (then the other), each argument of a called op and each output, so
+    outputs stay canonical and bigint equals words bit for bit."""
 
-    def __init__(self, ops, op):
-        spec, backend = ops.spec, ops.engine.backend
-        self.ops, self.calls, self.multiples = ops, set(), set()
+    def __init__(self, spec, op):
+        self.spec, self.calls, self.multiples = spec, set(), set()
         self.f = f = "1" if spec.name == "fp" else "q"
-        self.lazy = w = backend == "bigint"   # words: the loops charge words
-        mul = (w * spec.words_per_mul, w * spec.word_adds_per_mul)
-        sub = (0, w * spec.word_adds_per_modsub)
+        mul = (spec.words_per_mul, spec.word_adds_per_mul)
+        sub = (0, spec.word_adds_per_modsub)
         self.law = {"mul": mul, "inv": mul, "pow": mul, "sub": sub,
-                    "neg": sub, "add": (0, w * spec.word_adds_per_modadd)}
+                    "neg": sub, "add": (0, spec.word_adds_per_modadd)}
         self.chain = _chain(spec.modulus - 2, f)
-        self.template = _TEMPLATES[backend]
         n, r = spec.modulus, 1 << spec.rbits
         self.limit = r // n if (n * spec.np_full + 1) % r == 0 else 1
         self.mul = lambda a, b: self._step("m", "mul", a, b)
@@ -229,7 +214,7 @@ class _Walker:
     def _enter(self, op, args):
         fn, marker, _, shape = KERNELS[op]
         if self.nested and _size(shape) > 2:
-            incs, steps = self.ops.records[op]   # builds and compiles op
+            incs, steps = _walk(self.spec, op)[0]
             self.calls.add(op)
             self.incs.update(dict(incs))
             self.trace += steps
@@ -248,7 +233,7 @@ class _Walker:
     def __getattr__(self, name):
         """A registered op called from the body is walked inline; a named
         constant of the field is a placeholder that make(o) binds."""
-        if (self.ops.spec.name, name) in CONSTANTS:
+        if (self.spec.name, name) in CONSTANTS:
             self.calls.add(name)
             return _Symbol(name)
         if name not in KERNELS:
@@ -281,7 +266,7 @@ class _Walker:
         if prim != "pow":
             b = a if b is None else b
         k = kn = 1
-        if self.lazy and prim == "mul":
+        if prim == "mul":
             for x in sorted((a, b), key=attrgetter("k"), reverse=True):
                 if a.k * b.k > self.limit:
                     self._reduce(x)
@@ -289,24 +274,35 @@ class _Walker:
                 raise ArithmeticError(f"a product's operand bounds exceed "
                                       f"REDC's limit {self.limit}")
             k = 2
-        elif self.lazy and prim in ("add", "sub", "neg"):
+        elif prim in ("add", "sub", "neg"):
             kn = b.k                              # neg: b is a
             k = a.k + (1 if prim == "neg" else kn)
         r = _Symbol(next(self.names), k)
-        self.lines.append(self.template[prim].format(
+        self.lines.append(_TEMPLATES[prim].format(
             r=r.name, a=a.name, b=b if prim == "pow" else b.name,
             kn=self._multiple(kn)))
         return r
 
 
-_STORES = WeakKeyDictionary()  # field spec -> {backend: its RawOps' store}
+_STORES = WeakKeyDictionary()  # field spec -> its store (see RawOps)
+
+
+def _walk(spec, op) -> list:
+    """op's walk over spec, run once per store: [record, calls, code, make],
+    make compiled at op's first bigint use. Plain data: a _Walker holds
+    spec, which its store must not keep alive."""
+    store = _STORES.setdefault(spec, {})
+    if op not in store:
+        w = _Walker(spec, op)
+        store[op] = [w.record, w.calls, w.code, None]
+    return store[op]
 
 
 class _Records(dict):
     """op -> record over one RawOps' field, filled at the op's first counted
-    use on this RawOps from its store: the op's walk (a _Walker, run once per
-    store) gives the record, the names make(o) binds and make itself, which
-    installs the op's compiled function on the RawOps."""
+    use on this RawOps from the op's walk: on bigint the walk's record, and
+    make(o) installs the op's compiled function; on words the record less
+    the word law, which the cios.py loops charge, and nothing compiles."""
 
     def __init__(self, ops):
         super().__init__()
@@ -314,13 +310,12 @@ class _Records(dict):
 
     def __missing__(self, op):
         o = self.ops
-        if op not in o.store:
-            walk = _Walker(o, op)
-            make = (None if op in _PRIMITIVES    # one function already
-                    else _factory(o.engine.backend, op, *walk.code))
-            o.store[op] = walk.record, walk.calls, make
-        record, calls, make = o.store[op]
-        if make:
+        record, calls, code, make = walk = _walk(o.spec, op)
+        if o.engine.backend == "words":
+            record = tuple(i for i in record[0] if i[0] not in (
+                "word_mul", "word_add")), record[1]
+        elif op not in _PRIMITIVES:              # one function already
+            make = walk[3] = make or _factory(op, *code)
             for called in calls & KERNELS.keys():   # make(o) binds them
                 self[called]
             setattr(o, op, make(o))
@@ -353,9 +348,9 @@ for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
     kernel(_op, *(X1,) * _n, out=X1)(
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
     if _op != "inv":
-        _line = _TEMPLATES["bigint"]["mul" if _op == "sqr" else _op].format(
+        _line = _TEMPLATES["mul" if _op == "sqr" else _op].format(
             r="r", a="a", b="ab"[_n - 1], kn="n")
-        _BIG[_op] = _factory("bigint", _op, ", ".join("ab"[:_n]),
+        _BIG[_op] = _factory(_op, ", ".join("ab"[:_n]),
                              [_line + "; " + _REDUCE[0].format(r="r")], "r")
 
 
@@ -518,21 +513,20 @@ class RawOps:
     mul, sqr, add, sub, neg and inv are the Fp primitives (ints on bigint,
     limb tuples on words, where the cios.py loops charge their word
     operations as they run). Every other registered kernel is a method, and
-    its compiled function, once built, an instance attribute that shadows
-    it; a named constant of the field (CONSTANTS) is an attribute too. Only
-    apply tallies: it charges the op's record, then runs the kernel.
+    on bigint its compiled function, once built, an instance attribute that
+    shadows it; a named constant of the field (CONSTANTS) is an attribute
+    too. Only apply tallies: it charges the op's record, then runs the kernel.
 
-    store holds what depends only on the field spec object and the backend,
-    while the spec lives: each op's walk and compiled factory, each
-    _Context's raw constants and, on bigint, each fixed power's fix-up
-    constant, keyed by its exponent. inject_fault() or a word size makes a
-    new spec.
+    store holds what depends only on the field spec object, while the spec
+    lives: each op's walk and bigint factory, each _Context's raw constants
+    per backend and bigint's fix-up constant of each fixed power, keyed by
+    its exponent. inject_fault() or a word size makes a new spec.
     """
 
     def __init__(self, engine, spec):
         self.engine = engine
         self.spec = spec
-        self.store = _STORES.setdefault(spec, {}).setdefault(engine.backend, {})
+        self.store = _STORES.setdefault(spec, {})
         self.records = _Records(self)
         words = engine.backend == "words"
         for (field, name), value in CONSTANTS.items():   # as raw values
@@ -718,12 +712,13 @@ class _Context:
     def __init__(self, engine):
         self.engine = engine
         o = engine._ops[engine.fp_spec]
-        if type(self) not in o.store:
+        key = type(self), engine.backend    # raw values differ by backend
+        if key not in o.store:
             with engine.uncounted():
                 self.derive()
-            o.store[type(self)] = [
+            o.store[key] = [
                 (name, type(v), v.val) if isinstance(v, _Value) else
                 (name, None, v) for name, v in vars(self).items()
                 if name != "engine"]
-        for name, cls, raw in o.store[type(self)]:
+        for name, cls, raw in o.store[key]:
             setattr(self, name, cls._wrap(o, raw) if cls else raw)

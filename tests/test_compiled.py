@@ -1,14 +1,16 @@
 """Compiled kernels: each op's straight-line function against its own body.
 
-At an op's first counted use, fields walks its kernel once on named
-placeholders, which builds the op's record and emits one function per op,
-field spec and backend. These tests hold every registered kernel to three
-things, on bigint, on words and on engines whose Montgomery constant was
-corrupted by inject_fault(): the compiled function computes what the body
-computes on a RawOps (and bigint what the words loops compute), an uncounted
-call charges nothing, and the emitted steps, counted by kind from the source
-text alone (a called op's from its own text), add up to the record's
-Fp-level totals.
+At an op's first counted use over a field spec, fields walks its kernel once
+on named placeholders, which builds the op's record and emits one bigint
+function per op and field spec; words compiles nothing and runs the kernel
+body, whose cios.py loops charge the word law. These tests hold every
+registered kernel to three things, on bigint, on words and on engines whose
+Montgomery constant was corrupted by inject_fault(): the function an engine
+runs computes what the body computes on a RawOps (and bigint what the words
+loops compute), an uncounted call charges nothing, and the emitted steps,
+counted by kind from the source text alone (a called op's from its own
+text), add up to the record's Fp-level totals. The bigint source text is
+pinned by its digest.
 """
 
 import hashlib
@@ -68,18 +70,18 @@ def _totals(record, f):
             for k, kinds in (("m", "ms"), ("a", "a"), ("i", "i"))}
 
 
-def _emitted(o, op, backend):
+def _emitted(o, op):
     """Steps counted from the op's emitted lines by the template each
     matches, a called op's steps from its own lines, and a fixed power's
     chain from its exponent; a bigint reduction line is no step."""
     def template(t):
         return re.compile(re.sub(r"\\\{\w+\\\}", r"\\w+", re.escape(t)))
-    pattern = {prim: template(t) for prim, t in _TEMPLATES[backend].items()}
+    pattern = {prim: template(t) for prim, t in _TEMPLATES.items()}
     reduce = [template(t) for t in fields._REDUCE]
     unpack = re.compile(r".* = a\d+")
     call = re.compile(r"\(.*\) = (\w+)\(.*")
     counts = {"m": 0, "a": 0, "i": 0}
-    for line in _Walker(o, op).code[1]:
+    for line in _Walker(o.spec, op).code[1]:
         hits = [p for p, rx in pattern.items() if rx.fullmatch(line)]
         if hits == ["pow"]:   # a fixed power: pow_raw's squarings, multiplies
             exp = int(re.fullmatch(r".*, (\d+)\)", line)[1])
@@ -88,7 +90,7 @@ def _emitted(o, op, backend):
             assert len(hits) == 1, line
             counts[KIND[hits[0]]] += 1
         elif call.fullmatch(line):
-            for kind, n in _emitted(o, call.fullmatch(line)[1], backend).items():
+            for kind, n in _emitted(o, call.fullmatch(line)[1]).items():
                 counts[kind] += n
         else:
             assert unpack.fullmatch(line) or any(
@@ -109,8 +111,8 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
             _convert(a, s, lambda v: to_limbs(v, spec))
             for a, s in zip(args, shapes)]
         o = e.raw_ops(e.fq(1) if spec is e.fq_spec else e.fp(1))
-        record = o.records[op]             # builds the record, compiles op
-        if op not in _PRIMITIVES:
+        record = o.records[op]     # builds the record, compiles op on bigint
+        if backend == "bigint" and op not in _PRIMITIVES:
             assert op in vars(o), "compiled function not installed"
         with e.uncounted():
             body = fn(RawOps(e, spec), *raw)
@@ -121,9 +123,13 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
             assert o.apply(op, *raw) == body
         assert e.counter.delta(before) == OpCounter() and sink == []
 
-        assert _Walker(o, op).record == record   # a walk is deterministic
+        incs, steps = _Walker(spec, op).record   # a walk is deterministic
+        if backend == "words":     # the loops charge the word law as they run
+            incs = tuple(i for i in incs
+                         if i[0] not in ("word_mul", "word_add"))
+        assert (incs, steps) == record
         f = "1" if spec is e.fp_spec else "q"
-        assert _emitted(o, op, backend) == _totals(record, f)
+        assert _emitted(o, op) == _totals(record, f)
         got[backend, faulted] = body if backend == "bigint" else _convert(
             body, out, lambda v: from_limbs(v, spec))
 
@@ -164,7 +170,7 @@ def test_compiled_kernel_matches_body_at_edge_operands(engines, op):
                 _convert(a, s, lambda v: to_limbs(v, spec))
                 for a, s in zip(args, shapes)]
             o = e.raw_ops(e.fq(1) if spec is e.fq_spec else e.fp(1))
-            o.records[op]                  # builds the record, compiles op
+            o.records[op]      # builds the record, compiles op on bigint
             with e.uncounted():
                 body = fn(RawOps(e, spec), *raw)
                 assert getattr(o, op)(*raw) == body, (backend, faulted, args)
@@ -226,6 +232,59 @@ def test_kernels_compile_at_first_counted_use_once_per_process(monkeypatch):
     assert compiled == ["<mul2 on bigint>"] and installed(e2) == {"mul2"}
 
 
+def test_words_runs_its_kernel_bodies(monkeypatch):
+    """A counted pairing and a counted Jubjub ladder on words compile
+    nothing and install no kernel function: each kernel body runs as the
+    call tree whose cios.py loops charge the words."""
+    from pairing381 import jubjub_ecsm, pairing
+
+    compiled = []
+
+    def spy(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(fields, "_STORES", {})
+    monkeypatch.setattr(fields, "compile", spy, raising=False)
+    e = Engine(backend="words")
+    before = e.counter.snapshot()
+    pairing(e.curve.g1_gen, e.curve.g2_gen)
+    jubjub_ecsm(12345, e.jubjub.generator)
+    delta = e.counter.delta(before)
+    assert delta.m2 and delta.mq and delta.word_mul
+    assert compiled == []
+    assert not [name for o in e._ops.values() for name in vars(o)
+                if name in KERNELS and name not in _PRIMITIVES]
+
+
+def test_words_reads_the_bigint_walks(monkeypatch):
+    """One walk per op and field spec: a words engine over specs a bigint
+    engine has walked walks nothing, and its record of each op is the bigint
+    record less exactly the word law, which its loops charge."""
+    monkeypatch.setattr(fields, "_STORES", {})
+    big = Engine()
+    records = {op: big._ops[_spec(big, op)].records[op] for op in KERNELS}
+    walked = []
+
+    class Walker(_Walker):
+        def __init__(self, spec, op):
+            walked.append(op)
+            super().__init__(spec, op)
+
+    monkeypatch.setattr(fields, "_Walker", Walker)
+    words = Engine(backend="words")
+    law = {"word_mul", "word_add"}
+    for op, (incs, steps) in records.items():
+        w_incs, w_steps = words._ops[_spec(words, op)].records[op]
+        assert w_steps == steps
+        assert w_incs == tuple(i for i in incs if i[0] not in law)
+        assert "word_add" in dict(incs)
+    x, y = Fp2El.of(words, 2, 3), Fp2El.of(words, 5, 7)
+    assert (x * y).to_ints() == (Fp2El.of(big, 2, 3)
+                                 * Fp2El.of(big, 5, 7)).to_ints()
+    assert walked == []
+
+
 BIGINT_SOURCE_SHA256 = (
     "59fc25c82368992110f7c0c5aab566ffcc9444adf0441088e5d2b8b7d4cac024")
 
@@ -233,8 +292,8 @@ BIGINT_SOURCE_SHA256 = (
 def test_bigint_kernels_compile_pinned_source(monkeypatch):
     """Every kernel's bigint function, built on fresh Fp and Fq RawOps,
     compiles from the pinned source text: the SHA-256 of the sorted (code
-    name, source) pairs that compile() receives. Sorted, since a nested op
-    may compile in the middle of its caller's walk."""
+    name, source) pairs that compile() receives. Sorted, since the order in
+    which a caller and the ops it calls compile is not pinned."""
     compiled = []
 
     def spy(source, name, mode):
@@ -256,13 +315,13 @@ def test_named_constants_are_bound_by_name_and_field():
     and another name, or a constant of the other field, is AttributeError."""
     e = Engine()
     fp, fq = e._ops[e.fp_spec], e._ops[e.fq_spec]
-    assert _Walker(fq, "jubjub_add").calls == {"jubjub_d"}
+    assert _Walker(fq.spec, "jubjub_add").calls == {"jubjub_d"}
     assert fq.jubjub_d == e.jubjub.d.val
     for o, name in ((fq, "nonesuch"), (fp, "jubjub_d")):
         with pytest.raises(AttributeError):
             getattr(o, name)
         with pytest.raises(AttributeError):
-            getattr(_Walker(o, "jubjub_double"), name)
+            getattr(_Walker(o.spec, "jubjub_double"), name)
 
 
 def test_template_lines_at_the_reduction_edges(engines):
