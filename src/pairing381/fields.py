@@ -101,8 +101,9 @@ _TEMPLATES = {
     "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"}
 # a bigint value below 2n, then one of any size, taken in place to [0, n)
 _REDUCE = ("{r} = {r} - n * ({r} >= n)", "{r} %= n")
-_BIND = ("s = o.spec; n, mask, np_full, rbits = s.modulus, "    # from o
-         "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow")
+_BIND = (   # what a compiled function reads from its RawOps
+    "s = o.spec; n, mask, np_full, rbits = s.modulus, "
+    "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow")
 
 
 def _factory(op, params, lines, out, binds=()):
