@@ -11,12 +11,23 @@ Per-step costs, all in Fp2 operations plus Fp scalings by the G1 coordinates:
   doubling step   2M + 7S + 4 Fp muls   (shared X^2 feeds both the point and
                                          the line; output scaled by 4)
   addition step  11M + 2S + 4 Fp muls
+  prepared step        4 Fp muls        (a fixed G2 argument's stored line)
   sparse fold    14M
   accumulator squaring 12M
 
 Any Fp2 (or even-degree subfield) factor of a line is annihilated by the
 easy part of the final exponentiation, which is what licenses the scalings
 and the dropped vertical lines.
+
+A fixed G2 argument (Costello and Stebila, "Fixed argument pairings",
+LATINCRYPT 2010) has lines that depend on the G1 point only through the
+scalings by yp and xp, which are Fp-linear, as are the neg2 and xi2 around
+them. So the lines of dbl_step and add_step at xp = yp = 1 are its 68 lines
+(A, B, C), and prep_step evaluates one at (xp, yp) as (A yp, B, C xp).
+Verification pairs every signature with -G2: prepared_neg_g2 derives its
+lines once per process for each Fp spec and backend, uncounted, at the first
+call, and each verify's -G2 side runs 68 prepared steps. pairing,
+miller_loop and multi_pairing on points run the full steps.
 """
 
 from functools import partial
@@ -81,6 +92,13 @@ def _add_step(o, X, Y, Z, xq, yq, xp, yp):
     return X3, Y3, Z3, (l0, l3, l5)
 
 
+@kernel("prep_step", (X2, X2, X2), X1, X1, out=(X2, X2, X2))
+def _prep_step(o, line, xp, yp):
+    """A stored line (A, B, C) of a fixed G2 argument at (xp, yp)."""
+    a, b, c = line
+    return o.mul_fp(a, yp), b, o.mul_fp(c, xp)
+
+
 @kernel("sparse_mul", X12, (X2, X2, X2), out=X12)
 def _sparse_mul(o, f, line):
     """f times a line with slots (z0, z3, z5) only: 3 + 5 + 6 = 14 Fp2 muls."""
@@ -109,50 +127,97 @@ def _unitary(o, f):
 _unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
+class Prepared:
+    """A fixed G2 argument of the Miller loop: the affine point and its
+    lines (A, B, C) in loop order, raw, for prep_step."""
+
+    __slots__ = ("point", "lines")
+
+    def __init__(self, point, lines):
+        self.point, self.lines = point, lines
+
+
+def _point(q):
+    """The G2 point of a pair's second entry, a point or a Prepared one."""
+    return q.point if type(q) is Prepared else q
+
+
 def _live_pairs(pairs) -> list:
     """Boundary validation: every pair's entry check and one engine for all,
     then, uncounted, the subgroup checks of each pair without the identity;
-    returns those, affine."""
+    returns those, affine. A Prepared entry is checked as its point."""
     if not pairs:
         raise ValueError("no pairs")
     for p, q in pairs:
         _entry_check(p, G1Point)
-        _entry_check(q, G2Point)
+        _entry_check(_point(q), G2Point)
     e = pairs[0][0].engine
-    e.raw_ops(*[v for pq in pairs for v in pq])
+    e.raw_ops(*[v for p, q in pairs for v in (p, _point(q))])
     live = []
     for p, q in pairs:
-        if p.is_identity() or q.is_identity():
+        if p.is_identity() or _point(q).is_identity():
             continue
         with e.uncounted():
             if not g1_subgroup_check(p):
                 raise ValueError("left pairing input invalid")
-            if not g2_subgroup_check(q):
+            if not g2_subgroup_check(_point(q)):
                 raise ValueError("right pairing input invalid")
-            live.append((p.normalized(), q.normalized()))
+            live.append((p.normalized(),
+                         q if type(q) is Prepared else q.normalized()))
     return live
 
 
+def _lines(run, p, q, one):
+    """The Miller lines of one pair in loop order, each from one counted
+    step, for raw affine p and q (q may be a Prepared one): prep_step on each
+    stored line, else dbl_step per bit of |u| after the leading one and
+    add_step per one bit on T, which starts at q with Z = one."""
+    xp, yp = p[:2]
+    if type(q) is Prepared:
+        for line in q.lines:
+            yield run("prep_step", line, xp, yp)
+        return
+    xq, yq = q[:2]
+    t = xq, yq, one
+    for bit in bin(params.ABS_U)[3:]:
+        *t, line = run("dbl_step", *t, xp, yp)
+        yield line
+        if bit == "1":
+            *t, line = run("add_step", *t, xq, yq, xp, yp)
+            yield line
+
+
 def multi_miller_loop(pairs) -> Fp12El:
-    """Shared-accumulator Miller loop; pairs must be validated and affine."""
+    """Shared-accumulator Miller loop; pairs must be validated and affine.
+    A pair's second entry may be a Prepared G2 argument."""
     if not pairs:
         raise ValueError("no pairs")
     e = pairs[0][0].engine
-    o = e.raw_ops(*[v for pq in pairs for v in pq])
+    o = e.raw_ops(*[v for p, q in pairs for v in (p, _point(q))])
     run = o.apply
     f = Fp12El.one(e).val
-    pts = [(p.val[0], p.val[1], q.val[0], q.val[1]) for p, q in pairs]
-    ts = [(xq, yq, f[0][0]) for _, _, xq, yq in pts]     # Z = f's Fp2 one
+    lines = [_lines(run, p.val, q if type(q) is Prepared else q.val, f[0][0])
+             for p, q in pairs]
     for bit in bin(params.ABS_U)[3:]:
         f = run("fp12_sqr", f)
-        for i, (xp, yp, _, _) in enumerate(pts):
-            *ts[i], line = run("dbl_step", *ts[i], xp, yp)
-            f = run("sparse_mul", f, line)
-        if bit == "1":
-            for i, (xp, yp, xq, yq) in enumerate(pts):
-                *ts[i], line = run("add_step", *ts[i], xq, yq, xp, yp)
-                f = run("sparse_mul", f, line)
+        for pair in lines * (1 + (bit == "1")):   # doublings, then additions
+            f = run("sparse_mul", f, next(pair))
     return Fp12El._wrap(o, run("fp12_conj", f))
+
+
+def prepared_neg_g2(engine) -> Prepared:
+    """-G2, negated by a counted op as verification always has, with its
+    lines: those of the full steps at xp = yp = 1, derived uncounted at the
+    first call for each Fp spec and backend (a spec from inject_fault() is a
+    new one) and kept raw in the spec's store, as _Context keeps its
+    constants."""
+    q = -engine.curve.g2_gen
+    store, key = q.o.store, ("neg_g2_lines", engine.backend)
+    if key not in store:
+        with engine.uncounted():
+            one = Fp12El.one(engine).val[0][0]
+            store[key] = tuple(_lines(q.o.apply, (one[0],) * 2, q.val, one))
+    return Prepared(q, store[key])
 
 
 def miller_loop(p, q) -> Fp12El:

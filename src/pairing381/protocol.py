@@ -39,7 +39,7 @@ from .curve import (
 from .encoding import g1_from_bytes, g1_to_bytes, g2_from_bytes, g2_to_bytes
 from .fields import _expect
 from .hashing import CsprngState, hash_to_g1
-from .pairing import multi_pairing, pairing
+from .pairing import multi_pairing, pairing, prepared_neg_g2
 from .tower import Fp2El
 
 DEFAULT_DST = b"pairing381-bls-sig-g1-sswu-v1"
@@ -137,7 +137,7 @@ def aggregate_verify(pks: list, msgs: list, agg_sig: Signature,
             _valid(pk.point, g2_subgroup_check) for pk in pks):
         return False
     pairs = [(hash_to_g1(e, m, dst), pk.point) for pk, m in zip(pks, msgs)]
-    pairs.append((agg_sig.point, -e.curve.g2_gen))
+    pairs.append((agg_sig.point, prepared_neg_g2(e)))
     return multi_pairing(pairs, mode="sharedmlfe").is_one()
 
 

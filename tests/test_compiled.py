@@ -283,14 +283,15 @@ def test_words_reads_the_bigint_walks(monkeypatch):
 
 
 BIGINT_SOURCE_SHA256 = (
+    "c5da4711a7f3912001347a1817ebe49aa19be999166c3b8ef3cdb7570daed788")
+# the digest over every kernel but prep_step, as before it was registered
+BIGINT_SOURCE_SHA256_BEFORE_PREP_STEP = (
     "59fc25c82368992110f7c0c5aab566ffcc9444adf0441088e5d2b8b7d4cac024")
 
 
-def test_bigint_kernels_compile_pinned_source(monkeypatch):
-    """Every kernel's bigint function, built on fresh Fp and Fq RawOps,
-    compiles from the pinned source text: the SHA-256 of the sorted (code
-    name, source) pairs that compile() receives. Sorted, since the order in
-    which a caller and the ops it calls compile is not pinned."""
+def _bigint_source_digest(monkeypatch, ops) -> str:
+    """The SHA-256 of the sorted (code name, source) pairs that compile()
+    receives while fresh Fp and Fq RawOps build the records of ops."""
     compiled = []
 
     def spy(source, name, mode):
@@ -300,10 +301,19 @@ def test_bigint_kernels_compile_pinned_source(monkeypatch):
     monkeypatch.setattr(fields, "_STORES", {})
     monkeypatch.setattr(fields, "compile", spy, raising=False)
     e = Engine()
-    for op in KERNELS:
+    for op in ops:
         e._ops[_spec(e, op)].records[op]
-    digest = hashlib.sha256(repr(sorted(compiled)).encode()).hexdigest()
-    assert digest == BIGINT_SOURCE_SHA256
+    return hashlib.sha256(repr(sorted(compiled)).encode()).hexdigest()
+
+
+def test_bigint_kernels_compile_pinned_source(monkeypatch):
+    """Every kernel's bigint function compiles from the pinned source text.
+    Sorted, since the order in which a caller and the ops it calls compile
+    is not pinned. Without prep_step the text is the one pinned before it
+    was added: no other kernel's function changed."""
+    assert _bigint_source_digest(monkeypatch, KERNELS) == BIGINT_SOURCE_SHA256
+    assert _bigint_source_digest(monkeypatch, KERNELS.keys() - {
+        "prep_step"}) == BIGINT_SOURCE_SHA256_BEFORE_PREP_STEP
 
 
 def test_named_constants_are_bound_by_name_and_field():
