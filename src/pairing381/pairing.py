@@ -19,18 +19,16 @@ Any Fp2 (or even-degree subfield) factor of a line is annihilated by the
 easy part of the final exponentiation, which is what licenses the scalings
 and the dropped vertical lines.
 
-A fixed G2 argument (Costello and Stebila, "Fixed argument pairings",
-LATINCRYPT 2010) has lines that depend on the G1 point only through the
-scalings by yp and xp, which are Fp-linear, as are the neg2 and xi2 around
-them. So the lines of dbl_step and add_step at xp = yp = 1 are its 68 lines
-(A, B, C), and prep_step evaluates one at (xp, yp) as (A yp, B, C xp).
-Verification pairs every signature with -G2: prepared_neg_g2 derives its
-lines once per process for each Fp spec and backend, uncounted, at the first
-call, and each verify's -G2 side runs 68 prepared steps. pairing,
-miller_loop and multi_pairing on points run the full steps.
+The prepared step applies to a fixed G2 argument (Costello and Stebila,
+"Fixed argument pairings", LATINCRYPT 2010), which only verification has:
+its -G2. A line depends on the G1 point only by the Fp-linear scalings by yp
+and xp, so the full steps at xp = yp = 1 give 68 stored lines (A, B, C),
+derived once, uncounted, and prep_step evaluates one as (A yp, B, C xp).
+pairing, miller_loop and multi_pairing on points run the full steps.
 """
 
 from functools import partial
+from typing import NamedTuple
 
 from . import params
 from .curve import (G1Point, G2Point, _entry_check, g1_subgroup_check,
@@ -127,14 +125,12 @@ def _unitary(o, f):
 _unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
-class Prepared:
+class Prepared(NamedTuple):
     """A fixed G2 argument of the Miller loop: the affine point and its
     lines (A, B, C) in loop order, raw, for prep_step."""
 
-    __slots__ = ("point", "lines")
-
-    def __init__(self, point, lines):
-        self.point, self.lines = point, lines
+    point: G2Point
+    lines: tuple
 
 
 def _point(q):
