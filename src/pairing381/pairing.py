@@ -163,17 +163,16 @@ def _live_pairs(pairs) -> list:
     return live
 
 
-def _lines(run, p, q, one):
-    """The Miller lines of one pair in loop order, each from one counted
-    step, for raw affine p and q (q may be a Prepared one): prep_step on each
+def _lines(run, xp, yp, q, one):
+    """The Miller lines of the pair ((xp, yp), q) in loop order, each from
+    one counted step, for an affine point or a Prepared q: prep_step on each
     stored line, else dbl_step per bit of |u| after the leading one and
     add_step per one bit on T, which starts at q with Z = one."""
-    xp, yp = p[:2]
     if type(q) is Prepared:
         for line in q.lines:
             yield run("prep_step", line, xp, yp)
         return
-    xq, yq = q[:2]
+    xq, yq, _ = q.val
     t = xq, yq, one
     for bit in bin(params.ABS_U)[3:]:
         *t, line = run("dbl_step", *t, xp, yp)
@@ -192,8 +191,7 @@ def multi_miller_loop(pairs) -> Fp12El:
     o = e.raw_ops(*[v for p, q in pairs for v in (p, _point(q))])
     run = o.apply
     f = Fp12El.one(e).val
-    lines = [_lines(run, p.val, q if type(q) is Prepared else q.val, f[0][0])
-             for p, q in pairs]
+    lines = [_lines(run, *p.val[:2], q, f[0][0]) for p, q in pairs]
     for bit in bin(params.ABS_U)[3:]:
         f = run("fp12_sqr", f)
         for pair in lines * (1 + (bit == "1")):   # doublings, then additions
@@ -212,7 +210,7 @@ def prepared_neg_g2(engine) -> Prepared:
     if key not in store:
         with engine.uncounted():
             one = Fp12El.one(engine).val[0][0]
-            store[key] = tuple(_lines(q.o.apply, (one[0],) * 2, q.val, one))
+            store[key] = tuple(_lines(q.o.apply, one[0], one[0], q, one))
     return Prepared(q, store[key])
 
 
