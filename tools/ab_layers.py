@@ -16,18 +16,22 @@ faster (BENCH_9.json), so both orders are reported.
 Every case runs once untimed (compiling its kernels), then once per round
 and side, which side goes first alternating by round. A round times the
 case's calls and records microseconds per call. Cases, all counted, on a
-bigint engine at w=64:
-  * dbl_step, add_step, prep_step: one RawOps.apply of the kernel on seeded
-    random raw operands, 100 calls a round; a side without the kernel
-    reports null;
+bigint engine at w=64 (the default is all of them):
+  * each registered kernel by its op name (dbl_step, prep_step, fp12_mul,
+    ...): one RawOps.apply on seeded random raw operands, 100 calls a round;
+    a side without the kernel reports null;
   * miller_verify: multi_miller_loop over verify's live pairs
     [(H(m), pk), (sig, -G2)], -G2 prepared on a side that prepares it;
   * final_exp: the final exponentiation of that Miller value;
   * pairing: pairing of the two generators;
-  * verify_from_bytes: decode the key and the signature, then verify.
+  * verify_from_bytes: decode the key and the signature, then verify;
+  * hash_to_g1, sign and keygen under the protocol's defaults;
+  * g1_decode, g2_decode and gt_decode of the signature, the key and a
+    pairing value.
 The "layers" key of --out gets, per load order and case, each side's median
-over the rounds, and the ratio of the medians, change over parent. Other
-keys already in the file are kept.
+over the rounds, and the ratio of the medians, change over parent, with the
+host and the bytecode state. Other keys already in the file are kept. Walk
+and compile times are not measured.
 """
 
 import argparse
@@ -40,7 +44,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import cached_property, partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from ab_bench import copy_tree, export
 
@@ -55,8 +61,14 @@ def _operand(rng, shape, x1, modulus):
     return tuple(_operand(rng, s, x1, modulus) for s in shape)
 
 
+def purge():
+    for name in [n for n in sys.modules if n.split(".")[0] == "pairing381"]:
+        del sys.modules[name]
+
+
 class Side:
-    """One tree's package, its engine and verify's inputs, built lazily."""
+    """One tree's package, and the inputs of its cases, built at first use
+    while the side is active."""
 
     def __init__(self, src: Path):
         purge()
@@ -68,7 +80,6 @@ class Side:
         self.modules = {n: m for n, m in sys.modules.items()
                         if n.split(".")[0] == "pairing381"}
         purge()
-        self._verify = None
 
     def activate(self):
         purge()
@@ -81,83 +92,84 @@ class Side:
     def lib(self):
         return self.modules["pairing381"]
 
-    def verify_inputs(self):
-        """(engine, key bytes, signature bytes, live pairs, Miller value)."""
-        if self._verify is None:
-            lib = self.lib
-            e = lib.Engine()
-            sk, pk = lib.keygen(e, lib.CsprngState(b"\x17" * 32))
-            sig = lib.sign(e, sk, MSG)
-            pairing = self.mod("pairing")
-            prepare = getattr(pairing, "prepared_neg_g2", None)
-            neg = prepare(e) if prepare else -e.curve.g2_gen
-            h = self.mod("hashing").hash_to_g1(e, MSG,
-                                               self.mod("protocol").DEFAULT_DST)
-            live = pairing._live_pairs([(h, pk.point), (sig.point, neg)])
-            self._verify = (e, pk.to_bytes(), sig.to_bytes(), live,
-                            pairing.multi_miller_loop(live))
-        return self._verify
+    @cached_property
+    def inputs(self) -> SimpleNamespace:
+        """A bigint engine, a key pair, a signature over MSG and their
+        bytes, a pairing value's bytes, verify's live pairs (-G2 prepared
+        where this side prepares it) and their Miller value."""
+        lib, pairing = self.lib, self.mod("pairing")
+        e = lib.Engine()
+        rng = lib.CsprngState(b"\x17" * 32)
+        sk, pk = lib.keygen(e, rng)
+        sig = lib.sign(e, sk, MSG)
+        prepare = getattr(pairing, "prepared_neg_g2", None)
+        neg = prepare(e) if prepare else -e.curve.g2_gen
+        h = lib.hash_to_g1(e, MSG, self.mod("protocol").DEFAULT_DST)
+        live = pairing._live_pairs([(h, pk.point), (sig.point, neg)])
+        gt = lib.pairing(e.curve.g1_gen, e.curve.g2_gen)
+        return SimpleNamespace(
+            e=e, rng=rng, sk=sk, pkb=pk.to_bytes(), sigb=sig.to_bytes(),
+            gtb=self.mod("encoding").gt_to_bytes(gt), live=live,
+            f=pairing.multi_miller_loop(live))
 
 
-def purge():
-    for name in [n for n in sys.modules if n.split(".")[0] == "pairing381"]:
-        del sys.modules[name]
-
-
-def _kernel(op):
-    def build(side):
-        fields = side.mod("fields")
-        if op not in fields.KERNELS:
-            return None
-        e = side.verify_inputs()[0]
-        o, rng = e._ops[e.fp_spec], random.Random(op)
-        args = [_operand(rng, s, fields.X1, e.fp_spec.modulus)
-                for s in fields.KERNELS[op][2]]
-        return lambda: o.apply(op, *args)
-    return 100, build
-
-
-def _miller_verify(side):
-    live = side.verify_inputs()[3]
-    return lambda: side.mod("pairing").multi_miller_loop(live)
-
-
-def _final_exp(side):
-    f = side.verify_inputs()[4]
-    return lambda: side.lib.final_exp(f)
-
-
-def _pairing(side):
-    c = side.verify_inputs()[0].curve
-    return lambda: side.lib.pairing(c.g1_gen, c.g2_gen)
+def _kernel(side, op):
+    """A counted RawOps.apply of op on seeded operands, or None."""
+    fields = side.mod("fields")
+    if op not in fields.KERNELS:
+        return None
+    e = side.inputs.e
+    spec = e.fq_spec if op.startswith("jubjub") else e.fp_spec
+    o, rng = e._ops[spec], random.Random(op)
+    args = [_operand(rng, s, fields.X1, spec.modulus)
+            for s in fields.KERNELS[op][2]]
+    return lambda: o.apply(op, *args)
 
 
 def _verify_from_bytes(side):
-    lib = side.lib
-    e, pkb, sigb = side.verify_inputs()[:3]
-    return lambda: lib.verify(lib.PublicKey.from_bytes(e, pkb), MSG,
-                              lib.Signature.from_bytes(e, sigb))
+    lib, x = side.lib, side.inputs
+    return lambda: lib.verify(lib.PublicKey.from_bytes(x.e, x.pkb), MSG,
+                              lib.Signature.from_bytes(x.e, x.sigb))
 
 
-CASES = {   # name -> (calls per round, build(side) -> callable or None)
-    "dbl_step": _kernel("dbl_step"),
-    "add_step": _kernel("add_step"),
-    "prep_step": _kernel("prep_step"),
-    "miller_verify": (1, _miller_verify),
-    "final_exp": (1, _final_exp),
-    "pairing": (1, _pairing),
+CASES = {   # name -> (calls per round, build(side) -> callable)
+    "miller_verify": (1, lambda s: partial(
+        s.mod("pairing").multi_miller_loop, s.inputs.live)),
+    "final_exp": (1, lambda s: partial(s.lib.final_exp, s.inputs.f)),
+    "pairing": (1, lambda s: partial(s.lib.pairing, s.inputs.e.curve.g1_gen,
+                                     s.inputs.e.curve.g2_gen)),
     "verify_from_bytes": (1, _verify_from_bytes),
+    "hash_to_g1": (1, lambda s: partial(s.lib.hash_to_g1, s.inputs.e, MSG,
+                                        s.mod("protocol").DEFAULT_DST)),
+    "sign": (1, lambda s: partial(s.lib.sign, s.inputs.e, s.inputs.sk, MSG)),
+    "keygen": (1, lambda s: partial(s.lib.keygen, s.inputs.e, s.inputs.rng)),
+    "g1_decode": (1, lambda s: partial(s.mod("encoding").g1_from_bytes,
+                                       s.inputs.e, s.inputs.sigb)),
+    "g2_decode": (1, lambda s: partial(s.mod("encoding").g2_from_bytes,
+                                       s.inputs.e, s.inputs.pkb)),
+    "gt_decode": (1, lambda s: partial(s.mod("encoding").gt_from_bytes,
+                                       s.inputs.e, s.inputs.gtb)),
 }
+KERNEL_CALLS = 100
 
 
-def run_order(first: str, srcs: dict, rounds: int, cases: list) -> dict:
+def run_order(first: str, srcs: dict, rounds: int, cases) -> dict:
     """Both packages in this process, first's loaded first: per case, each
-    side's median microseconds per call (None without the case)."""
+    side's median microseconds per call (None without the case). cases
+    None is every registered kernel of either side, then CASES."""
     order = (first, *[s for s in SIDES if s != first])
     sides = {name: Side(srcs[name]) for name in order}
+    kernels = sorted(set().union(*(s.mod("fields").KERNELS
+                                   for s in sides.values())))
+    cases = cases or kernels + list(CASES)
     calls, times = {}, {}
     for case in cases:
-        n, build = CASES[case]
+        if case in CASES:
+            n, build = CASES[case]
+        elif case in kernels:
+            n, build = KERNEL_CALLS, partial(_kernel, op=case)
+        else:
+            raise SystemExit(f"unknown case {case!r}")
         for name, side in sides.items():
             side.activate()
             fn = build(side)
@@ -185,7 +197,8 @@ def main(argv=None) -> int:
     ap.add_argument("rev")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--cases", nargs="+", choices=CASES, default=list(CASES))
+    ap.add_argument("--cases", nargs="+", metavar="CASE",
+                    help="kernel names or " + ", ".join(CASES))
     ap.add_argument("--run", nargs=3, help=argparse.SUPPRESS,
                     metavar=("FIRST", "PARENT_SRC", "CHANGE_SRC"))
     args = ap.parse_args(argv)
@@ -205,9 +218,10 @@ def main(argv=None) -> int:
         for first in SIDES:
             proc = subprocess.run(
                 [sys.executable, __file__, args.rev, "--out", str(args.out),
-                 "--rounds", str(args.rounds), "--cases", *args.cases,
+                 "--rounds", str(args.rounds),
+                 *(["--cases", *args.cases] if args.cases else []),
                  "--run", first, str(Path(tmp) / "tree" / "src"), str(change)],
-                capture_output=True, text=True, check=True)
+                stdout=subprocess.PIPE, text=True, check=True)
             medians = json.loads(proc.stdout.strip().splitlines()[-1])
             table[f"{first}_loaded_first"] = {
                 case: {**row, "ratio": round(row["change"] / row["parent"], 3)
