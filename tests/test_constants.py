@@ -4,6 +4,7 @@ the generators pass their subgroup checks, the G1 one with omega and not
 with the other cube root omega^2. A fresh import and Engine().curve run
 none of these checks and load no dataclasses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ import pytest
 
 from pairing381 import Engine, params
 from pairing381.curve import g1_subgroup_check, g2_subgroup_check
+from pairing381.fields import FieldElement
+from pairing381.tower import Fp2El
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,3 +68,34 @@ def test_cold_start_proves_no_fixed_constant():
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"modules": [], "checks": [],
                                       "tower": True}
+
+
+def _constant_ints(e) -> dict:
+    """The canonical ints of an engine's tower and curve constants."""
+    fp2 = lambda raw: Fp2El._wrap(e._ops[e.fp_spec], raw).to_ints()
+    fp = lambda raw: FieldElement._wrap(e._ops[e.fp_spec], raw).to_int()
+    tower, curve = e.tower, e.curve
+    return {
+        "frob1": [fp2(c) for c in tower.frob[1]],
+        "frob2": [fp(c) for c in tower.frob[2]],
+        "frob3": [fp2(c) for c in tower.frob[3]],
+        "skew_cx": tower.skew_cx.to_ints(), "skew_cy": tower.skew_cy.to_ints(),
+        "g1_gen": [c.to_int() for c in (curve.g1_gen.x, curve.g1_gen.y,
+                                        curve.g1_gen.z)],
+        "g2_gen": [c.to_ints() for c in (curve.g2_gen.x, curve.g2_gen.y,
+                                         curve.g2_gen.z)],
+        "omega": curve.omega.to_int()}
+
+
+CONSTANTS_SHA256 = (
+    "2a83c0d2ed0cb37fe4b8ebc89d2aaa10415f65f709faec5766a4e3c24640acbb")
+
+
+@pytest.mark.parametrize("backend, w", [("bigint", 64), ("words", 64),
+                                        ("words", 32)])
+def test_tower_and_curve_constants_are_pinned(backend, w):
+    """Every Frobenius, skew and curve constant an engine holds, as
+    canonical ints, is the pinned value on both backends and word sizes."""
+    ints = _constant_ints(Engine(word_size=w, backend=backend))
+    digest = hashlib.sha256(json.dumps(ints, sort_keys=True).encode())
+    assert digest.hexdigest() == CONSTANTS_SHA256
