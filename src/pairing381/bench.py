@@ -6,7 +6,7 @@ drawn and prepared first on a bigint engine, which computes the same values
 faster, and moved over by limb conversion (uncounted boundary work). Then
 exactly one operation runs, and its counter delta is the report. Counter
 fields are therefore deterministic for a fixed seed; only wall_time varies.
-Engine constants are derived once per process, before the clock starts.
+Engine constants are built before the clock starts.
 Each op is declared once, in _OPS.
 
 Reported Fp counters are the direct ones (work nested inside Fp2 operations
@@ -99,7 +99,6 @@ class _Op(NamedTuple):
 
     draw: Callable      # (d), or (d, n, mode) if sized: the inputs, in order
     run: Callable       # (*inputs): the call the report counts
-    curve: bool = True  # False: reads no curve constant (0.5 s to derive)
     modes: tuple = ()   # sized as name:<n>:<mode>, mode one of these
     baseline: Callable | None = None    # (*inputs): an overhead ratio's base
     extra: Callable = lambda *sized: {}     # (*sized): the fields it adds
@@ -114,18 +113,16 @@ _OPS = {
     "finalexp": _Op(lambda d: (d.words(miller_loop(d.g1(prep=True),
                                                    d.g2(prep=True))),),
                     lambda f: final_exp(f)),
-    "ecsm-g1": _Op(lambda d: (d.g1(), d.k()), lambda p, k: ecsm(k, p),
-                   curve=False),
-    "ecsm-g2": _Op(lambda d: (d.g2(), d.k()), lambda q, k: ecsm(k, q),
-                   curve=False),
+    "ecsm-g1": _Op(lambda d: (d.g1(), d.k()), lambda p, k: ecsm(k, p)),
+    "ecsm-g2": _Op(lambda d: (d.g2(), d.k()), lambda q, k: ecsm(k, q)),
     "ecsm-g2-split": _Op(lambda d: (d.g2(), d.k()),
                          lambda q, k: g2_ecsm_split(k, q)),
     "ecsm-jubjub": _Op(
         lambda d: (d.engine.jubjub.generator, d.k(params.JUBJUB_ELL)),
-        lambda g, k: jubjub_ecsm(k, g), curve=False),
+        lambda g, k: jubjub_ecsm(k, g)),
     "hash-g1": _Op(
         lambda d: (d.engine, d.rng.bytes(32)),
-        lambda e, msg: hash_to_g1(e, msg, DEFAULT_DST), curve=False,
+        lambda e, msg: hash_to_g1(e, msg, DEFAULT_DST),
         extra=lambda: dict(m1_informational_anchor=PAPER_ANCHORS["hash-g1"][0])),
     "multipairing": _Op(
         lambda d, n, mode: ([(d.g1(), d.g2()) for _ in range(n)], mode),
@@ -137,7 +134,7 @@ _OPS = {
     "hardened-ecsm": _Op(
         lambda d: (d.g1(), d.k(), CountermeasureConfig(
             rng=d.rng, randomized_projective=True, scalar_splitting=True)),
-        lambda p, k, cfg: hardened_ecsm(k, p, cfg), curve=False,
+        lambda p, k, cfg: hardened_ecsm(k, p, cfg),
         baseline=lambda p, k, cfg: ecsm(k, p)),
     "hardened-pairing": _Op(
         lambda d: (d.g1(), d.g2(),
@@ -160,8 +157,7 @@ def run_bench(op: str, word_size: int = 64, seed: bytes | None = None) -> dict:
     if seed is None:
         seed = os.urandom(32)
     engine = Engine(word_size=word_size, backend="words")
-    if decl.curve:
-        engine.curve
+    engine.curve        # built before the clock, whether the op reads it or not
     inputs = decl.draw(_Draw(engine, CsprngState(seed)), *sized)
     counted = []    # the op's call, then its baseline's
     for call in filter(None, (decl.run, decl.baseline)):

@@ -52,20 +52,27 @@ _SELFTEST_SEED = bytes.fromhex(
 # fresh pristine parameter sets.
 
 
+def _check(cond, msg: str) -> None:
+    """A suite's check: raises AssertionError(msg) unless cond, under
+    python -O too, which strips assert statements."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _suite_montgomery_constants(e, rng):
-    assert e.montgomery_sane(), "Montgomery round-trip broken"
+    _check(e.montgomery_sane(), "Montgomery round-trip broken")
     return "to/from round-trip and unit multiplication hold"
 
 
 def _suite_fixed_constants(e, rng):
     for name, bits in (("P", 381), ("Q", 255), ("JUBJUB_ELL", 252)):
         n = getattr(params, name)
-        assert params._is_probable_prime(n) and n.bit_length() == bits, name
-    assert g1_subgroup_check(e.curve.g1_gen), "G1 generator fails its check"
-    assert g2_subgroup_check(e.curve.g2_gen), "G2 generator fails its check"
+        _check(params._is_probable_prime(n) and n.bit_length() == bits, name)
+    _check(g1_subgroup_check(e.curve.g1_gen), "G1 generator fails its check")
+    _check(g2_subgroup_check(e.curve.g2_gen), "G2 generator fails its check")
     other = Engine()
     other.curve.omega = other.fp(params.OMEGA ** 2 % params.P)
-    assert not g1_subgroup_check(other.curve.g1_gen), "omega^2 passes G1's"
+    _check(not g1_subgroup_check(other.curve.g1_gen), "omega^2 passes G1's")
     return ("p, q and ell prime; the generators pass their subgroup checks, "
             "and omega^2 in place of omega fails the G1 one")
 
@@ -74,12 +81,12 @@ def _suite_inversion_chains(e, rng):
     before = e.counter.snapshot()
     e.fp(rng.nonzero_below(params.P)).inverse()
     d = e.counter.delta(before)
-    assert d.i1 == 1
-    assert d.inv_m1 == 608, f"fp chain ran {d.inv_m1} multiplications"
+    _check(d.i1 == 1, f"fp inversion counted {d.i1} times")
+    _check(d.inv_m1 == 608, f"fp chain ran {d.inv_m1} multiplications")
     before = e.counter.snapshot()
     e.fq(rng.nonzero_below(params.Q)).inverse()
     d = e.counter.delta(before)
-    assert d.iq == 1 and d.inv_mq == 417, f"fq chain ran {d.inv_mq}"
+    _check(d.iq == 1 and d.inv_mq == 417, f"fq chain ran {d.inv_mq}")
     return "fp inversion = 608 multiplications, fq inversion = 417"
 
 
@@ -91,32 +98,38 @@ def _suite_word_cost_law(e, rng):
         ew.counter.reset()
         x * y
         mul_model, add_model = params.cios_cost_model(w)
-        assert ew.counter.word_mul == mul_model, f"w={w} word_mul"
-        assert ew.counter.word_add == add_model, f"w={w} word_add"
+        _check(ew.counter.word_mul == mul_model, f"w={w} word_mul")
+        _check(ew.counter.word_add == add_model, f"w={w} word_add")
     return "word mul/add counts match s(2s+1) and 2(2s^2+2s+1) at w=16/32/64"
 
 
 def _suite_field_oracle(e, rng):
     for _ in range(100):
         a, b = rng.below(params.P), rng.below(params.P)
-        assert (e.fp(a) * e.fp(b)).to_int() == a * b % params.P
+        _check((e.fp(a) * e.fp(b)).to_int() == a * b % params.P, "fp product")
         a, b = rng.below(params.Q), rng.below(params.Q)
-        assert (e.fq(a) * e.fq(b)).to_int() == a * b % params.Q
+        _check((e.fq(a) * e.fq(b)).to_int() == a * b % params.Q, "fq product")
     for _ in range(10):
         a = rng.nonzero_below(params.P)
-        assert e.fp(a).inverse().to_int() == pow(a, -1, params.P)
+        _check(e.fp(a).inverse().to_int() == pow(a, -1, params.P),
+               "fp inverse")
     return "100 multiplications and 10 inversions match the integer model"
 
 
 def _suite_tower_laws(e, rng):
     x, y, z = (_rand_fp12(e, rng) for _ in range(3))
-    assert ((x * y) * z).coeffs() == (x * (y * z)).coeffs()
-    assert (x * x.inverse()).is_one()
-    f = x
+    _check((x * y) * z == x * (y * z), "fp12 product not associative")
+    _check((x * x.inverse()).is_one(), "fp12 inverse")
+    frob = e.tower.frobenius
+    pi = [x]                          # pi[k] = pi^k(x), by pi alone
     for _ in range(12):
-        f = e.tower.frobenius(f, 1)
-    assert f.coeffs() == x.coeffs()
-    return "associativity, inverses and frobenius order hold in the tower"
+        pi.append(frob(pi[-1], 1))
+    _check(pi[12] == x, "pi^12 is not the identity")
+    _check(pi[2] == frob(x, 2), "pi o pi != pi^2")
+    _check(frob(frob(x, 2), 1) == frob(x, 3), "pi o pi^2 != pi^3")
+    _check(pi[6] == x.conjugate(), "pi^6 is not conjugation")
+    return ("associativity and inverses hold in the tower; pi^12 = 1, "
+            "pi o pi = pi^2, pi o pi^2 = pi^3, pi^6 = conjugation")
 
 
 def _rand_fp12(e, rng):
@@ -134,10 +147,10 @@ def _suite_group_laws(e, rng):
         a = plain_mul(g, rng.nonzero_below(params.Q))
         b = plain_mul(g, rng.nonzero_below(params.Q))
         c = plain_mul(g, rng.nonzero_below(params.Q))
-        assert a.add(b).add(c) == a.add(c.add(b))
-        assert subgroup_check_canonical(g)
+        _check(a.add(b).add(c) == a.add(c.add(b)), "addition not associative")
+        _check(subgroup_check_canonical(g), "generator order is not q")
     ell_g = plain_mul(e.jubjub.generator, params.JUBJUB_ELL)
-    assert ell_g.is_identity(), "jubjub generator order is not ell"
+    _check(ell_g.is_identity(), "jubjub generator order is not ell")
     return "G1/G2 associativity, q-order generators, ell-order jubjub generator"
 
 
@@ -148,9 +161,9 @@ def _suite_exact_ecsm_counts(e, rng):
     d = e.counter.delta(before)
     muls = PAPER_ANCHORS["ecsm-g1-mul"][0]
     adds = PAPER_ANCHORS["ecsm-g1-add"][0]
-    assert d.m1 + d.s1 == muls, f"G1 ladder ran {d.m1 + d.s1} mul+sqr"
-    assert d.a1 == adds, f"G1 ladder ran {d.a1} additions"
-    assert d.i1 == 1
+    _check(d.m1 + d.s1 == muls, f"G1 ladder ran {d.m1 + d.s1} mul+sqr")
+    _check(d.a1 == adds, f"G1 ladder ran {d.a1} additions")
+    _check(d.i1 == 1, f"G1 ladder ran {d.i1} inversions")
     return f"G1 ladder: {muls} mul+sqr, {adds} add, 1 inversion"
 
 
@@ -168,7 +181,7 @@ def _suite_pairing_costs(e, rng):
     total = e.counter.delta(before).m1_equivalent()
     for got, name in ((ml, "miller"), (fe, "finalexp"), (total, "pairing")):
         anchor, tol = PAPER_ANCHORS[name]
-        assert abs(got - anchor) / anchor <= tol, f"{name}: {got} vs {anchor}"
+        _check(abs(got - anchor) / anchor <= tol, f"{name}: {got} vs {anchor}")
     return f"miller {ml}, finalexp {fe}, pairing {total} m1-equivalents"
 
 
@@ -177,9 +190,9 @@ def _suite_bilinearity(e, rng):
     g1, g2 = e.curve.g1_gen, e.curve.g2_gen
     base = pairing(g1, g2)
     lhs = pairing(ecsm(a, g1), plain_mul(g2, b).to_affine())
-    assert lhs.coeffs() == gt_pow(base, a * b % params.Q).coeffs()
-    assert not base.is_one(), "pairing of the generators is degenerate"
-    assert gt_pow(base, params.Q).is_one(), "target value not of order q"
+    _check(lhs == gt_pow(base, a * b % params.Q), "e(aP,bQ) != e(P,Q)^ab")
+    _check(not base.is_one(), "pairing of the generators is degenerate")
+    _check(gt_pow(base, params.Q).is_one(), "target value not of order q")
     return "e(aP,bQ) = e(P,Q)^ab, non-degenerate, order q"
 
 
@@ -189,7 +202,7 @@ def _suite_multi_pairing_modes(e, rng):
              for _ in range(3)]
     vals = [multi_pairing(pairs, mode) for mode in
             ("naive", "sharedfe", "sharedmlfe")]
-    assert vals[0].coeffs() == vals[1].coeffs() == vals[2].coeffs()
+    _check(vals[0] == vals[1] == vals[2], "multi-pairing modes disagree")
     return "naive, sharedfe and sharedmlfe agree on a 3-product"
 
 
@@ -201,7 +214,7 @@ def _suite_constant_time_traces(e, rng):
         with e.tracing([]) as sink:
             ecsm(k, p)
         traces.append(tuple(sink))
-    assert traces[0] == traces[1], "scalar value leaked into the trace"
+    _check(traces[0] == traces[1], "scalar value leaked into the trace")
     return "ladder operation sequences identical across scalars"
 
 
@@ -209,8 +222,8 @@ def _suite_encoding_roundtrip(e, rng):
     p = ecsm(rng.nonzero_below(params.Q), e.curve.g1_gen)
     q = plain_mul(e.curve.g2_gen, rng.nonzero_below(params.Q)).to_affine()
     for compressed in (True, False):
-        assert g1_from_bytes(e, g1_to_bytes(p, compressed)) == p
-        assert g2_from_bytes(e, g2_to_bytes(q, compressed)) == q
+        _check(g1_from_bytes(e, g1_to_bytes(p, compressed)) == p, "G1 decode")
+        _check(g2_from_bytes(e, g2_to_bytes(q, compressed)) == q, "G2 decode")
     bad = bytearray(g1_to_bytes(p, True))
     bad[1] = 0xFF  # x limb above the modulus
     bad[2] = 0xFF
@@ -229,12 +242,14 @@ def _suite_hash_to_g1(e, rng):
         msg = rng.bytes(32)
         h1 = hash_to_g1(e, msg, DEFAULT_DST)
         h2 = hash_to_g1(e, msg, DEFAULT_DST)
-        assert h1 == h2, "hash-to-curve is input-deterministic"
+        _check(h1 == h2, "hash-to-curve is not input-deterministic")
         with e.uncounted():
-            assert h1.on_curve() and subgroup_check_canonical(h1)
-        assert h1 != hash_to_g1(e, msg, b"other-domain")
+            _check(h1.on_curve() and subgroup_check_canonical(h1),
+                   "hash output outside G1")
+        _check(h1 != hash_to_g1(e, msg, b"other-domain"),
+               "domains not separated")
         seen.append(h1)
-    assert seen[0] != seen[1] != seen[2]
+    _check(seen[0] != seen[1] != seen[2], "distinct messages collide")
     return "deterministic, on-curve, in-subgroup, domain-separated"
 
 
@@ -245,11 +260,13 @@ def _suite_protocol_roundtrip(e, rng):
         msg = b"message %d" % i
         sks.append(sk), pks.append(pk), msgs.append(msg)
         sigs.append(sign(e, sk, msg))
-    assert verify(pks[0], msgs[0], sigs[0])
-    assert not verify(pks[0], b"other message", sigs[0])
+    _check(verify(pks[0], msgs[0], sigs[0]), "valid signature rejected")
+    _check(not verify(pks[0], b"other message", sigs[0]),
+           "signature accepted for another message")
     agg = aggregate(sigs)
-    assert aggregate_verify(pks, msgs, agg)
-    assert not aggregate_verify(pks, [msgs[1], msgs[0], msgs[2]], agg)
+    _check(aggregate_verify(pks, msgs, agg), "valid aggregate rejected")
+    _check(not aggregate_verify(pks, [msgs[1], msgs[0], msgs[2]], agg),
+           "aggregate accepted for swapped messages")
     return "sign/verify and 3-party aggregation behave end to end"
 
 

@@ -26,8 +26,7 @@ those (_select, uncounted) and wrap only the result.
 from operator import attrgetter
 
 from . import params
-from .fields import (X1, FieldElement, _Context, _expect, _method, _Value,
-                     kernel)
+from .fields import X1, FieldElement, _expect, _method, _Value, kernel
 from .tower import X2, Fp2El
 
 
@@ -384,17 +383,14 @@ def subgroup_check_canonical(point) -> bool:
     return plain_mul(point, params.Q).is_identity()
 
 
-class CurveCtx(_Context):
-    """The generators and omega (params.OMEGA), built with the tower once per
-    process for each field spec and backend (fields._Context). derive()
-    checks the generators on their curves; the tests and selftest check their
+class CurveCtx:
+    """The generators and omega (params.G1_GEN_X/Y, G2_GEN_X/Y, OMEGA), built
+    with the tower on each engine at its first use of .curve. Import checks
+    the generators on their curves; the tests and selftest check their
     subgroups, and that omega, not omega^2, passes g1_subgroup_check."""
 
-    def derive(self):
-        engine = self.engine
-        engine.tower            # derived here too, not in a first request
+    def __init__(self, engine):
+        engine.tower            # built here too, not in a first request
         self.g1_gen = G1Point.affine(engine, params.G1_GEN_X, params.G1_GEN_Y)
         self.g2_gen = G2Point.affine(engine, params.G2_GEN_X, params.G2_GEN_Y)
-        assert self.g1_gen.on_curve(), "G1 generator not on curve"
-        assert self.g2_gen.on_curve(), "G2 generator not on twist"
         self.omega = engine.fp(params.OMEGA)

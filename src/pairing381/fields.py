@@ -20,11 +20,11 @@ Counting rules (the whole artifact depends on these):
     unreduced: the walk bounds each value by a multiple of the modulus and
     adds a reduction line, no step, only where a product, a called op or an
     output needs one, so outputs are canonical and equal the body's. One
-    store per field spec (RawOps.store) keeps the walks and the derived
-    constants. Each RawOps takes the record at its own first counted use of
-    the op; until then the body runs as a call tree. Bigint then installs
-    its copy of the function, compiled once; words compiles nothing and runs
-    the body, its record less the word law, which the cios.py loops charge;
+    store per field spec (RawOps.store) keeps the walks. Each RawOps takes
+    the record at its own first counted use of the op; until then the body
+    runs as a call tree. Bigint then installs its copy of the function,
+    compiled once; words compiles nothing and runs the body, its record less
+    the word law, which the cios.py loops charge;
   * every element and point is one _Value: the RawOps of its engine and
     field, and its raw value. It runs an op by one path, a _method: the
     operand types are checked, the operands share one RawOps, and an
@@ -332,8 +332,7 @@ def kernel(name: str, *args, out, marker=None):
     """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
     kernel that is not an Fp primitive becomes a method of RawOps. A walk or
     compiled function may inline or call any registered op, so registering
-    one drops every store: engines made afterwards walk the new body (and
-    derive their constants again)."""
+    one drops every store: engines made afterwards walk the new body."""
     def register(fn):
         _STORES.clear()
         KERNELS[name] = (fn, marker, args, out)
@@ -519,9 +518,10 @@ class RawOps:
     too. Only apply tallies: it charges the op's record, then runs the kernel.
 
     store holds what depends only on the field spec object, while the spec
-    lives: each op's walk and bigint factory, each _Context's raw constants
-    per backend and bigint's fix-up constant of each fixed power, keyed by
-    its exponent. inject_fault() or a word size makes a new spec.
+    lives: each op's walk and bigint factory, bigint's fix-up constant of
+    each fixed power, keyed by its exponent, and -G2's prepared lines per
+    backend (pairing.prepared_neg_g2). inject_fault() or a word size makes
+    a new spec.
     """
 
     def __init__(self, engine, spec):
@@ -632,7 +632,7 @@ class Engine:
 
     @contextmanager
     def uncounted(self):
-        """Suspend all counting and tracing; for init-time constant derivation."""
+        """Suspend all counting and tracing; for checks and derived lines."""
         self._suspend += 1
         try:
             yield
@@ -648,7 +648,7 @@ class Engine:
         finally:
             self.trace = prev
 
-    # ----- derived constants, built at first use (see _Context) -----
+    # ----- params constants as values of this engine, built at first use -----
 
     @cached_property
     def tower(self):
@@ -680,7 +680,7 @@ class Engine:
         spec.np0 = spec.np_full & spec.word_mask
         self.fp_spec = spec
         self._ops[spec] = RawOps(self, spec)
-        self.__dict__.pop("tower", None)    # derived afresh over spec
+        self.__dict__.pop("tower", None)    # rebuilt on spec's RawOps
         self.__dict__.pop("curve", None)
 
     def montgomery_sane(self) -> bool:
@@ -699,27 +699,3 @@ class Engine:
             return False
         return True
 
-
-class _Context:
-    """An engine's checked constants over Fp: the tower's and the curve's.
-
-    derive() sets them, self-checks included, uncounted, once per process
-    for each Fp spec object and backend (a spec from inject_fault() is a
-    new one), and the spec's RawOps store keeps them as raw values. Every
-    engine gets each value rebuilt on its own RawOps: a shared value would
-    charge its first engine.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-        o = engine._ops[engine.fp_spec]
-        key = type(self), engine.backend    # raw values differ by backend
-        if key not in o.store:
-            with engine.uncounted():
-                self.derive()
-            o.store[key] = [
-                (name, type(v), v.val) if isinstance(v, _Value) else
-                (name, None, v) for name, v in vars(self).items()
-                if name != "engine"]
-        for name, cls, raw in o.store[key]:
-            setattr(self, name, cls._wrap(o, raw) if cls else raw)

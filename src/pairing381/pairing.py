@@ -203,8 +203,7 @@ def prepared_neg_g2(engine) -> Prepared:
     """-G2, negated by a counted op as verification always has, with its
     lines: those of the full steps at xp = yp = 1, derived uncounted at the
     first call for each Fp spec and backend (a spec from inject_fault() is a
-    new one) and kept raw in the spec's store, as _Context keeps its
-    constants."""
+    new one) and kept raw in the spec's store (fields.RawOps)."""
     q = -engine.curve.g2_gen
     store, key = q.o.store, ("neg_g2_lines", engine.backend)
     if key not in store:

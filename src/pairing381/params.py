@@ -1,9 +1,11 @@
 """System parameters for the BLS12-381 engine.
 
-Both primes are recomputed from the 64-bit curve parameter u. Import re-checks
-the cheap facts (bit lengths, group-order identities, omega, zeta, the Jubjub
-curve); the tests and selftest check primality and the generators' subgroups
-once. No large literal here is load-bearing without a check behind it.
+Both primes are recomputed from the 64-bit curve parameter u, and the
+Frobenius and skew constants from zeta. Import re-checks the cheap facts (bit
+lengths, group-order identities, omega, zeta, the generators' curves); the
+tests and selftest check primality, the generators' subgroups and the
+Frobenius identities once. No large literal here is load-bearing without a
+check behind it.
 """
 
 from functools import lru_cache
@@ -29,11 +31,30 @@ OMEGA = pow(2, (P - 1) // 3, P)
 # zeta = xi^((p-1)/6) in Fp2, as (c0, c1) with xi = 1 + alpha: the Frobenius
 # pi scales the z-degree-d coefficient of Fp12 by zeta^d (tower.TowerCtx).
 # Checked at import to satisfy zeta^6 = xi^(p-1) = conj(xi)/xi; the tests
-# compare it with the stepwise power, and TowerCtx self-checks pi^12 = 1.
+# compare it with the stepwise power, and they and selftest check pi^12 = 1,
+# pi^2, pi^3 and pi^6 against the constants below.
 ZETA = (
     0x1904D3BF02BB0667C231BEB4202C0D1F0FD603FD3CBD5F4F7B2443D784BAB9C4F67EA53D63E7813D8D0775ED92235FB8,
     0x00FC3E2B36C4E03288E9E902231F9FB854A14787B6C7B36FEC0C8EC971F63C5F282D5AC14D6C7EC22CF78A126DDC4AF3,
 )
+
+
+def _fp2_mul(x, y):
+    """x*y in Fp2 = Fp[alpha]/(alpha^2 + 1), on (c0, c1) int pairs."""
+    return ((x[0] * y[0] - x[1] * y[1]) % P, (x[0] * y[1] + x[1] * y[0]) % P)
+
+
+# The Frobenius constants by z-degree d: zeta^d for pi, its norm (in Fp) for
+# pi^2, and their product for pi^3. The skew Frobenius of the twist
+# (curve.skew_frobenius) scales x by 1/zeta^2 and y by 1/zeta^3, each
+# 1/c = conj(c)/norm(c).
+FROB1 = ((1, 0),)
+for _ in range(5):
+    FROB1 += (_fp2_mul(FROB1[-1], ZETA),)
+FROB2 = tuple((c0 * c0 + c1 * c1) % P for c0, c1 in FROB1)
+FROB3 = tuple((c0 * n % P, c1 * n % P) for (c0, c1), n in zip(FROB1, FROB2))
+SKEW_CX, SKEW_CY = ((c0 * pow(n, -1, P) % P, -c1 * pow(n, -1, P) % P)
+                    for (c0, c1), n in zip(FROB1[2:4], FROB2[2:4]))
 
 U_SQ = U * U                    # 128 bits, < q; scalar splitting divisor
 
@@ -46,8 +67,8 @@ HARD_PART_EXP = 3 * ((P**4 - P**2 + 1) // Q)
 EXECUTABLE_WORD_SIZES = (16, 32, 64)
 ANALYTIC_WORD_SIZES = (16, 24, 32, 48, 64, 96)
 
-# Standard generator points. CurveCtx checks them on their curves at an
-# engine's first .curve; the tests and selftest check their subgroups.
+# Standard generator points, checked on their curves at import; the tests and
+# selftest check their subgroups.
 G1_GEN_X = 0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB
 G1_GEN_Y = 0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1
 
@@ -163,11 +184,11 @@ def _self_check() -> None:
     assert OMEGA != 1                     # so a primitive cube root mod p
     assert P % Q == U % Q                 # skew-Frobenius eigenvalue on G2
 
-    def fp2_mul(x, y):
-        return ((x[0] * y[0] - x[1] * y[1]) % P,
-                (x[0] * y[1] + x[1] * y[0]) % P)
-    z3 = fp2_mul(fp2_mul(ZETA, ZETA), ZETA)
-    assert fp2_mul(fp2_mul(z3, z3), (1, 1)) == (1, P - 1)   # zeta^6 xi = conj(xi)
+    z3 = FROB1[3]
+    assert _fp2_mul(_fp2_mul(z3, z3), (1, 1)) == (1, P - 1)  # zeta^6 xi = conj(xi)
+    assert (G1_GEN_Y**2 - G1_GEN_X**3 - 4) % P == 0         # y^2 = x^3 + 4
+    x3 = _fp2_mul(_fp2_mul(G2_GEN_X, G2_GEN_X), G2_GEN_X)   # y^2 = x^3 + 4 xi
+    assert _fp2_mul(G2_GEN_Y, G2_GEN_Y) == ((x3[0] + 4) % P, (x3[1] + 4) % P)
     # the implemented hard-part chain equals the 3d exponent as integers
     assert HARD_PART_EXP == (U - 1) ** 2 * (U + P) * (U**2 + P**2 - 1) + 3
     # fixed Fermat chains land exactly on the published totals

@@ -24,10 +24,8 @@ applies, concatenated in call order, so its counters and trace are exactly
 those of its Fp2 steps.
 """
 
-from types import MappingProxyType
-
-from .fields import X1, FieldElement, _Context, _expect, _method, _Value, kernel
-from .params import P, ZETA
+from .fields import X1, FieldElement, _expect, _method, _Value, kernel
+from .params import FROB1, FROB2, FROB3, SKEW_CX, SKEW_CY, P
 
 X2 = (X1, X1)          # placeholder shapes of raw Fp2, Fp6 and Fp12 values
 X6 = (X2, X2, X2)
@@ -342,47 +340,23 @@ class Fp12El(_Value, part=Fp6El, names=("c0", "c1"), field="fp"):
         return Fp12El(Fp6El(cs[0], cs[2], cs[4]), Fp6El(cs[1], cs[3], cs[5]))
 
 
-class TowerCtx(_Context):
-    """Frobenius constants, derived and self-checked once per process for
-    each Fp spec and backend (fields._Context).
+class TowerCtx:
+    """The Frobenius and skew constants (params.FROB1/2/3, SKEW_CX/CY), built
+    on each engine at its first use of .tower.
 
-    zeta = xi^((p-1)/6) is params.ZETA; the constant applied to the
-    z-degree-d coefficient is zeta^d for pi, its Fp norm for pi^2, and their
-    product for pi^3. frob[power] holds them as raw values,
-    the constant operands of the frob1/frob2/frob3 kernels (read-only: every
-    engine shares them).
+    frob[power] holds the constants of pi^power by z-degree as raw values,
+    the constant operands of the frob1/frob2/frob3 kernels; skew_cx and
+    skew_cy are Fp2 elements (curve.skew_frobenius).
     """
 
-    def derive(self):
-        engine = self.engine
-        zeta = Fp2El.of(engine, *ZETA)
-        frob1 = [Fp2El.one(engine)]
-        for _ in range(5):
-            frob1.append(frob1[-1] * zeta)
-        norms = [c * c.conjugate() for c in frob1]
-        assert all(n.c1.is_zero() for n in norms)
-        frob3 = [c.mul_fp(n.c0) for c, n in zip(frob1, norms)]
-        self.frob = MappingProxyType({1: tuple(c.val for c in frob1),
-                                      2: tuple(n.val[0] for n in norms),
-                                      3: tuple(c.val for c in frob3)})
-        # skew Frobenius constants for the twist endomorphism
-        self.skew_cx = frob1[2].inverse()
-        self.skew_cy = frob1[3].inverse()
-        self._self_check()
-
-    def _self_check(self):
-        e = self.engine
-        probe = Fp12El(
-            Fp6El(Fp2El.of(e, 3, 1), Fp2El.of(e, 1, 4), Fp2El.of(e, 1, 5)),
-            Fp6El(Fp2El.of(e, 9, 2), Fp2El.of(e, 6, 5), Fp2El.of(e, 3, 5)),
-        )
-        pi = [probe]                      # pi[k] = pi^k(probe), by pi alone
-        for _ in range(12):
-            pi.append(self.frobenius(pi[-1], 1))
-        assert pi[12] == probe, "pi^12 != identity"
-        assert pi[2] == self.frobenius(probe, 2), "pi^2 constants wrong"
-        assert pi[3] == self.frobenius(probe, 3), "pi^3 constants wrong"
-        assert pi[6] == probe.conjugate(), "pi^6 is not conjugation"
+    def __init__(self, engine):
+        def fp2(c):
+            return Fp2El.of(engine, *c).val
+        self.frob = {1: tuple(map(fp2, FROB1)),
+                     2: tuple(engine.fp(c).val for c in FROB2),
+                     3: tuple(map(fp2, FROB3))}
+        self.skew_cx = Fp2El.of(engine, *SKEW_CX)
+        self.skew_cy = Fp2El.of(engine, *SKEW_CY)
 
     def frobenius(self, f: Fp12El, power: int) -> Fp12El:
         _expect(f, Fp12El)

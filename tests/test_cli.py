@@ -2,6 +2,10 @@
 benchmark reproducibility. Commands run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -205,3 +209,23 @@ def test_selftest_passes_and_fault_injection_fails(capsys):
     code, out = run(capsys, "selftest", "--inject-fault")
     assert code == 3
     assert out[-1]["failures"] > 0
+
+
+FAULTED_SUITE = """
+from pairing381 import CsprngState, Engine
+from pairing381.cli import _SELFTEST_SEED, _suite_field_oracle
+e = Engine()
+e.inject_fault()
+_suite_field_oracle(e, CsprngState(_SELFTEST_SEED))
+"""
+
+
+def test_a_suite_fails_a_faulted_engine_under_python_O():
+    """The suites check by raising, not by assert, so python -O, which
+    strips assert statements, still fails a faulted engine."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", FAULTED_SUITE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.rstrip().endswith("AssertionError: fp product")

@@ -50,24 +50,29 @@ import pairing381
 e = pairing381.Engine()
 e.curve
 pairing381.Engine(word_size=32).curve
+w = pairing381.Engine(backend="words")
+w.curve
 sys.setprofile(None)
 print(json.dumps({
     "modules": sorted({"dataclasses", "inspect"} & sys.modules.keys()),
     "checks": sorted(seen & {"_is_probable_prime", "g1_subgroup_check",
-                             "g2_subgroup_check"}),
-    "tower": "tower" in vars(e)}))
+                             "g2_subgroup_check", "frobenius"}),
+    "tower": "tower" in vars(e),
+    "scratch_word_mul": w._scratch.word_mul}))
 """
 
 
 def test_cold_start_proves_no_fixed_constant():
-    """A fresh process imports the package and derives .curve over two
-    specs no engine has used: no dataclasses or inspect, no Miller-Rabin,
-    no subgroup check, and the tower is still derived with the curve."""
+    """A fresh process imports the package and builds .curve over two
+    specs no engine has used and on a words engine: no dataclasses or
+    inspect, no Miller-Rabin, no subgroup check, no Frobenius map, no word
+    operation charged to the words engine's scratch counter, and the tower
+    is still built with the curve."""
     out = subprocess.run([sys.executable, "-c", COLD_START],
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"modules": [], "checks": [],
-                                      "tower": True}
+                                      "tower": True, "scratch_word_mul": 0}
 
 
 def _constant_ints(e) -> dict:
