@@ -24,6 +24,7 @@ from .encoding import (
 from .fields import Engine
 from .hashing import CsprngState, hash_to_g1
 from .pairing import gt_pow, final_exp, miller_loop, multi_pairing, pairing
+from .params import _check
 from .protocol import (
     DEFAULT_DST,
     PublicKey,
@@ -50,13 +51,6 @@ _SELFTEST_SEED = bytes.fromhex(
 # Each suite raises on failure and returns a one-line detail. They all share
 # one engine so that an injected fault propagates instead of being dodged by
 # fresh pristine parameter sets.
-
-
-def _check(cond, msg: str) -> None:
-    """A suite's check: raises AssertionError(msg) unless cond, under
-    python -O too, which strips assert statements."""
-    if not cond:
-        raise AssertionError(msg)
 
 
 def _suite_montgomery_constants(e, rng):

@@ -1,4 +1,10 @@
-"""Group arithmetic for G1 (E/Fp: y^2 = x^3 + 4) and G2 (twist E'/Fp2).
+"""Group arithmetic for G1 (E/Fp: y^2 = x^3 + b) and G2 (twist E'/Fp2).
+
+G1, G2 and Jubjub (jubjub.py) points differ in data only: each class
+declares its coordinate builder, its identity and coordinate one as ints,
+and, on G1 and G2, b as ints (params.G1_B, G2_B). ProjectivePoint builds
+the identity and affine points from these, and _CurvePoint checks the curve
+equation y^2 z = x^3 + b z^3 with them.
 
 Point formulas are the complete homogeneous-projective ones for a = 0 curves:
 one formula per operation, no exceptional branches, identity included. The
@@ -26,19 +32,36 @@ those (_select, uncounted) and wrap only the result.
 from operator import attrgetter
 
 from . import params
-from .fields import X1, FieldElement, _expect, _method, _Value, kernel
+from .fields import X1, Engine, FieldElement, _expect, _method, _Value, kernel
 from .tower import X2, Fp2El
 
 
 class ProjectivePoint(_Value, part=FieldElement, names=("x", "y", "z")):
-    """Coordinates (X : Y : Z), equality and hashing.
+    """Coordinates (X : Y : Z), construction, equality and hashing.
 
     Shared by the Weierstrass points below and by the Edwards points in
-    jubjub.py; subclasses supply identity, is_identity, to_affine and the
-    group law, whose double and add methods name the kernels the loops run.
+    jubjub.py. A subclass declares its group as data: _coord(engine, ints)
+    builds one coordinate, _IDENTITY holds the identity's coordinates as
+    ints and _ONE the coordinate one's. It supplies is_identity, on_curve,
+    to_affine and the group law, whose double and add methods name the
+    kernels the loops run.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _coord_one(cls, engine):
+        return cls._coord(engine, cls._ONE)
+
+    @classmethod
+    def identity(cls, engine):
+        return cls(*(cls._coord(engine, v) for v in cls._IDENTITY))
+
+    @classmethod
+    def affine(cls, engine, x, y):
+        """The point (x, y, 1) from x and y as ints, a pair of ints on G2."""
+        return cls(cls._coord(engine, x), cls._coord(engine, y),
+                   cls._coord_one(engine))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -169,7 +192,8 @@ _formulas("g2", X2, "mul2", "sqr2", "add2", "sub2", "g2_mb3")
 
 
 class _CurvePoint(ProjectivePoint):
-    """Weierstrass-point behaviour; subclasses bind coordinates and kernels."""
+    """Weierstrass-point behaviour on y^2 = x^3 + b; a subclass also
+    declares b as ints (_B, from params) and binds its kernels."""
 
     __slots__ = ()
 
@@ -192,64 +216,32 @@ class _CurvePoint(ProjectivePoint):
         return self if self.z == self._coord_one(self.engine) else self.to_affine()
 
     def on_curve(self) -> bool:
-        if self.is_identity():
-            return True
+        """y^2 z = x^3 + b z^3, uncounted. At z = 0 it forces x = 0, so the
+        one point at infinity is (0 : y : 0), y != 0; (0 : 0 : 0) is none."""
         e = self.engine
         with e.uncounted():
             lhs = self.y.square() * self.z
             zc = self.z.square() * self.z
-            rhs = self.x.square() * self.x + self._mb(zc)
-            return lhs == rhs
+            rhs = self.x.square() * self.x + zc * self._coord(e, self._B)
+            return lhs == rhs and not (self.z.is_zero() and self.y.is_zero())
 
 
 class G1Point(_CurvePoint, field="fp"):
     __slots__ = ()
+    _coord = staticmethod(Engine.fp)
+    _IDENTITY, _ONE, _B = (0, 1, 0), 1, params.G1_B
     double = _method("g1_double")
     add_mixed = _method("g1_add_mixed")     # other must have z = 1
     add = __add__ = _method("g1_add")
 
-    @staticmethod
-    def _coord_one(engine):
-        return engine.fp(1)
-
-    @classmethod
-    def identity(cls, engine):
-        return cls(engine.fp(0), engine.fp(1), engine.fp(0))
-
-    @classmethod
-    def affine(cls, engine, x: int, y: int):
-        return cls(engine.fp(x), engine.fp(y), engine.fp(1))
-
-    @staticmethod
-    def _mb(v):
-        # 4*v, for the curve equation only
-        t = v + v
-        return t + t
-
 
 class G2Point(_CurvePoint, part=Fp2El, field="fp"):
     __slots__ = ()
+    _coord = staticmethod(lambda engine, ints: Fp2El.of(engine, *ints))
+    _IDENTITY, _ONE, _B = ((0, 0), (1, 0), (0, 0)), (1, 0), params.G2_B
     double = _method("g2_double")
     add_mixed = _method("g2_add_mixed")     # other must have z = 1
     add = __add__ = _method("g2_add")
-
-    @staticmethod
-    def _coord_one(engine):
-        return Fp2El.one(engine)
-
-    @classmethod
-    def identity(cls, engine):
-        return cls(Fp2El.zero(engine), Fp2El.one(engine), Fp2El.zero(engine))
-
-    @classmethod
-    def affine(cls, engine, x: tuple, y: tuple):
-        return cls(Fp2El.of(engine, *x), Fp2El.of(engine, *y), Fp2El.one(engine))
-
-    @staticmethod
-    def _mb(v):
-        # 4(1+alpha)*v, curve equation only
-        t = v + v
-        return (t + t).mul_by_xi()
 
 
 def _entry_check(point, *classes, k=0, bound=1):

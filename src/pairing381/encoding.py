@@ -98,7 +98,7 @@ def _point_from_bytes(cls, group: _Group, engine, data: bytes):
         one = cls._coord_one(engine)
         x = group.from_wire(engine, ints[:n])
         if compressed:
-            y = group.sqrt(x * x.square() + cls._mb(one))
+            y = group.sqrt(x * x.square() + cls._coord(engine, cls._B))
             if y is None:
                 raise NotOnCurve("x has no matching y")
             if bool(flags & FLAG_SIGN) != _is_larger(group.to_wire(y)):

@@ -10,10 +10,13 @@ both over Fq. The 252-bit fixed loop plus the final affine conversion gives
 addition are raw kernels, as in curve.py; the addition reads the curve
 constant d as o.jubjub_d, a named constant of Fq. The generator is a params
 value, checked at import (on the curve) and by the tests (of order ell).
+JubjubPoint declares Engine.fq as its coordinate builder and the identity
+and coordinate one as ints; curve.ProjectivePoint builds identity and
+affine points from them, as for G1 and G2.
 """
 
 from .curve import ProjectivePoint, _entry_check, ladder
-from .fields import CONSTANTS, X1, _method, kernel
+from .fields import CONSTANTS, X1, Engine, _method, kernel
 from .params import JUBJUB_D, JUBJUB_ELL, JUBJUB_GEN_X, JUBJUB_GEN_Y
 
 
@@ -55,14 +58,8 @@ def _add(o, p, q):
 
 class JubjubPoint(ProjectivePoint, field="fq"):
     __slots__ = ()
-
-    @classmethod
-    def identity(cls, engine):
-        return cls(engine.fq(0), engine.fq(1), engine.fq(1))
-
-    @classmethod
-    def affine(cls, engine, x: int, y: int):
-        return cls(engine.fq(x), engine.fq(y), engine.fq(1))
+    _coord = staticmethod(Engine.fq)
+    _IDENTITY, _ONE = (0, 1, 1), 1
 
     def is_identity(self) -> bool:
         # (0 : Z : Z) for any Z != 0

@@ -67,6 +67,12 @@ HARD_PART_EXP = 3 * ((P**4 - P**2 + 1) // Q)
 EXECUTABLE_WORD_SIZES = (16, 32, 64)
 ANALYTIC_WORD_SIZES = (16, 24, 32, 48, 64, 96)
 
+# b of G1's curve y^2 = x^3 + b over Fp, and b' = b(1 + alpha) of the twist
+# y^2 = x^3 + b' over Fp2 as (c0, c1): read by the curve equation
+# (curve._CurvePoint.on_curve), compressed decoding and the checks below.
+G1_B = 4
+G2_B = (G1_B, G1_B)
+
 # Standard generator points, checked on their curves at import; the tests and
 # selftest check their subgroups.
 G1_GEN_X = 0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB
@@ -143,7 +149,6 @@ class FieldSpec:
         self.rbits = rbits
         self.word_size = word_size
         self.limbs = rbits // word_size
-        assert self.limbs * word_size == rbits
         self.word_mask = (1 << word_size) - 1
         self.full_mask = (1 << rbits) - 1
         self.r1 = (1 << rbits) % modulus
@@ -175,30 +180,40 @@ def system_params(word_size: int = 64) -> SystemParams:
     return SystemParams(word_size)
 
 
-def _self_check() -> None:
-    assert P.bit_length() == 381 and Q.bit_length() == 255
-    assert P % 4 == 3                     # sqrt by one exponentiation
-    assert P % 3 == 1                     # cube roots of unity exist
-    assert Q * H1 == P + 1 - TRACE        # G1 group order
-    assert (LAMBDA_G1 * LAMBDA_G1 + LAMBDA_G1 + 1) % Q == 0
-    assert OMEGA != 1                     # so a primitive cube root mod p
-    assert P % Q == U % Q                 # skew-Frobenius eigenvalue on G2
+def _check(cond, msg: str) -> None:
+    """AssertionError(msg) unless cond, also under python -O (no assert)."""
+    if not cond:
+        raise AssertionError(msg)
 
-    z3 = FROB1[3]
-    assert _fp2_mul(_fp2_mul(z3, z3), (1, 1)) == (1, P - 1)  # zeta^6 xi = conj(xi)
-    assert (G1_GEN_Y**2 - G1_GEN_X**3 - 4) % P == 0         # y^2 = x^3 + 4
-    x3 = _fp2_mul(_fp2_mul(G2_GEN_X, G2_GEN_X), G2_GEN_X)   # y^2 = x^3 + 4 xi
-    assert _fp2_mul(G2_GEN_Y, G2_GEN_Y) == ((x3[0] + 4) % P, (x3[1] + 4) % P)
+
+def _self_check() -> None:
+    _check(P.bit_length() == 381 and Q.bit_length() == 255, "bit lengths")
+    _check(P % 4 == 3, "p % 4")             # sqrt by one exponentiation
+    _check(P % 3 == 1, "p % 3")             # cube roots of unity exist
+    _check(Q * H1 == P + 1 - TRACE, "G1 group order")
+    _check((LAMBDA_G1 * LAMBDA_G1 + LAMBDA_G1 + 1) % Q == 0, "lambda")
+    _check(OMEGA != 1, "omega")             # so a primitive cube root mod p
+    _check(P % Q == U % Q, "skew-Frobenius eigenvalue on G2")
+
+    z3 = FROB1[3]                           # zeta^6 xi = conj(xi)
+    _check(_fp2_mul(_fp2_mul(z3, z3), (1, 1)) == (1, P - 1), "zeta")
+    _check((G1_GEN_Y**2 - G1_GEN_X**3 - G1_B) % P == 0, "G1 generator")
+    x3 = _fp2_mul(_fp2_mul(G2_GEN_X, G2_GEN_X), G2_GEN_X)   # y^2 = x^3 + b'
+    _check(_fp2_mul(G2_GEN_Y, G2_GEN_Y)
+           == tuple((c + b) % P for c, b in zip(x3, G2_B)), "G2 generator")
     # the implemented hard-part chain equals the 3d exponent as integers
-    assert HARD_PART_EXP == (U - 1) ** 2 * (U + P) * (U**2 + P**2 - 1) + 3
+    _check(HARD_PART_EXP == (U - 1) ** 2 * (U + P) * (U**2 + P**2 - 1) + 3,
+           "hard-part exponent")
     # fixed Fermat chains land exactly on the published totals
-    assert (P - 2).bit_length() - 1 == 380 and bin(P - 2).count("1") - 1 == 228
-    assert (Q - 2).bit_length() - 1 == 254 and bin(Q - 2).count("1") - 1 == 163
-    assert JUBJUB_ELL.bit_length() == 252
-    assert pow(JUBJUB_D, (Q - 1) // 2, Q) == Q - 1   # d non-square: complete formulas
-    assert pow(JUBJUB_A, (Q - 1) // 2, Q) == 1       # a = -1 is a square mod q
+    for name, n, sqrs, muls in (("fp", P, 380, 228), ("fq", Q, 254, 163)):
+        chain = ((n - 2).bit_length() - 1, bin(n - 2).count("1") - 1)
+        _check(chain == (sqrs, muls), f"{name} inversion chain")
+    _check(JUBJUB_ELL.bit_length() == 252, "jubjub ell")
+    # d non-square: complete formulas; a = -1 a square mod q
+    _check(pow(JUBJUB_D, (Q - 1) // 2, Q) == Q - 1, "jubjub d is a square")
+    _check(pow(JUBJUB_A, (Q - 1) // 2, Q) == 1, "jubjub a is no square")
     x2, y2 = JUBJUB_GEN_X**2, JUBJUB_GEN_Y**2
-    assert (y2 - x2 - 1 - JUBJUB_D * x2 * y2) % Q == 0  # generator on the curve
+    _check((y2 - x2 - 1 - JUBJUB_D * x2 * y2) % Q == 0, "jubjub generator")
 
 
 _self_check()

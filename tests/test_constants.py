@@ -104,3 +104,20 @@ def test_tower_and_curve_constants_are_pinned(backend, w):
     ints = _constant_ints(Engine(word_size=w, backend=backend))
     digest = hashlib.sha256(json.dumps(ints, sort_keys=True).encode())
     assert digest.hexdigest() == CONSTANTS_SHA256
+
+
+FAULTED_PARAMS = """
+import pairing381.params as p
+p.G1_GEN_Y += 1
+p._self_check()
+"""
+
+
+def test_the_import_check_fails_a_faulted_generator_under_python_O():
+    """params._self_check raises rather than asserts, so python -O, which
+    strips assert statements, still refuses a G1 generator off its curve."""
+    out = subprocess.run([sys.executable, "-O", "-c", FAULTED_PARAMS],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True)
+    assert out.returncode != 0
+    assert out.stderr.rstrip().endswith("AssertionError: G1 generator")

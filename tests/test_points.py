@@ -6,15 +6,18 @@ the decoding of each encoding of the BLS12-381 generators."""
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
 from pairing381 import Engine, params
-from pairing381.curve import G1Point, G2Point
+from pairing381.curve import G1Point, G2Point, ecsm, multi_exp
 from pairing381.encoding import (g1_from_bytes, g1_to_bytes, g2_from_bytes,
                                  g2_to_bytes)
 from pairing381.fields import FieldElement
 from pairing381.jubjub import JubjubPoint
+from pairing381.pairing import pairing
+from pairing381.tower import Fp2El
 
 CONFIGS = [("bigint", 64), ("words", 64), ("words", 32)]
 
@@ -92,3 +95,28 @@ def test_generator_encodings_decode_back(backend, w):
             for compressed in (True, False):
                 back = dec(e, enc(p, compressed))
                 assert type(back) is type(p) and _ints(back) == _ints(p)
+
+
+# builds a coordinate of each Weierstrass group from one int
+COORDS = {G1Point: lambda e, v: e.fp(v), G2Point: lambda e, v: Fp2El.of(e, v, 0)}
+
+
+@pytest.mark.parametrize("cls", COORDS)
+def test_only_0_y_0_is_a_point_at_infinity(engine, cls):
+    """z = 0 forces x = 0 on the projective curve y^2 z = x^3 + b z^3, and
+    (0 : 0 : 0) is no point: (5 : 7 : 0) and (0 : 0 : 0) are off the
+    curve, and multi_exp, ecsm and pairing reject them before any tally,
+    while (0 : 7 : 0) is the identity."""
+    c = partial(COORDS[cls], engine)
+    assert cls(c(0), c(7), c(0)).on_curve()
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    g = g1 if cls is G1Point else g2
+    for bad in (cls(c(5), c(7), c(0)), cls(c(0), c(0), c(0))):
+        assert not bad.on_curve()
+        before = engine.counter.snapshot()
+        for op in (lambda: multi_exp(1, g, 1, bad), lambda: ecsm(1, bad),
+                   lambda: pairing(bad, g2) if cls is G1Point
+                   else pairing(g1, bad)):
+            with pytest.raises(ValueError, match="point not on curve"):
+                op()
+        assert engine.counter == before

@@ -27,7 +27,9 @@ bigint engine at w=64 (the default is all of them):
   * verify_from_bytes: decode the key and the signature, then verify;
   * hash_to_g1, sign and keygen under the protocol's defaults;
   * g1_decode, g2_decode and gt_decode of the signature, the key and a
-    pairing value.
+    pairing value;
+  * g1_on_curve and g2_on_curve: the signature's and the key's uncounted
+    curve-membership checks, 100 calls a round.
 The "layers" key of --out gets, per load order and case, each side's median
 over the rounds, and the ratio of the medians, change over parent, with the
 host and the bytecode state. Other keys already in the file are kept. Walk
@@ -94,8 +96,8 @@ class Side:
 
     @cached_property
     def inputs(self) -> SimpleNamespace:
-        """A bigint engine, a key pair, a signature over MSG and their
-        bytes, a pairing value's bytes, verify's live pairs (-G2 prepared
+        """A bigint engine, a key pair, a signature over MSG, their points
+        and bytes, a pairing value's bytes, verify's live pairs (-G2 prepared
         where this side prepares it) and their Miller value."""
         lib, pairing = self.lib, self.mod("pairing")
         e = lib.Engine()
@@ -108,7 +110,8 @@ class Side:
         live = pairing._live_pairs([(h, pk.point), (sig.point, neg)])
         gt = lib.pairing(e.curve.g1_gen, e.curve.g2_gen)
         return SimpleNamespace(
-            e=e, rng=rng, sk=sk, pkb=pk.to_bytes(), sigb=sig.to_bytes(),
+            e=e, rng=rng, sk=sk, pk=pk.point, sig=sig.point,
+            pkb=pk.to_bytes(), sigb=sig.to_bytes(),
             gtb=self.mod("encoding").gt_to_bytes(gt), live=live,
             f=pairing.multi_miller_loop(live))
 
@@ -132,6 +135,7 @@ def _verify_from_bytes(side):
                               lib.Signature.from_bytes(x.e, x.sigb))
 
 
+KERNEL_CALLS = 100
 CASES = {   # name -> (calls per round, build(side) -> callable)
     "miller_verify": (1, lambda s: partial(
         s.mod("pairing").multi_miller_loop, s.inputs.live)),
@@ -149,8 +153,9 @@ CASES = {   # name -> (calls per round, build(side) -> callable)
                                        s.inputs.e, s.inputs.pkb)),
     "gt_decode": (1, lambda s: partial(s.mod("encoding").gt_from_bytes,
                                        s.inputs.e, s.inputs.gtb)),
+    "g1_on_curve": (KERNEL_CALLS, lambda s: s.inputs.sig.on_curve),
+    "g2_on_curve": (KERNEL_CALLS, lambda s: s.inputs.pk.on_curve),
 }
-KERNEL_CALLS = 100
 
 
 def run_order(first: str, srcs: dict, rounds: int, cases) -> dict:
