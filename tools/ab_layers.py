@@ -3,7 +3,7 @@
 both loaded in one process.
 
     python3 tools/ab_layers.py REV --out BENCH_n.json [--rounds 5] \
-        [--cases dbl_step pairing ...]
+        [--cases dbl_step pairing ...] [--compile]
 
 REV is exported with `git archive` and the working tree's src/ is copied,
 without any __pycache__, into one temporary directory, so neither side reads
@@ -32,8 +32,25 @@ bigint engine at w=64 (the default is all of them):
     curve-membership checks, 100 calls a round.
 The "layers" key of --out gets, per load order and case, each side's median
 over the rounds, and the ratio of the medians, change over parent, with the
-host and the bytecode state. Other keys already in the file are kept. Walk
-and compile times are not measured.
+host and the bytecode state. Other keys already in the file are kept.
+
+With --compile, the tool times the cold work of a first counted use instead,
+under the "compile" key, and each measurement runs in a fresh process on one
+side's tree (PYTHONDONTWRITEBYTECODE=1, so the package imports from source,
+untimed), whose stores start empty. Per round, which side goes first
+alternates. Rows, each side's median over the rounds:
+  * each registered kernel by its op name (the --cases, default all), and
+    all_ops, every one of them in one process: per backend, walk_ms, the
+    walks alone (fields._walk), then first_use_ms, the records' first
+    counted use (walk, compile and install on bigint; walk and record on
+    words) after the store is emptied again, and, of that first use,
+    compile_ms (inside compile()), compiles and lines (the compiled
+    source's);
+  * verify_from_bytes: a first verify, key and signature decoded from bytes,
+    in a fresh bigint process (Engine() included): ms, with the compile
+    figures and the walks made.
+Each row also gets the ratio of the sides' first_use_ms (ms for verify),
+change over parent.
 """
 
 import argparse
@@ -158,6 +175,130 @@ CASES = {   # name -> (calls per round, build(side) -> callable)
 }
 
 
+# One fresh process's cold work on its side's tree; prints a JSON object.
+COLD = """import json, sys, time
+import pairing381
+from pairing381 import fields
+import pairing381.jubjub, pairing381.pairing  # register every kernel
+compiled = []
+
+
+def spy(source, name, mode):
+    t0 = time.perf_counter()
+    code = compile(source, name, mode)
+    compiled.append((time.perf_counter() - t0, source.count("\\n")))
+    return code
+
+
+def figures(ms):
+    return {"compile_ms": sum(c for c, _ in compiled) * 1e3,
+            "compiles": len(compiled), "lines": sum(n for _, n in compiled),
+            "ms": ms * 1e3}
+
+
+fields.compile = spy
+mode, *args = sys.argv[1:]
+if mode == "verify":
+    pkb, sigb, msg = map(bytes.fromhex, args)
+    t0 = time.perf_counter()
+    e = pairing381.Engine()
+    ok = pairing381.verify(pairing381.PublicKey.from_bytes(e, pkb), msg,
+                           pairing381.Signature.from_bytes(e, sigb))
+    out = figures(time.perf_counter() - t0)
+    assert ok
+    out["walks"] = sum(op in fields.KERNELS
+                       for store in fields._STORES.values() for op in store)
+    print(json.dumps(out))
+    raise SystemExit
+backend, *ops = args
+if not set(ops) <= fields.KERNELS.keys():
+    print("null")
+    raise SystemExit
+e = pairing381.Engine(backend=backend)
+specs = [e.fq_spec if op.startswith("jubjub") else e.fp_spec for op in ops]
+t0 = time.perf_counter()
+for spec, op in zip(specs, ops):
+    fields._walk(spec, op)
+walk = time.perf_counter() - t0
+fields._STORES.clear()
+compiled.clear()
+e = pairing381.Engine(backend=backend)
+t0 = time.perf_counter()
+for spec, op in zip(specs, ops):
+    e._ops[spec].records[op]
+out = figures(time.perf_counter() - t0)
+out["first_use_ms"], out["walk_ms"] = out.pop("ms"), walk * 1e3
+print(json.dumps(out))
+"""
+
+
+def cold(src: Path, *argv: str):
+    """What one fresh COLD process on src prints, parsed."""
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", COLD, *argv], env=env,
+                          cwd=src.parent, capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def cold_fixtures(src: Path) -> tuple:
+    """The hex bytes of a key, a signature on MSG, made with src, and MSG."""
+    code = ("from pairing381 import CsprngState, Engine, keygen, sign\n"
+            "e = Engine()\n"
+            "sk, pk = keygen(e, CsprngState(bytes(32)))\n"
+            f"print(pk.to_bytes().hex(), sign(e, sk, {MSG!r}).to_bytes().hex())")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return tuple(subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout.split()) + (MSG.hex(),)
+
+
+def _medians(runs: list):
+    """Per figure, the median over rounds; None for a side without it."""
+    if None in runs:
+        return None
+    return {k: round(statistics.median(r[k] for r in runs), 3)
+            for k in runs[0]}
+
+
+def _ratio(row: dict, key: str):
+    p, c = row["parent"], row["change"]
+    return round(c[key] / p[key], 3) if p and c and p[key] else None
+
+
+def compile_table(srcs: dict, rounds: int, cases) -> dict:
+    """The "compile" rows: per op and all_ops, per backend and side, and
+    verify_from_bytes, per side, each figure's median over rounds."""
+    if cases is None:
+        code = ("import pairing381.jubjub, pairing381.pairing\n"
+                "from pairing381.fields import KERNELS\nprint(*KERNELS)")
+        cases = sorted(set().union(*(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)}
+        ).stdout.split() for src in srcs.values())))
+    probes = {(op, backend): ("ops", backend, op)
+              for op in cases for backend in ("bigint", "words")}
+    probes.update({("all_ops", backend): ("ops", backend, *cases)
+                   for backend in ("bigint", "words")})
+    probes["verify_from_bytes", None] = ("verify",
+                                        *cold_fixtures(srcs["change"]))
+    runs = {(key, side): [] for key in probes for side in SIDES}
+    for r in range(rounds):
+        for key, argv in probes.items():
+            for side in SIDES[::-1] if r % 2 else SIDES:
+                runs[key, side].append(cold(srcs[side], *argv))
+    rows = {}
+    for (name, backend) in probes:
+        row = {side: _medians(runs[(name, backend), side]) for side in SIDES}
+        row["ratio"] = _ratio(row, "first_use_ms" if backend else "ms")
+        if backend:
+            rows.setdefault(name, {})[backend] = row
+        else:
+            rows[name] = row
+    return rows
+
+
 def run_order(first: str, srcs: dict, rounds: int, cases) -> dict:
     """Both packages in this process, first's loaded first: per case, each
     side's median microseconds per call (None without the case). cases
@@ -197,6 +338,21 @@ def run_order(first: str, srcs: dict, rounds: int, cases) -> dict:
             for case in cases}
 
 
+def load_order(args, first: str, srcs: dict) -> dict:
+    """run_order in a fresh process: per case, each side's median and the
+    ratio of the medians, change over parent."""
+    proc = subprocess.run(
+        [sys.executable, __file__, args.rev, "--out", str(args.out),
+         "--rounds", str(args.rounds),
+         *(["--cases", *args.cases] if args.cases else []),
+         "--run", first, str(srcs["parent"]), str(srcs["change"])],
+        stdout=subprocess.PIPE, text=True, check=True)
+    medians = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {case: {**row, "ratio": round(row["change"] / row["parent"], 3)
+                   if row["parent"] and row["change"] else None}
+            for case, row in medians.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
@@ -204,6 +360,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--cases", nargs="+", metavar="CASE",
                     help="kernel names or " + ", ".join(CASES))
+    ap.add_argument("--compile", action="store_true",
+                    help="time walks and compiles in fresh processes")
     ap.add_argument("--run", nargs=3, help=argparse.SUPPRESS,
                     metavar=("FIRST", "PARENT_SRC", "CHANGE_SRC"))
     args = ap.parse_args(argv)
@@ -216,35 +374,36 @@ def main(argv=None) -> int:
                                    args.rounds, args.cases)))
         return 0
 
-    table = {}
     with tempfile.TemporaryDirectory(prefix="ab_layers-") as tmp:
         sha = export(args.rev, Path(tmp))
-        change = copy_tree(Path(tmp) / "change", "src") / "src"
-        for first in SIDES:
-            proc = subprocess.run(
-                [sys.executable, __file__, args.rev, "--out", str(args.out),
-                 "--rounds", str(args.rounds),
-                 *(["--cases", *args.cases] if args.cases else []),
-                 "--run", first, str(Path(tmp) / "tree" / "src"), str(change)],
-                stdout=subprocess.PIPE, text=True, check=True)
-            medians = json.loads(proc.stdout.strip().splitlines()[-1])
-            table[f"{first}_loaded_first"] = {
-                case: {**row, "ratio": round(row["change"] / row["parent"], 3)
-                       if row["parent"] and row["change"] else None}
-                for case, row in medians.items()}
+        srcs = {"parent": Path(tmp) / "tree" / "src",
+                "change": copy_tree(Path(tmp) / "change", "src") / "src"}
+        if args.compile:
+            key, body = "compile", {
+                "method": f"tools/ab_layers.py --compile: parent {sha[:7]} "
+                          "against the change, one fresh process per "
+                          f"measurement, {args.rounds} rounds alternating "
+                          "which side runs first, medians (rows in the "
+                          "tool's docstring)",
+                "bytecode": "both trees without __pycache__, each process "
+                            "imports from source (PYTHONDONTWRITEBYTECODE=1)",
+                "rows": compile_table(srcs, args.rounds, args.cases)}
+        else:
+            key, body = "layers", {
+                "method": f"tools/ab_layers.py: parent {sha[:7]} against the "
+                          "change, both packages in one process per load "
+                          f"order, {args.rounds} rounds alternating which "
+                          "side runs first, median microseconds per call, "
+                          "warm, bigint engine at w=64 (cases in the tool's "
+                          "docstring)",
+                "bytecode": "both trees without __pycache__; "
+                            f"sys.dont_write_bytecode={sys.dont_write_bytecode}",
+                **{f"{first}_loaded_first": load_order(args, first, srcs)
+                   for first in SIDES}}
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out["layers"] = {
-        "method": f"tools/ab_layers.py: parent {sha[:7]} against the change, "
-                  "both packages in one process per load order, "
-                  f"{args.rounds} rounds alternating which side runs first, "
-                  "median microseconds per call, warm, bigint engine at w=64 "
-                  "(cases in the tool's docstring)",
-        "host": {"python": platform.python_version(),
-                 "nproc": os.cpu_count()},
-        "bytecode": "both trees without __pycache__; "
-                    f"sys.dont_write_bytecode={sys.dont_write_bytecode}",
-        **table}
+    out[key] = {"host": {"python": platform.python_version(),
+                         "nproc": os.cpu_count()}, **body}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
