@@ -16,15 +16,17 @@ Counting rules (the whole artifact depends on these):
     the record (counter increments, word law included, trace tuple), a
     fixed power pow its chain's steps, and one line of a straight-line
     bigint function; a named constant of the field (CONSTANTS, such as
-    Jubjub's d) is a name the function binds. The lines leave values
-    unreduced: the walk bounds each value by a multiple of the modulus and
-    adds a reduction line, no step, only where a product, a called op or an
-    output needs one, so outputs are canonical and equal the body's. One
-    store per field spec (RawOps.store) keeps the walks. Each RawOps takes
-    the record at its own first counted use of the op; until then the body
-    runs as a call tree. Bigint then installs its copy of the function,
-    compiled once; words compiles nothing and runs the body, its record less
-    the word law, which the cios.py loops charge;
+    Jubjub's d) is a name the function binds. Every registered op the body
+    calls is walked inline, so each function is its op's whole Fp program
+    and calls no other kernel. The lines leave values unreduced: the walk
+    bounds each value by a multiple of the modulus and adds a reduction
+    line, no step, only where a product or an output needs one, so outputs
+    are canonical and equal the body's. One store per field spec
+    (RawOps.store) keeps the walks. Each RawOps takes the record at its own
+    first counted use of the op; until then the body runs as a call tree.
+    Bigint then installs its copy of the function, compiled once; words
+    compiles nothing and runs the body, its record less the word law, which
+    the cios.py loops charge;
   * every element and point is one _Value: the RawOps of its engine and
     field, and its raw value. It runs an op by one path, a _method: the
     operand types are checked, the operands share one RawOps, and an
@@ -88,8 +90,8 @@ X1 = _Symbol()     # placeholder shape of one raw Fp value
 # branch-free Montgomery form without its final correction: add a + b, sub
 # a - b plus the multiple {kn} of n that bounds b, neg that multiple of a's
 # bound minus a, mul the REDC without its final subtraction. _Walker tracks
-# a bound for each value and emits a _REDUCE line only where a product, a
-# nested call or an output needs one. The bigint primitives are these lines,
+# a bound for each value and emits a _REDUCE line only where a product or
+# an output needs one. The bigint primitives are these lines,
 # each followed by the conditional subtraction, so every primitive's value
 # is in [0, n). Words compiles nothing: its kernels run their bodies.
 _TEMPLATES = {
@@ -108,9 +110,9 @@ _BIND = (   # what a compiled function reads from its RawOps
 
 def _factory(op, params, lines, out, binds=()):
     """Compile make(o), which binds o's constants and primitives and each
-    (name, expression) of binds (called ops, named constants, multiples of
-    the modulus), and returns the straight-line bigint function op(params)
-    of lines."""
+    (name, expression) of binds (named constants, multiples of the
+    modulus), and returns the straight-line bigint function op(params) of
+    lines."""
     bind = "".join(f"    {name} = {value}\n" for name, value in sorted(binds))
     body = "".join(f"        {line}\n" for line in lines)
     src = (f"def make(o):\n    {_BIND}\n{bind}    def {op}({params}):"
@@ -129,11 +131,6 @@ def _chain(exp: int, f: str) -> tuple:
                  for k in ("sm" if bit == "1" else "s"))
 
 
-def _size(shape) -> int:
-    """The number of raw Fp values in a placeholder shape."""
-    return 1 if shape is X1 else sum(map(_size, shape))
-
-
 def _expr(v) -> str:
     """The source text of a placeholder or a nested tuple of them."""
     if isinstance(v, _Symbol):
@@ -143,32 +140,32 @@ def _expr(v) -> str:
 
 class _Walker:
     """Runs an op's kernel once on named placeholders (a body that branches
-    on a value fails), inlining the registered ops it calls up to Fp2 size.
-    A wider one (Fp6, Fp12) is a call to its own function, charged by its
-    own walk's record: inlining it too ran a verify 1-3% faster but doubled
-    the compile time, which the first counted pairing pays.
+    on a value fails), inlining every registered op it calls, whatever its
+    size: each bigint function is its op's whole straight-line Fp program
+    and calls no other kernel.
 
     .record is the op's (counter increments, trace tuple): each Fp primitive
     step counts once, in the _in2 bucket iff the innermost enclosing op has
     a marker, and charges the spec's word law; a marker op appends its
-    marker when entered; a called op adds its record; a named constant it
-    reads is a placeholder of that name. .code is (params, lines, result,
-    the names make(o) binds) of the op's straight-line bigint function, one
-    _TEMPLATES line per step; .calls holds the called ops and constants.
+    marker when entered; a named constant it reads is a placeholder of that
+    name. .code is (params, lines, result, binds) of the op's straight-line
+    bigint function, one _TEMPLATES line per step; binds holds the (name,
+    expression) pairs make(o) binds: the named constants and the multiples
+    of the modulus that sub and neg lines read.
 
     Each value has a bound k (see _Symbol): 1 for an operand, a constant and
-    the result of inv, pow or a called op; ka + kb for add and sub; ka + 1
-    for neg (-0 is ka*n itself); 2 for mul, whose REDC lands below 2n when
-    a*b < R*n, so when ka*kb <= limit = floor(R/n) (9 for Fp, 2 for Fq). A
-    spec whose n' is not -1/n mod R (inject_fault()) has limit 1: there REDC
-    is no reduction mod n, so each product keeps canonical operands and the
+    the result of inv or pow; ka + kb for add and sub; ka + 1 for neg (-0 is
+    ka*n itself); 2 for mul, whose REDC lands below 2n when a*b < R*n, so
+    when ka*kb <= limit = floor(R/n) (9 for Fp, 2 for Fq). A spec whose n'
+    is not -1/n mod R (inject_fault()) has limit 1: there REDC is no
+    reduction mod n, so each product keeps canonical operands and the
     function still computes what the body does. A _REDUCE line takes a value
     in place to bound 1: the larger operand of a product over the limit
-    (then the other), each argument of a called op and each output, so
-    outputs stay canonical and bigint equals words bit for bit."""
+    (then the other) and each output, so outputs stay canonical and bigint
+    equals words bit for bit."""
 
     def __init__(self, spec, op):
-        self.spec, self.calls, self.multiples = spec, set(), set()
+        self.spec, self.binds = spec, set()
         self.f = f = "1" if spec.name == "fp" else "q"
         mul = (spec.words_per_mul, spec.word_adds_per_mul)
         sub = (0, spec.word_adds_per_modsub)
@@ -193,9 +190,7 @@ class _Walker:
         self.record = (tuple((k, n) for k, n in self.incs.items() if n),
                        tuple(self.trace))
         params = ", ".join(f"a{i}" for i in range(len(args)))
-        binds = [(c, f"o.{c}") for c in self.calls]
-        binds += [(f"n{k}", f"{k} * n") for k in self.multiples]
-        self.code = (params, self.lines, _expr(out), binds)
+        self.code = (params, self.lines, _expr(out), self.binds)
 
     def _bind(self, shape):
         if shape is X1:
@@ -213,16 +208,7 @@ class _Walker:
             v.k = 1
 
     def _enter(self, op, args):
-        fn, marker, _, shape = KERNELS[op]
-        if self.nested and _size(shape) > 2:
-            incs, steps = _walk(self.spec, op)[0]
-            self.calls.add(op)
-            self.incs.update(dict(incs))
-            self.trace += steps
-            self._reduce(args)
-            out = self._bind(shape)
-            self.lines.append(f"{_expr(out)} = {op}{_expr(args)}")
-            return out
+        fn, marker = KERNELS[op][:2]
         if marker:
             self.incs[marker] += 1
             self.trace.append(marker)
@@ -235,7 +221,7 @@ class _Walker:
         """A registered op called from the body is walked inline; a named
         constant of the field is a placeholder that make(o) binds."""
         if (self.spec.name, name) in CONSTANTS:
-            self.calls.add(name)
+            self.binds.add((name, f"o.{name}"))
             return _Symbol(name)
         if name not in KERNELS:
             raise AttributeError(name)
@@ -245,7 +231,7 @@ class _Walker:
         """The name of k*n in the function: n, or nk, which make(o) binds."""
         if k == 1:
             return "n"
-        self.multiples.add(k)
+        self.binds.add((f"n{k}", f"{k} * n"))
         return f"n{k}"
 
     def _step(self, kind, prim, a, b=None):
@@ -289,13 +275,13 @@ _STORES = WeakKeyDictionary()  # field spec -> its store (see RawOps)
 
 
 def _walk(spec, op) -> list:
-    """op's walk over spec, run once per store: [record, calls, code, make],
+    """op's walk over spec, run once per store: [record, code, make],
     make compiled at op's first bigint use. Plain data: a _Walker holds
     spec, which its store must not keep alive."""
     store = _STORES.setdefault(spec, {})
     if op not in store:
         w = _Walker(spec, op)
-        store[op] = [w.record, w.calls, w.code, None]
+        store[op] = [w.record, w.code, None]
     return store[op]
 
 
@@ -311,28 +297,27 @@ class _Records(dict):
 
     def __missing__(self, op):
         o = self.ops
-        record, calls, code, make = walk = _walk(o.spec, op)
+        record, code, make = walk = _walk(o.spec, op)
         if o.engine.backend == "words":
             record = tuple(i for i in record[0] if i[0] not in (
                 "word_mul", "word_add")), record[1]
         elif op not in _PRIMITIVES:              # one function already
-            make = walk[3] = make or _factory(op, *code)
-            for called in calls & KERNELS.keys():   # make(o) binds them
-                self[called]
+            make = walk[2] = make or _factory(op, *code)
             setattr(o, op, make(o))
         self[op] = record
         return record
 
 
-KERNELS = {}       # op -> (fn, marker, placeholder operands, placeholder result)
+KERNELS = {}  # op -> (fn, marker, placeholder operands, placeholder result);
+#              tests read the result's shape to convert words values
 CONSTANTS = {}     # (field, name) -> int, held raw as o.name by RawOps made later
 
 
 def kernel(name: str, *args, out, marker=None):
     """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
-    kernel that is not an Fp primitive becomes a method of RawOps. A walk or
-    compiled function may inline or call any registered op, so registering
-    one drops every store: engines made afterwards walk the new body."""
+    kernel that is not an Fp primitive becomes a method of RawOps. A walk
+    inlines every registered op its body calls, so registering one drops
+    every store: engines made afterwards walk the new body."""
     def register(fn):
         _STORES.clear()
         KERNELS[name] = (fn, marker, args, out)

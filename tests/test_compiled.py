@@ -8,9 +8,9 @@ registered kernel to three things, on bigint, on words and on engines whose
 Montgomery constant was corrupted by inject_fault(): the function an engine
 runs computes what the body computes on a RawOps (and bigint what the words
 loops compute), an uncounted call charges nothing, and the emitted steps,
-counted by kind from the source text alone (a called op's from its own
-text), add up to the record's Fp-level totals. The bigint source text is
-pinned by its digest.
+counted by kind from the source text alone, add up to the record's Fp-level
+totals. Every called op is inlined: no function calls another kernel. The
+bigint source text is pinned by its digest.
 """
 
 import hashlib
@@ -72,8 +72,8 @@ def _totals(record, f):
 
 def _emitted(o, op):
     """Steps counted from the op's emitted lines by the template each
-    matches, a called op's steps from its own lines, and a fixed power's
-    chain from its exponent; a bigint reduction line is no step."""
+    matches, and a fixed power's chain from its exponent; a bigint reduction
+    line is no step, and no line calls another kernel."""
     def template(t):
         return re.compile(re.sub(r"\\\{\w+\\\}", r"\\w+", re.escape(t)))
     pattern = {prim: template(t) for prim, t in _TEMPLATES.items()}
@@ -89,10 +89,8 @@ def _emitted(o, op):
         elif hits:
             assert len(hits) == 1, line
             counts[KIND[hits[0]]] += 1
-        elif call.fullmatch(line):
-            for kind, n in _emitted(o, call.fullmatch(line)[1]).items():
-                counts[kind] += n
         else:
+            assert not call.fullmatch(line), line
             assert unpack.fullmatch(line) or any(
                 rx.fullmatch(line) for rx in reduce), line
     return counts
@@ -283,7 +281,7 @@ def test_words_reads_the_bigint_walks(monkeypatch):
 
 
 BIGINT_SOURCE_SHA256 = (
-    "c5da4711a7f3912001347a1817ebe49aa19be999166c3b8ef3cdb7570daed788")
+    "11f3dbeccb74045700752bb9ed0a2c4f73f4e03ff63f8f393c2d51abf3108072")
 # The kernels that call an Fp6 or Fp12 op. The digest over every other
 # kernel is pinned on its own: it does not depend on how a walk treats a
 # called op wider than Fp2.
@@ -320,13 +318,35 @@ def test_bigint_kernels_compile_pinned_source(monkeypatch):
                                  ) == BIGINT_SOURCE_SHA256_NO_WIDE_CALLS
 
 
+@pytest.mark.parametrize("field", ["fp", "fq"])
+def test_compiled_functions_call_no_other_kernel(monkeypatch, field):
+    """Every kernel is one self-contained function: walked on a fresh store
+    over the Fp or the Fq spec, the make(o) of each op binds the name of no
+    registered op but the Fp primitive inv, and its function reads none from
+    its globals. A Jubjub kernel reads the Fq constant d, so it walks over
+    Fq only."""
+    monkeypatch.setattr(fields, "_STORES", {})
+    e = Engine()
+    o = e._ops[e.fp_spec if field == "fp" else e.fq_spec]
+    ops = KERNELS.keys() - _PRIMITIVES
+    for op in ops:
+        if op.startswith("jubjub") and field == "fp":
+            continue
+        o.records[op]
+        code = vars(o)[op].__code__
+        assert not set(code.co_freevars + code.co_names) & ops, op
+
+
 def test_named_constants_are_bound_by_name_and_field():
     """A kernel reads a named constant of its field as o.name: the walk binds
-    it in make(o) as it binds a called op, the RawOps supplies the raw value,
-    and another name, or a constant of the other field, is AttributeError."""
+    it in make(o) by name, as it binds the multiples of the modulus, the
+    RawOps supplies the raw value, and another name, or a constant of the
+    other field, is AttributeError."""
     e = Engine()
     fp, fq = e._ops[e.fp_spec], e._ops[e.fq_spec]
-    assert _Walker(fq.spec, "jubjub_add").calls == {"jubjub_d"}
+    assert {(name, value) for name, value in _Walker(fq.spec, "jubjub_add"
+                                                     ).code[3]
+            if value.startswith("o.")} == {("jubjub_d", "o.jubjub_d")}
     assert fq.jubjub_d == e.jubjub.d.val
     for o, name in ((fq, "nonesuch"), (fp, "jubjub_d")):
         with pytest.raises(AttributeError):
