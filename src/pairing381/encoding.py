@@ -8,8 +8,8 @@ flag bits in the most significant byte: 0x80 compression, 0x40 infinity,
 0x20 sign (set when y, as a tuple of wire-order limbs, is lexicographically
 larger than -y). Deserialization validates field-element range, flag
 consistency, curve membership and subgroup membership, raising a distinct
-error for each failure kind; all of that work is uncounted boundary
-validation.
+error for each failure kind; serialization refuses a point off its curve.
+All of that work is uncounted boundary validation.
 """
 
 from typing import Callable, NamedTuple
@@ -64,6 +64,8 @@ def _int_be(b: bytes) -> int:
 
 
 def _point_to_bytes(point, group: _Group, compressed: bool) -> bytes:
+    if not point.on_curve():           # uncounted; z = 0 alone is no identity
+        raise ValueError("point not on curve")
     size = (48 if compressed else 96) * group.limbs
     with point.engine.uncounted():
         if point.is_identity():

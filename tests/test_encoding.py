@@ -113,6 +113,25 @@ def test_identity_encodings(engine):
     assert g2_from_bytes(engine, g2_to_bytes(ident2)).is_identity()
 
 
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_off_curve_points_do_not_encode(engine, group):
+    """Encoding checks the curve first, uncounted: (5 : 7 : 0) and
+    (0 : 0 : 0), whose z = 0 does not make them the identity, and the affine
+    (5 : 7 : 1) raise in either form, and the counter does not move."""
+    if group == "g1":
+        cls, coord, enc = G1Point, engine.fp, g1_to_bytes
+    else:
+        cls, enc = type(engine.curve.g2_gen), g2_to_bytes
+        coord = lambda v: Fp2El.of(engine, v, 0)  # noqa: E731
+    before = engine.counter.snapshot()
+    for x, y, z in ((5, 7, 0), (0, 0, 0), (5, 7, 1)):
+        bad = cls(coord(x), coord(y), coord(z))
+        for compressed in (True, False):
+            with pytest.raises(ValueError, match="point not on curve"):
+                enc(bad, compressed)
+    assert engine.counter == before
+
+
 def test_sign_bit_distinguishes_negation(engine):
     g = engine.curve.g1_gen
     a = g1_to_bytes(g)
