@@ -142,7 +142,13 @@ class _Walker:
     """Runs an op's kernel once on named placeholders (a body that branches
     on a value fails), inlining every registered op it calls, whatever its
     size: each bigint function is its op's whole straight-line Fp program
-    and calls no other kernel.
+    and calls no other kernel. Measured against calling each Fp6 and Fp12
+    op as a function of its own (BENCH_27.json, Python 3.11 on a 2-core
+    VM), a warm verify from bytes ran at 0.95 of it and a pairing at
+    0.91-0.96, while the cold work grew: every kernel on one fresh store
+    walked in 16.6 ms against 10.0 and spent 35.5 ms in compile() against
+    22.0, over 4,095 source lines against 2,148, and a first verify from
+    bytes in a fresh process took 81 ms against 72.
 
     .record is the op's (counter increments, trace tuple): each Fp primitive
     step counts once, in the _in2 bucket iff the innermost enclosing op has
