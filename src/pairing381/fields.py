@@ -314,8 +314,7 @@ class _Records(dict):
         return record
 
 
-KERNELS = {}  # op -> (fn, marker, placeholder operands, placeholder result);
-#              tests read the result's shape to convert words values
+KERNELS = {}  # op -> (fn, marker, operand shapes, result shape for the tests)
 CONSTANTS = {}     # (field, name) -> int, held raw as o.name by RawOps made later
 
 
