@@ -73,6 +73,19 @@ def test_final_exp_and_frobenius_reject_a_non_fp12_before_any_tally(engine):
     assert engine.counter == before
 
 
+@pytest.mark.parametrize("backend", ["bigint", "words"])
+def test_final_exp_of_zero_raises_before_any_tally(backend):
+    """The easy part inverts its input, so final_exp of the zero Fp12El
+    raises ZeroDivisionError and charges and traces nothing."""
+    e = Engine(backend=backend)
+    zero = Fp12El(Fp6El.zero(e), Fp6El.zero(e))
+    before, sink = e.counter.snapshot(), []
+    with e.tracing(sink), pytest.raises(ZeroDivisionError,
+                                        match="inversion of zero in Fp12El"):
+        final_exp(zero)
+    assert e.counter == before and sink == []
+
+
 def test_inputs_of_the_wrong_class_rejected_before_any_tally(engine):
     g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
     before = engine.counter.snapshot()
