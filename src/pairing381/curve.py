@@ -20,9 +20,10 @@ xi-multiplication; the resulting A2 total per ECSM differs from the G1-shaped
 A1 total, which is expected (the two strategies do not mirror each other).
 
 Each formula is one raw kernel body, registered as g1_* over the Fp
-primitives and as g2_* over the Fp2 ops; the mul-by-12 steps are the g1_mb3
-and g2_mb3 kernels. A point op is one tally of the records of its steps, in
-call order, so its counts and trace are those of the per-op formulas. A
+primitives and as g2_* over the Fp2 ops; the mul-by-12 steps are the plain
+helpers _g1_mb3 and _g2_mb3, which the bodies call and which are no ops of
+their own. A point op is one tally of the records of its steps, in call
+order, so its counts and trace are those of the per-op formulas. A
 point is a fields._Value whose parts are its coordinates x, y, z. The loops
 (ladder, multi_exp, plain_mul) read their operands' RawOps and raw values
 once, apply each step by kernel name to raw values, select by bit logic on
@@ -32,7 +33,8 @@ those (_select, uncounted) and wrap only the result.
 from operator import attrgetter
 
 from . import params
-from .fields import X1, Engine, FieldElement, _expect, _method, _Value, kernel
+from .fields import (X1, Engine, FieldElement, _expect, _is_zero, _method,
+                     _Value, kernel)
 from .tower import X2, Fp2El
 
 
@@ -89,7 +91,6 @@ def _select(m, a, b):
     return (a & m) | (b & ~m)
 
 
-@kernel("g1_mb3", X1, out=X1)
 def _g1_mb3(o, v):
     # 12*v as eleven successive additions
     acc = v
@@ -98,7 +99,6 @@ def _g1_mb3(o, v):
     return acc
 
 
-@kernel("g2_mb3", X2, out=X2)
 def _g2_mb3(o, v):
     # 12(1+alpha)*v: doubling chain 2,4,8,12 then one xi-multiplication
     add = o.add2
@@ -107,23 +107,24 @@ def _g2_mb3(o, v):
     return o.xi2(add(add(t, t), t))
 
 
-def _formulas(group, coord, *names):
+def _formulas(group, coord, mb3, *names):
     """Register the complete formulas as the kernels group_double,
-    group_add_mixed and group_add; each body picks its mul, sqr, add, sub
-    and mul-by-3b ops from the primitive set by the given names."""
+    group_add_mixed and group_add; each body picks its mul, sqr, add and
+    sub ops from the primitive set by the given names and multiplies by 3b
+    with the helper mb3(o, v)."""
     ops = attrgetter(*names)
     pt = (coord,) * 3
 
-    @kernel(group + "_double", pt, out=pt)
+    @kernel(group + "_double", pt)
     def double(o, p):
-        mul, sqr, add, sub, mb3 = ops(o)
+        mul, sqr, add, sub = ops(o)
         X, Y, Z = p
         t0 = sqr(Y)
         z3 = add(t0, t0)
         z3 = add(z3, z3)
         z3 = add(z3, z3)
         t1 = mul(Y, Z)
-        t2 = mb3(sqr(Z))
+        t2 = mb3(o, sqr(Z))
         x3 = mul(t2, z3)
         y3 = add(t0, t2)
         z3 = mul(t1, z3)
@@ -134,10 +135,10 @@ def _formulas(group, coord, *names):
         x3 = mul(t0, mul(X, Y))
         return add(x3, x3), y3, z3
 
-    @kernel(group + "_add_mixed", pt, pt, out=pt)
+    @kernel(group + "_add_mixed", pt, pt)
     def add_mixed(o, p, q):
         """Complete mixed addition; q must have z = 1."""
-        mul, _, add, sub, _ = ops(o)
+        mul, _, add, sub = ops(o)
         (X1, Y1, Z1), (X2, Y2, _) = p, q
         t0 = mul(X1, X2)
         t1 = mul(Y1, Y2)
@@ -149,10 +150,10 @@ def _formulas(group, coord, *names):
         y3 = add(mul(X2, Z1), X1)
         return finish(o, t0, t1, Z1, t3, t4, y3)
 
-    @kernel(group + "_add", pt, pt, out=pt)
+    @kernel(group + "_add", pt, pt)
     def add_full(o, p, q):
         """Complete projective addition, any inputs."""
-        mul, _, add, sub, _ = ops(o)
+        mul, _, add, sub = ops(o)
         (X1, Y1, Z1), (X2, Y2, Z2) = p, q
         t0 = mul(X1, X2)
         t1 = mul(Y1, Y2)
@@ -171,13 +172,13 @@ def _formulas(group, coord, *names):
 
     def finish(o, t0, t1, t2, t3, t4, y3):
         # the common end of both additions, from 3*t0, 3b*t2 and 3b*y3 on
-        mul, _, add, sub, mb3 = ops(o)
+        mul, _, add, sub = ops(o)
         x3 = add(t0, t0)
         t0 = add(x3, t0)
-        t2 = mb3(t2)
+        t2 = mb3(o, t2)
         z3 = add(t1, t2)
         t1 = sub(t1, t2)
-        y3 = mb3(y3)
+        y3 = mb3(o, y3)
         x3 = mul(t4, y3)
         x3 = sub(mul(t3, t1), x3)
         y3 = mul(y3, t0)
@@ -187,8 +188,8 @@ def _formulas(group, coord, *names):
         return x3, y3, z3
 
 
-_formulas("g1", X1, "mul", "sqr", "add", "sub", "g1_mb3")
-_formulas("g2", X2, "mul2", "sqr2", "add2", "sub2", "g2_mb3")
+_formulas("g1", X1, _g1_mb3, "mul", "sqr", "add", "sub")
+_formulas("g2", X2, _g2_mb3, "mul2", "sqr2", "add2", "sub2")
 
 
 class _CurvePoint(ProjectivePoint):
@@ -198,7 +199,8 @@ class _CurvePoint(ProjectivePoint):
     __slots__ = ()
 
     def is_identity(self) -> bool:
-        return self.z.is_zero()
+        x, y, z = self.val          # (0 : y : 0), y != 0, as on_curve reads
+        return _is_zero(z) and _is_zero(x) and not _is_zero(y)
 
     def __neg__(self):
         return type(self)(self.x, -self.y, self.z)

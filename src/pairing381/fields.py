@@ -314,18 +314,19 @@ class _Records(dict):
         return record
 
 
-KERNELS = {}  # op -> (fn, marker, operand shapes, result shape for the tests)
+KERNELS = {}  # op -> (fn, marker, operand shapes): the ops a caller tallies
 CONSTANTS = {}     # (field, name) -> int, held raw as o.name by RawOps made later
 
 
-def kernel(name: str, *args, out, marker=None):
+def kernel(name: str, *shapes, marker=None):
     """Register fn(o, *raw) as the raw kernel of the counted op `name`; a
     kernel that is not an Fp primitive becomes a method of RawOps. A walk
     inlines every registered op its body calls, so registering one drops
-    every store: engines made afterwards walk the new body."""
+    every store: engines made afterwards walk the new body. A plain helper
+    fn(o, ...) that a body calls is no op: the ops it calls are the body's."""
     def register(fn):
         _STORES.clear()
-        KERNELS[name] = (fn, marker, args, out)
+        KERNELS[name] = (fn, marker, shapes)
         if name not in _PRIMITIVES:
             setattr(RawOps, name, fn)
         return fn
@@ -335,7 +336,7 @@ def kernel(name: str, *args, out, marker=None):
 _PRIMITIVES = {"add": 2, "sub": 2, "neg": 1, "mul": 2, "sqr": 1, "inv": 1}
 _BIG = {}     # the bigint primitives, built from the lines the kernels inline
 for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
-    kernel(_op, *(X1,) * _n, out=X1)(
+    kernel(_op, *(X1,) * _n)(
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
     if _op != "inv":
         _line = _TEMPLATES["mul" if _op == "sqr" else _op].format(

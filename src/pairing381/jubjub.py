@@ -24,7 +24,7 @@ _PT = (X1, X1, X1)           # placeholder shape of a raw point
 CONSTANTS["fq", "jubjub_d"] = JUBJUB_D
 
 
-@kernel("jubjub_double", _PT, out=_PT)
+@kernel("jubjub_double", _PT)
 def _double(o, p):
     mul, sqr, add, sub = o.mul, o.sqr, o.add, o.sub
     X, Y, Z = p
@@ -38,7 +38,7 @@ def _double(o, p):
     return mul(sub(sub(b, c), d), j), mul(f, sub(e, d)), mul(f, j)
 
 
-@kernel("jubjub_add", _PT, _PT, out=_PT)
+@kernel("jubjub_add", _PT, _PT)
 def _add(o, p, q):
     """Unified projective addition, complete for this curve."""
     mul, add, sub, d = o.mul, o.add, o.sub, o.jubjub_d

@@ -31,15 +31,13 @@ from functools import partial
 from typing import NamedTuple
 
 from . import params
-from .curve import (G1Point, G2Point, _entry_check, g1_subgroup_check,
-                    g2_subgroup_check)
-from .fields import X1, _expect, _method, kernel, pow_public, pow_raw
-from .tower import X2, X12, Fp12El
-
-_STEP_OUT = (X2, X2, X2, (X2, X2, X2))    # new T and the line (z0, z3, z5)
+from .curve import (G1Point, G2Point, _entry_check, _g2_mb3,
+                    g1_subgroup_check, g2_subgroup_check)
+from .fields import X1, _expect, kernel, pow_public, pow_raw
+from .tower import X2, X12, Fp12El, _fp6_nonres
 
 
-@kernel("dbl_step", X2, X2, X2, X1, X1, out=_STEP_OUT)
+@kernel("dbl_step", X2, X2, X2, X1, X1)
 def _dbl_step(o, X, Y, Z, xp, yp):
     """Double T = (X:Y:Z) on the twist and evaluate the tangent at (xp, yp).
 
@@ -50,7 +48,7 @@ def _dbl_step(o, X, Y, Z, xp, yp):
     C = sqr(Z)
     J = sqr(X)
     A2 = sub(sub(sqr(add(X, Y)), J), B)    # 2XY
-    E = o.g2_mb3(C)                        # 3 b' Z^2 = 12 xi Z^2
+    E = _g2_mb3(o, C)                      # 3 b' Z^2 = 12 xi Z^2
     F = add(add(E, E), E)
     X3 = mul(A2, sub(B, F))
     E2 = sqr(E)
@@ -69,7 +67,7 @@ def _dbl_step(o, X, Y, Z, xp, yp):
     return X3, Y3, Z3, (l0, l3, l5)
 
 
-@kernel("add_step", X2, X2, X2, X2, X2, X1, X1, out=_STEP_OUT)
+@kernel("add_step", X2, X2, X2, X2, X2, X1, X1)
 def _add_step(o, X, Y, Z, xq, yq, xp, yp):
     """Mixed-add the affine twist point (xq, yq) into T and evaluate the chord."""
     mul, sqr, add, sub = o.mul2, o.sqr2, o.add2, o.sub2
@@ -90,14 +88,14 @@ def _add_step(o, X, Y, Z, xq, yq, xp, yp):
     return X3, Y3, Z3, (l0, l3, l5)
 
 
-@kernel("prep_step", (X2, X2, X2), X1, X1, out=(X2, X2, X2))
+@kernel("prep_step", (X2, X2, X2), X1, X1)
 def _prep_step(o, line, xp, yp):
     """A stored line (A, B, C) of a fixed G2 argument at (xp, yp)."""
     a, b, c = line
     return o.mul_fp(a, yp), b, o.mul_fp(c, xp)
 
 
-@kernel("sparse_mul", X12, (X2, X2, X2), out=X12)
+@kernel("sparse_mul", X12, (X2, X2, X2))
 def _sparse_mul(o, f, line):
     """f times a line with slots (z0, z3, z5) only: 3 + 5 + 6 = 14 Fp2 muls."""
     mul, add, sub, xi = o.mul2, o.add2, o.sub2, o.xi2
@@ -112,17 +110,8 @@ def _sparse_mul(o, f, line):
           add(mul(c0, b1), xi(p22)),
           add(mul(c0, b2), p11))
     mid = o.fp6_mul(o.fp6_add(f0, f1), line)
-    return (o.fp6_add(fa, o.fp6_nonres(fb)),
+    return (o.fp6_add(fa, _fp6_nonres(o, fb)),
             o.fp6_sub(o.fp6_sub(mid, fa), fb))
-
-
-@kernel("unitary", X12, out=X12)
-def _unitary(o, f):
-    """f^(p^6 - 1) = conj(f) / f, the first step of the easy part."""
-    return o.fp12_mul(o.fp12_conj(f), o.fp12_inv(f))
-
-
-_unitary_of = _method("unitary", inverse=True)   # zero raises, uncharged
 
 
 class Prepared(NamedTuple):
@@ -234,11 +223,12 @@ def final_exp(f: Fp12El) -> Fp12El:
     easy part are conjugations.
     """
     _expect(f, Fp12El)
-    t0 = _unitary_of(f)
-    o = t0.o
-    run, k = o.apply, t0.engine.tower.frob       # k[power]: Frobenius constants
+    if f.is_zero():                              # uncharged, as an inverse's
+        raise ZeroDivisionError("inversion of zero in Fp12El")
+    o, v = f.o, f.val
+    run, k = o.apply, f.engine.tower.frob    # k[power]: Frobenius constants
     exp_u = partial(_exp_u, o)
-    t0 = t0.val
+    t0 = run("fp12_mul", run("fp12_conj", v), run("fp12_inv", v))  # conj/f
     m = run("fp12_mul", t0, run("frob2", t0, k[2]))
     t1 = run("fp12_conj", run("fp12_mul", exp_u(m), m))      # m^(u-1)
     t2 = run("fp12_conj", run("fp12_mul", exp_u(t1), t1))    # ^(u-1)^2

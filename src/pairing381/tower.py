@@ -32,20 +32,20 @@ X6 = (X2, X2, X2)
 X12 = (X6, X6)
 
 
-kernel("add2", X2, X2, out=X2, marker="a2")(
+kernel("add2", X2, X2, marker="a2")(
     lambda o, a, b: (o.add(a[0], b[0]), o.add(a[1], b[1])))
-kernel("sub2", X2, X2, out=X2, marker="a2")(
+kernel("sub2", X2, X2, marker="a2")(
     lambda o, a, b: (o.sub(a[0], b[0]), o.sub(a[1], b[1])))
-kernel("neg2", X2, out=X2, marker="a2")(lambda o, a: (o.neg(a[0]), o.neg(a[1])))
-kernel("conj2", X2, out=X2, marker="a2")(lambda o, a: (a[0], o.neg(a[1])))
+kernel("neg2", X2, marker="a2")(lambda o, a: (o.neg(a[0]), o.neg(a[1])))
+kernel("conj2", X2, marker="a2")(lambda o, a: (a[0], o.neg(a[1])))
 # (1 + alpha)(a0 + a1 alpha) = (a0 - a1) + (a0 + a1) alpha
-kernel("xi2", X2, out=X2, marker="a2")(
+kernel("xi2", X2, marker="a2")(
     lambda o, a: (o.sub(a[0], a[1]), o.add(a[0], a[1])))
 # an Fp2 value times an Fp scalar: two direct Fp muls, no marker
-kernel("mul_fp", X2, X1, out=X2)(lambda o, a, k: (o.mul(a[0], k), o.mul(a[1], k)))
+kernel("mul_fp", X2, X1)(lambda o, a, k: (o.mul(a[0], k), o.mul(a[1], k)))
 
 
-@kernel("mul2", X2, X2, out=X2, marker="m2")
+@kernel("mul2", X2, X2, marker="m2")
 def _mul2(o, a, b):
     # Karatsuba: v0 = a0 b0, v1 = a1 b1, c1 = (a0 + a1)(b0 + b1) - v0 - v1
     mul, add, sub = o.mul, o.add, o.sub
@@ -58,7 +58,7 @@ def _mul2(o, a, b):
     return c0, sub(sub(mul(s, t), v0), v1)
 
 
-@kernel("sqr2", X2, out=X2, marker="s2")
+@kernel("sqr2", X2, marker="s2")
 def _sqr2(o, a):
     # complex method: (a0 + a1)(a0 - a1) + 2 a0 a1 alpha
     mul, add = o.mul, o.add
@@ -68,7 +68,7 @@ def _sqr2(o, a):
     return t, add(c1, c1)
 
 
-@kernel("inv2", X2, out=X2, marker="i2")
+@kernel("inv2", X2, marker="i2")
 def _inv2(o, a):
     # norm descent: 1/(a0 + a1 alpha) = (a0 - a1 alpha) / (a0^2 + a1^2)
     mul = o.mul
@@ -115,7 +115,7 @@ class Fp2El(_Value, part=FieldElement, names=("c0", "c1"), field="fp"):
 # (fields.RawOps.pow): x^((p+1)/4), a root of x if x is a square, and
 # x^((p-3)/4), whose product with x is that root.
 for _name, _exp in (("pow_sqrt", (P + 1) // 4), ("pow_p34", (P - 3) // 4)):
-    kernel(_name, X1, out=X1)(lambda o, a, _exp=_exp: o.pow(a, _exp))
+    kernel(_name, X1)(lambda o, a, _exp=_exp: o.pow(a, _exp))
 pow_sqrt, pow_p34 = _method("pow_sqrt"), _method("pow_p34")
 
 
@@ -152,17 +152,16 @@ for _name, _part, _shape, _arity in (
         ("fp6_add", "add2", X6, 2), ("fp6_sub", "sub2", X6, 2),
         ("fp6_neg", "neg2", X6, 1), ("fp12_add", "fp6_add", X12, 2),
         ("fp12_sub", "fp6_sub", X12, 2), ("fp12_neg", "fp6_neg", X12, 1)):
-    kernel(_name, *(_shape,) * _arity, out=_shape)(
+    kernel(_name, *(_shape,) * _arity)(
         lambda o, *a, _part=_part: tuple(map(getattr(o, _part), *a)))
 
 
-@kernel("fp6_nonres", X6, out=X6)
 def _fp6_nonres(o, a):
     # multiply by beta: (c0, c1, c2) -> (xi*c2, c0, c1)
     return o.xi2(a[2]), a[0], a[1]
 
 
-@kernel("fp6_mul", X6, X6, out=X6)
+@kernel("fp6_mul", X6, X6)
 def _fp6_mul(o, a, b):
     # Karatsuba over the cubic: 6 Fp2 muls
     mul, add, sub, xi = o.mul2, o.add2, o.sub2, o.xi2
@@ -176,7 +175,7 @@ def _fp6_mul(o, a, b):
     return add(v0, t0), add(t1, xi(v2)), add(t2, v1)
 
 
-@kernel("fp6_sqr", X6, out=X6)
+@kernel("fp6_sqr", X6)
 def _fp6_sqr(o, a):
     # 2 Fp2 muls + 3 Fp2 squarings
     mul, sqr, add, sub, xi = o.mul2, o.sqr2, o.add2, o.sub2, o.xi2
@@ -192,7 +191,7 @@ def _fp6_sqr(o, a):
             sub(sub(add(add(s1, s2), s3), s0), s4))
 
 
-@kernel("fp6_inv", X6, out=X6)
+@kernel("fp6_inv", X6)
 def _fp6_inv(o, a):
     # 9 Fp2 muls + 3 squarings + one Fp2 inversion
     mul, sqr, add, sub, xi = o.mul2, o.sqr2, o.add2, o.sub2, o.xi2
@@ -205,13 +204,13 @@ def _fp6_inv(o, a):
     return mul(t0, dinv), mul(t1, dinv), mul(t2, dinv)
 
 
-@kernel("fp12_conj", X12, out=X12)
+@kernel("fp12_conj", X12)
 def _fp12_conj(o, a):
     """f^(p^6): negation of the gamma half."""
     return a[0], o.fp6_neg(a[1])
 
 
-@kernel("fp12_mul", X12, X12, out=X12)
+@kernel("fp12_mul", X12, X12)
 def _fp12_mul(o, a, b):
     # Karatsuba over the quadratic: 3 Fp6 muls = 18 Fp2 muls
     mul, add, sub = o.fp6_mul, o.fp6_add, o.fp6_sub
@@ -219,27 +218,27 @@ def _fp12_mul(o, a, b):
     v0 = mul(a0, b0)
     v1 = mul(a1, b1)
     c1 = sub(sub(mul(add(a0, a1), add(b0, b1)), v0), v1)
-    return add(v0, o.fp6_nonres(v1)), c1
+    return add(v0, _fp6_nonres(o, v1)), c1
 
 
-@kernel("fp12_sqr", X12, out=X12)
+@kernel("fp12_sqr", X12)
 def _fp12_sqr(o, a):
     # complex method: 2 Fp6 muls = 12 Fp2 muls
-    mul, add, sub, nonres = o.fp6_mul, o.fp6_add, o.fp6_sub, o.fp6_nonres
+    mul, add, sub = o.fp6_mul, o.fp6_add, o.fp6_sub
     a0, a1 = a
     v = mul(a0, a1)
-    t = mul(add(a0, a1), add(a0, nonres(a1)))
-    return sub(sub(t, v), nonres(v)), add(v, v)
+    t = mul(add(a0, a1), add(a0, _fp6_nonres(o, a1)))
+    return sub(sub(t, v), _fp6_nonres(o, v)), add(v, v)
 
 
-@kernel("fp12_inv", X12, out=X12)
+@kernel("fp12_inv", X12)
 def _fp12_inv(o, a):
     a0, a1 = a
-    t = o.fp6_inv(o.fp6_sub(o.fp6_sqr(a0), o.fp6_nonres(o.fp6_sqr(a1))))
+    t = o.fp6_inv(o.fp6_sub(o.fp6_sqr(a0), _fp6_nonres(o, o.fp6_sqr(a1))))
     return o.fp6_mul(a0, t), o.fp6_neg(o.fp6_mul(a1, t))
 
 
-@kernel("fp12_cyclo_sqr", X12, out=X12)
+@kernel("fp12_cyclo_sqr", X12)
 def _fp12_cyclo_sqr(o, f):
     """Squaring valid only in the cyclotomic subgroup: 9 Fp2 squarings.
 
@@ -288,7 +287,7 @@ def _frobenius(power):
 
 
 for _power, _k in ((1, X2), (2, X1), (3, X2)):
-    kernel(f"frob{_power}", X12, (_k,) * 6, out=X12)(_frobenius(_power))
+    kernel(f"frob{_power}", X12, (_k,) * 6)(_frobenius(_power))
 
 
 class Fp6El(_Value, part=Fp2El, names=("c0", "c1", "c2"), field="fp"):

@@ -58,6 +58,12 @@ def _convert(v, shape, fn):
     return tuple(_convert(x, s, fn) for x, s in zip(v, shape))
 
 
+def _shape(v):
+    """The placeholder shape of a bigint raw value, each int one X1: a words
+    result takes the shape of the bigint one, which runs first."""
+    return X1 if type(v) is int else tuple(map(_shape, v))
+
+
 def _spec(e, op):
     return e.fq_spec if op.startswith("jubjub") else e.fp_spec
 
@@ -98,7 +104,7 @@ def _emitted(o, op):
 
 @pytest.mark.parametrize("op", sorted(KERNELS))
 def test_compiled_kernel_matches_body_and_record(engines, op):
-    fn, _, shapes, out = KERNELS[op]
+    fn, _, shapes = KERNELS[op]
     rng = random.Random(op)
     modulus = _spec(engines["bigint", False], op).modulus
     args = [_operand(rng, s, modulus) for s in shapes]
@@ -129,7 +135,7 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
         f = "1" if spec is e.fp_spec else "q"
         assert _emitted(o, op) == _totals(record, f)
         got[backend, faulted] = body if backend == "bigint" else _convert(
-            body, out, lambda v: from_limbs(v, spec))
+            body, _shape(got["bigint", False]), lambda v: from_limbs(v, spec))
 
     # the words loops are the reference for the bigint lines; a corrupted n'
     # changes every product (differently on the two backends)
@@ -153,7 +159,7 @@ def test_compiled_kernel_matches_body_at_edge_operands(engines, op):
     too large shows: 0 (whose negation is the modulus itself), 1 and
     modulus - 1, mixed slot by slot with random values. On every engine the
     compiled function equals the body, and bigint equals the words loops."""
-    fn, _, shapes, out = KERNELS[op]
+    fn, _, shapes = KERNELS[op]
     rng = random.Random("edge " + op)
     modulus = _spec(engines["bigint", False], op).modulus
     trials = [[_edge_operand(rng, s, modulus) for s in shapes]
@@ -173,7 +179,8 @@ def test_compiled_kernel_matches_body_at_edge_operands(engines, op):
                 body = fn(RawOps(e, spec), *raw)
                 assert getattr(o, op)(*raw) == body, (backend, faulted, args)
             got[backend, faulted] = body if backend == "bigint" else _convert(
-                body, out, lambda v: from_limbs(v, spec))
+                body, _shape(got["bigint", False]),
+                lambda v: from_limbs(v, spec))
         assert got["bigint", False] == got["words", False], args
 
 
@@ -188,9 +195,9 @@ def test_reregistered_kernel_runs_its_new_body(backend):
         return FieldElement._wrap(o, out).to_int(), e.counter.delta(before).a1
 
     try:
-        kernel("t1", X1, out=X1)(lambda o, a: o.neg(a))
+        kernel("t1", X1)(lambda o, a: o.neg(a))
         assert run() == (P - 5, 1)
-        kernel("t1", X1, out=X1)(lambda o, a: o.add(a, a))
+        kernel("t1", X1)(lambda o, a: o.add(a, a))
         assert run() == (10, 1)
     finally:
         del KERNELS["t1"]
@@ -281,20 +288,14 @@ def test_words_reads_the_bigint_walks(monkeypatch):
 
 
 BIGINT_SOURCE_SHA256 = (
-    "11f3dbeccb74045700752bb9ed0a2c4f73f4e03ff63f8f393c2d51abf3108072")
+    "3d0d666a3c80a773d73a752454b7b77d4d78cbd8f10c4e32b8c7314568cd3817")
 # The kernels that call an Fp6 or Fp12 op. The digest over every other
 # kernel is pinned on its own: it does not depend on how a walk treats a
 # called op wider than Fp2.
 CALLED_WIDE_OPS = {"fp12_add", "fp12_sub", "fp12_neg", "fp12_conj", "fp12_mul",
-                   "fp12_sqr", "fp12_inv", "sparse_mul", "unitary"}
+                   "fp12_sqr", "fp12_inv", "sparse_mul"}
 BIGINT_SOURCE_SHA256_NO_WIDE_CALLS = (
-    "2829effc6257920989271fc317d657c6fab2e582578c4ab4a9d87fcb22f6edf1")
-# The ops that no src/ path tallies in its own right: unitary is the
-# conjugate, the inverse and the product of final_exp's first step, and the
-# other three are only called from inside kernel bodies.
-UNTALLIED_OPS = {"unitary", "fp6_nonres", "g1_mb3", "g2_mb3"}
-BIGINT_SOURCE_SHA256_TALLIED = (
-    "3d0d666a3c80a773d73a752454b7b77d4d78cbd8f10c4e32b8c7314568cd3817")
+    "6c858a99800f5925d75fa85e5b69591a612faefc7ce8e93dbe80710826d802f5")
 
 
 def _bigint_source_digest(monkeypatch, ops) -> str:
@@ -322,14 +323,6 @@ def test_bigint_kernels_compile_pinned_source(monkeypatch):
     assert _bigint_source_digest(monkeypatch, KERNELS) == BIGINT_SOURCE_SHA256
     assert _bigint_source_digest(monkeypatch, KERNELS.keys() - CALLED_WIDE_OPS
                                  ) == BIGINT_SOURCE_SHA256_NO_WIDE_CALLS
-
-
-def test_tallied_kernels_compile_pinned_source(monkeypatch):
-    """The bigint text of every kernel but UNTALLIED_OPS is pinned: their
-    bodies may turn into plain helpers that the other bodies call, and
-    every other function then compiles from the same text."""
-    assert _bigint_source_digest(monkeypatch, KERNELS.keys() - UNTALLIED_OPS
-                                 ) == BIGINT_SOURCE_SHA256_TALLIED
 
 
 @pytest.mark.parametrize("field", ["fp", "fq"])

@@ -194,7 +194,7 @@ def test_records_are_built_lazily_from_branch_free_kernels():
     e.fp(2) * e.fp(3)
     assert list(e._ops[e.fp_spec].records) == ["mul"]
 
-    @kernel("branchy", X1, out=X1)
+    @kernel("branchy", X1)
     def _branchy(o, a):
         return o.neg(a) if a else a
     try:

@@ -105,14 +105,23 @@ COORDS = {G1Point: lambda e, v: e.fp(v), G2Point: lambda e, v: Fp2El.of(e, v, 0)
 def test_only_0_y_0_is_a_point_at_infinity(engine, cls):
     """z = 0 forces x = 0 on the projective curve y^2 z = x^3 + b z^3, and
     (0 : 0 : 0) is no point: (5 : 7 : 0) and (0 : 0 : 0) are off the
-    curve, and multi_exp, ecsm and pairing reject them before any tally,
-    while (0 : 7 : 0) is the identity."""
+    curve, no identity, equal to no identity and unhashable, as they have
+    no affine form, and multi_exp, ecsm and pairing reject them before any
+    tally, while (0 : 7 : 0) is the identity and hashes as it does."""
     c = partial(COORDS[cls], engine)
-    assert cls(c(0), c(7), c(0)).on_curve()
+    ident = cls(c(0), c(7), c(0))
+    assert ident.on_curve() and ident.is_identity()
+    assert ident == cls.identity(engine)
+    assert hash(ident) == hash(cls.identity(engine))
     g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
     g = g1 if cls is G1Point else g2
     for bad in (cls(c(5), c(7), c(0)), cls(c(0), c(0), c(0))):
-        assert not bad.on_curve()
+        assert not bad.on_curve() and not bad.is_identity()
+        assert bad != cls.identity(engine) and cls.identity(engine) != bad
+        with pytest.raises(ZeroDivisionError):
+            hash(bad)
+        with pytest.raises(ZeroDivisionError):
+            bad.to_affine()
         before = engine.counter.snapshot()
         for op in (lambda: multi_exp(1, g, 1, bad), lambda: ecsm(1, bad),
                    lambda: pairing(bad, g2) if cls is G1Point

@@ -29,7 +29,12 @@ bigint engine at w=64 (the default is all of them):
   * g1_decode, g2_decode and gt_decode of the signature, the key and a
     pairing value;
   * g1_on_curve and g2_on_curve: the signature's and the key's uncounted
-    curve-membership checks, 100 calls a round.
+    curve-membership checks, 100 calls a round;
+  * g1_subgroup_check and g2_subgroup_check: the signature's and the key's
+    subgroup checks, called directly and counted, 10 calls a round;
+  * ecsm_g1: the constant-time ladder on the G1 generator, seeded scalar;
+  * aggverify_5: aggregate_verify of 5 keys and distinct messages against
+    their aggregate signature, keys and signature decoded beforehand.
 The "layers" key of --out gets, per load order and case, each side's median
 over the rounds, and the ratio of the medians, change over parent, with the
 host and the bytecode state. Other keys already in the file are kept.
@@ -132,6 +137,20 @@ class Side:
             gtb=self.mod("encoding").gt_to_bytes(gt), live=live,
             f=pairing.multi_miller_loop(live))
 
+    @cached_property
+    def aggregate(self) -> tuple:
+        """aggregate_verify's arguments for 5 signers, each key and the
+        aggregate signature decoded from their bytes."""
+        lib, x = self.lib, self.inputs
+        msgs = [MSG + b" %d" % i for i in range(5)]
+        pks, sigs = [], []
+        for m in msgs:
+            sk, pk = lib.keygen(x.e, x.rng)
+            pks.append(lib.PublicKey.from_bytes(x.e, pk.to_bytes()))
+            sigs.append(lib.sign(x.e, sk, m))
+        agg = lib.aggregate(sigs).to_bytes()
+        return pks, msgs, lib.Signature.from_bytes(x.e, agg)
+
 
 def _kernel(side, op):
     """A counted RawOps.apply of op on seeded operands, or None."""
@@ -172,6 +191,15 @@ CASES = {   # name -> (calls per round, build(side) -> callable)
                                        s.inputs.e, s.inputs.gtb)),
     "g1_on_curve": (KERNEL_CALLS, lambda s: s.inputs.sig.on_curve),
     "g2_on_curve": (KERNEL_CALLS, lambda s: s.inputs.pk.on_curve),
+    "g1_subgroup_check": (10, lambda s: partial(
+        s.mod("curve").g1_subgroup_check, s.inputs.sig)),
+    "g2_subgroup_check": (10, lambda s: partial(
+        s.mod("curve").g2_subgroup_check, s.inputs.pk)),
+    "ecsm_g1": (1, lambda s: partial(
+        s.mod("curve").ecsm, random.Random("ecsm_g1").randrange(
+            1, s.mod("params").Q), s.inputs.e.curve.g1_gen)),
+    "aggverify_5": (1, lambda s: partial(s.lib.aggregate_verify,
+                                         *s.aggregate)),
 }
 
 
