@@ -1,14 +1,16 @@
 """Signatures over the pairing groups, aggregation, and the side-channel
 countermeasure wrappers with their cost envelopes."""
 
+import hashlib
+
 import pytest
 
 from pairing381.bench import ipe_encrypt_benchmark
 from pairing381 import Engine
-from pairing381.curve import G1Point, G2Point, ecsm
+from pairing381.curve import G1Point, G2Point, ecsm, g2_ecsm_split
 from pairing381.hashing import CsprngState
 from pairing381.pairing import pairing
-from pairing381.params import Q
+from pairing381.params import Q, U_SQ
 from pairing381.protocol import (
     CountermeasureConfig,
     PublicKey,
@@ -92,6 +94,28 @@ def test_keys_and_signature_of_two_engines_rejected_before_any_tally(engine,
         with pytest.raises(TypeError, match="different fields or engines"):
             op()
     assert engine.counter == before and other.counter == before2
+
+
+# Secret scalars whose split k = k1 + k2*u^2 has k1 = 0 or a small k2,
+# then two seeded keys; each signs its own message.
+EDGE_SCALARS = (1, 2, Q - 1, U_SQ - 1, U_SQ, U_SQ + 1, 5 * U_SQ)
+SIGNATURE_CONTRACT_SHA256 = (
+    "00cdfa1bdf7d19e88e85a42144642c7110dc9c5016ac5ab2e6af94b0a75d02a8")
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["bigint", "words"])
+def test_signature_and_key_encodings_are_pinned(backend, twin_engines):
+    """SHA-256 over the compressed public key and signature of each key,
+    in order; equal on both backends."""
+    e = twin_engines[backend]
+    keys = [SecretKey(k) for k in EDGE_SCALARS]
+    keys += [keygen(e, CsprngState(bytes([i]) * 32))[0] for i in (1, 2)]
+    h = hashlib.sha256()
+    for i, sk in enumerate(keys):
+        pk = PublicKey(g2_ecsm_split(sk.scalar, e.curve.g2_gen))
+        h.update(pk.to_bytes())
+        h.update(sign(e, sk, b"contract message %d" % i).to_bytes())
+    assert h.hexdigest() == SIGNATURE_CONTRACT_SHA256
 
 
 def test_key_and_signature_bytes(engine, crng):
