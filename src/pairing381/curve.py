@@ -28,6 +28,13 @@ point is a fields._Value whose parts are its coordinates x, y, z. The loops
 (ladder, multi_exp, plain_mul) read their operands' RawOps and raw values
 once, apply each step by kernel name to raw values, select by bit logic on
 those (_select, uncounted) and wrap only the result.
+
+A secret scalar multiplication runs either the 255-bit ladder (ecsm) or the
+128-bit endomorphism split k*P = k1*P + k2*(u^2*P), one multi_exp with
+shared doublings (ecsm(..., split=True), which sign uses, and
+g2_ecsm_split, which keygen uses). Each class gives u^2*P on the order-q
+subgroup as one endomorphism image, times_u_sq: -sigma(P) = (omega*x, -y, z)
+on G1 and phi^2(P) on G2.
 """
 
 from operator import attrgetter
@@ -236,6 +243,10 @@ class G1Point(_CurvePoint, field="fp"):
     add_mixed = _method("g1_add_mixed")     # other must have z = 1
     add = __add__ = _method("g1_add")
 
+    def times_u_sq(self):
+        """u^2*P on the q-order subgroup: -sigma(P) = (omega*x, -y, z)."""
+        return G1Point(self.x * self.engine.curve.omega, -self.y, self.z)
+
 
 class G2Point(_CurvePoint, part=Fp2El, field="fp"):
     __slots__ = ()
@@ -244,6 +255,10 @@ class G2Point(_CurvePoint, part=Fp2El, field="fp"):
     double = _method("g2_double")
     add_mixed = _method("g2_add_mixed")     # other must have z = 1
     add = __add__ = _method("g2_add")
+
+    def times_u_sq(self):
+        """u^2*P on the q-order subgroup: phi^2(P)."""
+        return skew_frobenius(skew_frobenius(self))
 
 
 def _entry_check(point, *classes, k=0, bound=1):
@@ -258,17 +273,26 @@ def _entry_check(point, *classes, k=0, bound=1):
         raise ValueError("point not on curve")
 
 
-def ecsm(k: int, point):
+def ecsm(k: int, point, split: bool = False):
     """Constant-time k*P by double-and-add-always over the 255-bit width of q.
 
     Exactly 255 iterations run regardless of k. The addition executes every
     iteration; a masked select keeps or discards it. The result is affine (the
     one inversion the cost anchors include). Identity input short-circuits:
     there is no affine base to add.
+
+    With split=True, k = k1 + k2*u^2 (scalar_split) and k*P = k1*P +
+    k2*(u^2*P) run as one 128-bit multi_exp (Gallant, Lambert and Vanstone,
+    CRYPTO 2001), with u^2*P one endomorphism image (times_u_sq). That
+    image is u^2*P only on the order-q subgroup, which ecsm does not check:
+    P must lie in it, as hash outputs and the generators do. The split's
+    divmod on the secret k is variable-time in CPython, as in g2_ecsm_split.
     """
     _entry_check(point, G1Point, G2Point, k=k, bound=params.Q)
     if point.is_identity():
         return point
+    if split:
+        return _split_mul(k, point)
     return ladder(k, point.normalized(), 255, type(point).add_mixed.op)
 
 
@@ -334,12 +358,16 @@ def skew_frobenius(point: G2Point) -> G2Point:
     )
 
 
+def _split_mul(k: int, point):
+    """k*P as k1*P + k2*(u^2*P) after the entry check, which the callers run."""
+    k1, k2 = scalar_split(k)
+    return _multi_exp(k1, point, k2, point.times_u_sq(), bits=128)
+
+
 def g2_ecsm_split(k: int, point: G2Point) -> G2Point:
     """k*P via the 128-bit split k = k1 + k2*u^2 and phi^2(P) = u^2*P."""
     _entry_check(point, G2Point, k=k, bound=params.Q)
-    k1, k2 = scalar_split(k)
-    p2 = skew_frobenius(skew_frobenius(point))
-    return _multi_exp(k1, point, k2, p2, bits=128)
+    return _split_mul(k, point)
 
 
 def plain_mul(point, n: int):

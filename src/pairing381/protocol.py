@@ -102,7 +102,7 @@ def keygen(engine, rng: CsprngState) -> tuple[SecretKey, PublicKey]:
 
 
 def sign(engine, sk: SecretKey, msg: bytes, dst: bytes = DEFAULT_DST) -> Signature:
-    return Signature(ecsm(sk.scalar, hash_to_g1(engine, msg, dst)))
+    return Signature(ecsm(sk.scalar, hash_to_g1(engine, msg, dst), split=True))
 
 
 def _valid(point, subgroup_check) -> bool:

@@ -21,6 +21,7 @@ from pairing381.curve import (
     skew_frobenius,
     subgroup_check_canonical,
 )
+from pairing381.hashing import hash_to_g1
 from pairing381.jubjub import JubjubPoint, jubjub_ecsm
 from pairing381.pairing import multi_pairing, pairing
 from pairing381.tower import Fp2El
@@ -66,9 +67,10 @@ def test_ecsm_matches_reference(engine, rng):
 
 def test_ecsm_edge_scalars(engine):
     g = engine.curve.g1_gen
-    assert ecsm(0, g).is_identity()
-    assert ecsm(1, g) == g
-    assert ecsm(Q - 1, g) == -g
+    for split in (False, True):
+        assert ecsm(0, g, split=split).is_identity()
+        assert ecsm(1, g, split=split) == g
+        assert ecsm(Q - 1, g, split=split) == -g
     with pytest.raises(ValueError):
         ecsm(Q, g)
     with pytest.raises(ValueError):
@@ -78,6 +80,7 @@ def test_ecsm_edge_scalars(engine):
         ecsm(5, bad)
     for ident in (G1Point.identity(engine), G2Point.identity(engine)):
         assert ecsm(5, ident) is ident
+        assert ecsm(5, ident, split=True) is ident
 
 
 def test_g1_ladder_exact_costs(engine, rng):
@@ -90,6 +93,20 @@ def test_g1_ladder_exact_costs(engine, rng):
         assert d.a1 == 14025
         assert d.i1 == 1
         assert d.m1_equivalent() == 5455
+
+
+def test_g1_split_exact_costs(engine, rng):
+    """The 128-bit split on G1: 128 doublings, 129 full additions, one
+    omega multiplication, one negation and one inversion."""
+    g = engine.curve.g1_gen
+    for k in (1, rng.randrange(1, Q), Q - 1):
+        before = engine.counter.snapshot()
+        ecsm(k, g, split=True)
+        d = engine.counter.delta(before)
+        assert d.m1 + d.s1 == 2575
+        assert d.a1 == 7850
+        assert d.i1 == 1
+        assert d.m1_equivalent() == 3183
 
 
 def test_g2_ladder_exact_costs(engine, rng):
@@ -136,7 +153,7 @@ def test_split_ladder_value_equality(engine, rng):
     g2 = engine.curve.g2_gen
     for _ in range(10):
         k = rng.randrange(Q)
-        assert g2_ecsm_split(k, g2) == ecsm(k, g2)
+        assert ecsm(k, g2, split=True) == g2_ecsm_split(k, g2) == ecsm(k, g2)
 
 
 def test_split_ladder_cost_and_ratio(engine, rng):
@@ -173,6 +190,26 @@ def test_ladder_trace_is_scalar_independent(engine, rng):
     assert len(traces[0]) == 19481
 
 
+# Nonzero scalars whose split k = k1 + k2*u^2 has k1 = 0 or a small k2 (at
+# k = 0 the result is the identity, which to_affine does not invert).
+SPLIT_EDGES = (1, 2, Q - 1, U_SQ - 1, U_SQ, U_SQ + 1, 5 * U_SQ)
+
+
+def test_g1_split_trace_is_scalar_independent(engine, rng):
+    """ecsm(k, H, split=True) on a hash output H: one trace for 20 random
+    scalars and the split's edge scalars, and the value of the ladder."""
+    h = hash_to_g1(engine, b"split trace", b"split-dst")
+    ref = None
+    for k in SPLIT_EDGES + tuple(rng.randrange(Q) for _ in range(20)):
+        sink = []
+        with engine.tracing(sink):
+            got = ecsm(k, h, split=True)
+        ref = ref or sink
+        assert sink == ref
+        assert got == plain_mul(h, k)
+    assert len(ref) == 11034
+
+
 def test_point_operands_of_other_groups_or_engines_rejected(engine):
     """Points of two groups can share their coordinates' field and engine,
     so only the operand types tell them apart; points of two engines only
@@ -186,7 +223,8 @@ def test_point_operands_of_other_groups_or_engines_rejected(engine):
                lambda: g1.add(g1.x), lambda: g2.add(h2),
                lambda: g2.add_mixed(h2), lambda: h2 + g2,
                lambda: G1Point(g2.x, g2.y, g2.z), lambda: jubjub_ecsm(5, g1),
-               lambda: ecsm(5, jub), lambda: g2_ecsm_split(5, g1),
+               lambda: ecsm(5, jub), lambda: ecsm(5, jub, split=True),
+               lambda: g2_ecsm_split(5, g1),
                lambda: pairing(g1, h2), lambda: pairing(G1Point.identity(engine), h2),
                lambda: multi_pairing([(g1, g2), (g1, h2)])):
         with pytest.raises(TypeError):
@@ -199,20 +237,36 @@ def test_a_scalar_that_is_not_an_int_is_rejected_before_any_tally(engine):
     before = engine.counter.snapshot()
     for op in (lambda: ecsm(2.0, g1), lambda: ecsm(2.0, g2),
                lambda: g2_ecsm_split(2.0, g2), lambda: jubjub_ecsm(2.0, jub),
-               lambda: multi_exp(1, g1, 2.0, g1), lambda: ecsm("2", g1)):
+               lambda: multi_exp(1, g1, 2.0, g1), lambda: ecsm("2", g1),
+               lambda: ecsm(2.0, g1, split=True),
+               lambda: ecsm(2.0, g2, split=True)):
         with pytest.raises(TypeError, match="where int is expected"):
             op()
     assert engine.counter == before
 
 
 def test_split_ladder_rejects_an_off_curve_point_before_any_tally(engine):
-    """The entry check runs before the two skew Frobenius maps."""
+    """The entry check runs before the endomorphism images: the two skew
+    Frobenius maps on G2, the omega multiplication on G1."""
     g2 = engine.curve.g2_gen
     off = G2Point(g2.x, g2.x, g2.z)
-    assert not off.on_curve()
+    off1 = G1Point.affine(engine, 1, 1)
+    assert not off.on_curve() and not off1.on_curve()
     before = engine.counter.snapshot()
-    with pytest.raises(ValueError, match="not on curve"):
-        g2_ecsm_split(5, off)
+    for op in (lambda: g2_ecsm_split(5, off), lambda: ecsm(5, off, split=True),
+               lambda: ecsm(5, off1, split=True)):
+        with pytest.raises(ValueError, match="not on curve"):
+            op()
+    assert engine.counter == before
+
+
+def test_split_rejects_an_out_of_range_scalar_before_any_tally(engine):
+    g1, g2 = engine.curve.g1_gen, engine.curve.g2_gen
+    before = engine.counter.snapshot()
+    for op in (lambda: ecsm(Q, g1, split=True), lambda: ecsm(-1, g1, split=True),
+               lambda: ecsm(Q, g2, split=True), lambda: g2_ecsm_split(Q, g2)):
+        with pytest.raises(ValueError, match="scalar out of range"):
+            op()
     assert engine.counter == before
 
 

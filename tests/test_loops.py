@@ -1,11 +1,11 @@
 """The exponentiation chains and scalar-multiplication loops, pinned whole.
 
 Each case runs one loop (pow_public on Fp, Fp2 and Fp12, plain_mul, the
-constant-time ladders, the double ladder behind the G2 split and scalar
-splitting, hash-to-G1) on inputs prepared uncounted, and pins the literal
-OpCounter delta, the trace length and SHA-256 and the value's SHA-256. The
-pins are equal on both backends, so the loops' op sequence does not depend
-on how they hold their state.
+constant-time ladders, the double ladder behind the G1 and G2 splits and
+scalar splitting, hash-to-G1) on inputs prepared uncounted, and pins the
+literal OpCounter delta, the trace length and SHA-256 and the value's
+SHA-256. The pins are equal on both backends, so the loops' op sequence does
+not depend on how they hold their state.
 """
 
 import hashlib
@@ -50,6 +50,7 @@ def _loop_call(case, e, rng):
         "pow_fp2": lambda: pow_public(x2, (P - 3) // 4),
         "pow_fp12": lambda: pow_public(f, ABS_U),
         "ecsm_g1": lambda: ecsm(k, g1),
+        "ecsm_g1_split": lambda: ecsm(k, g1, split=True),
         "ecsm_g2": lambda: ecsm(k, g2),
         "jubjub_ecsm": lambda: jubjub_ecsm(k % JUBJUB_ELL, jub),
         "g2_ecsm_split": lambda: g2_ecsm_split(k, g2),
@@ -91,6 +92,12 @@ LOOP_CONTRACT = {
          "word_add": 1108655, "inv_m1": 608},
         19481,
         "d03d2d32d185d57b9af014bd36112048dcb6dc1b36111ea3296527dbe4967614",
+        "fb55fd973f8dab83f9d9b556847d6fe02428ab6c7743e775fbca97f566eb29af"),
+    "ecsm_g1_split": (
+        {"m1": 2319, "s1": 256, "a1": 7850, "i1": 1, "word_mul": 248274,
+         "word_add": 642386, "inv_m1": 608},
+        11034,
+        "40439c22d155b0e2f5c5cc5a3ec897eb5d1b1814a17c9646ff4e93e2497420a0",
         "fb55fd973f8dab83f9d9b556847d6fe02428ab6c7743e775fbca97f566eb29af"),
     "ecsm_g2": (
         {"m2": 4337, "s2": 510, "a2": 9435, "i2": 1, "word_mul": 1142154,

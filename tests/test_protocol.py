@@ -49,6 +49,15 @@ def test_sign_verify_round_trip(engine, crng):
     assert not verify(pk, b"hello", sign(engine, other_sk, b"hello"))
 
 
+def test_sign_runs_the_g1_split(engine, crng):
+    """sign of b"msg": hash_to_g1's 5,011 M1-eq and the split's 3,183."""
+    sk, pk = keygen(engine, crng)
+    before = engine.counter.snapshot()
+    sig = sign(engine, sk, b"msg")
+    assert engine.counter.delta(before).m1_equivalent() == 8194
+    assert verify(pk, b"msg", sig)
+
+
 def test_dst_separates_signatures(engine, crng):
     sk, pk = keygen(engine, crng)
     sig = sign(engine, sk, b"msg", dst=b"ctx-a")

@@ -2,7 +2,7 @@
 """A/B layer timings: a git revision's package against the working tree's,
 both loaded in one process.
 
-    python3 tools/ab_layers.py REV --out BENCH_n.json [--rounds 5] \
+    python3 tools/ab_layers.py REV --out BENCH_n.json [--rounds N] \
         [--cases dbl_step pairing ...] [--compile]
 
 REV is exported with `git archive` and the working tree's src/ is copied,
@@ -33,6 +33,8 @@ bigint engine at w=64 (the default is all of them):
   * g1_subgroup_check and g2_subgroup_check: the signature's and the key's
     subgroup checks, called directly and counted, 10 calls a round;
   * ecsm_g1: the constant-time ladder on the G1 generator, seeded scalar;
+  * ecsm_g1_split: the same with split=True, the 128-bit endomorphism
+    split; a side whose ecsm takes no split reports null;
   * aggverify_5: aggregate_verify of 5 keys and distinct messages against
     their aggregate signature, keys and signature decoded beforehand.
 The "layers" key of --out gets, per load order and case, each side's median
@@ -60,6 +62,7 @@ change over parent.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -166,6 +169,16 @@ def _kernel(side, op):
     return lambda: o.apply(op, *args)
 
 
+def _ecsm_g1(side, **split):
+    """ecsm on the G1 generator at a seeded scalar, or None when split is
+    asked for and this side's ecsm takes no split."""
+    curve = side.mod("curve")
+    if split and "split" not in inspect.signature(curve.ecsm).parameters:
+        return None
+    k = random.Random("ecsm_g1").randrange(1, side.mod("params").Q)
+    return partial(curve.ecsm, k, side.inputs.e.curve.g1_gen, **split)
+
+
 def _verify_from_bytes(side):
     lib, x = side.lib, side.inputs
     return lambda: lib.verify(lib.PublicKey.from_bytes(x.e, x.pkb), MSG,
@@ -196,9 +209,8 @@ CASES = {   # name -> (calls per round, build(side) -> callable)
         s.mod("curve").g1_subgroup_check, s.inputs.sig)),
     "g2_subgroup_check": (10, lambda s: partial(
         s.mod("curve").g2_subgroup_check, s.inputs.pk)),
-    "ecsm_g1": (1, lambda s: partial(
-        s.mod("curve").ecsm, random.Random("ecsm_g1").randrange(
-            1, s.mod("params").Q), s.inputs.e.curve.g1_gen)),
+    "ecsm_g1": (1, _ecsm_g1),
+    "ecsm_g1_split": (1, partial(_ecsm_g1, split=True)),
     "aggverify_5": (1, lambda s: partial(s.lib.aggregate_verify,
                                          *s.aggregate)),
 }
@@ -386,7 +398,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=int,
+                    help="default 15, or 5 with --compile")
     ap.add_argument("--cases", nargs="+", metavar="CASE",
                     help="kernel names or " + ", ".join(CASES))
     ap.add_argument("--compile", action="store_true",
@@ -394,6 +407,8 @@ def main(argv=None) -> int:
     ap.add_argument("--run", nargs=3, help=argparse.SUPPRESS,
                     metavar=("FIRST", "PARENT_SRC", "CHANGE_SRC"))
     args = ap.parse_args(argv)
+    if args.rounds is None:
+        args.rounds = 5 if args.compile else 15
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
