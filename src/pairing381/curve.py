@@ -359,7 +359,7 @@ def skew_frobenius(point: G2Point) -> G2Point:
 
 
 def _split_mul(k: int, point):
-    """k*P as k1*P + k2*(u^2*P) after the entry check, which the callers run."""
+    """k*P as k1*P + k2*(u^2*P), after the callers' entry check."""
     k1, k2 = scalar_split(k)
     return _multi_exp(k1, point, k2, point.times_u_sq(), bits=128)
 

@@ -2,7 +2,7 @@
 """A/B layer timings: a git revision's package against the working tree's,
 both loaded in one process.
 
-    python3 tools/ab_layers.py REV --out BENCH_n.json [--rounds N] \
+    python3 tools/ab_layers.py REV --out BENCH_n.json [--rounds 15] \
         [--cases dbl_step pairing ...] [--compile]
 
 REV is exported with `git archive` and the working tree's src/ is copied,
@@ -398,8 +398,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--rounds", type=int,
-                    help="default 15, or 5 with --compile")
+    ap.add_argument("--rounds", type=int, default=15)
     ap.add_argument("--cases", nargs="+", metavar="CASE",
                     help="kernel names or " + ", ".join(CASES))
     ap.add_argument("--compile", action="store_true",
@@ -407,8 +406,6 @@ def main(argv=None) -> int:
     ap.add_argument("--run", nargs=3, help=argparse.SUPPRESS,
                     metavar=("FIRST", "PARENT_SRC", "CHANGE_SRC"))
     args = ap.parse_args(argv)
-    if args.rounds is None:
-        args.rounds = 5 if args.compile else 15
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
