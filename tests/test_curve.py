@@ -2,6 +2,7 @@
 multiplication against a reference, exact operation counts of the
 constant-time ladder, and the endomorphism-based scalar split."""
 
+import collections
 import hashlib
 import random
 
@@ -176,6 +177,45 @@ def test_subgroup_checks_reject_cofactor_points(engine, cofactor_points):
     # and the fast check agrees with the canonical one on a subgroup point
     assert g1_subgroup_check(engine.curve.g1_gen)
     assert g2_subgroup_check(engine.curve.g2_gen)
+
+
+# The counted subgroup checks at w = 64, equal on both backends: the counter
+# delta in every field, the trace length and the multiset of trace kinds;
+# for G2 also the trace's SHA-256 (G1's order of kinds is not pinned).
+SUBGROUP_CONTRACT = {
+    "g1": (
+        {"m1": 973, "s1": 256, "a1": 3258, "word_mul": 95862,
+         "word_add": 251070},
+        4487, {"m1": 973, "s1": 256, "a1": 3258}, None),
+    "g2": (
+        {"m2": 458, "s2": 128, "a2": 1074, "word_mul": 127140,
+         "word_add": 337976, "m1_in2": 1630, "a1_in2": 4819},
+        8109, {"m1": 1630, "a1": 4819, "m2": 458, "s2": 128, "a2": 1074},
+        "da725dc69ea563fd4d16adc51b1a13d662d5ea70ef8a6d0c2007b1e71406fed1"),
+}
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["bigint", "words"])
+@pytest.mark.parametrize("point", ["g1_gen", "g1_hash", "g2_gen"])
+def test_subgroup_check_contract(point, backend, twin_engines):
+    from pairing381.protocol import DEFAULT_DST
+    e = twin_engines[backend]
+    group = point[:2]
+    p = (hash_to_g1(e, b"msg", DEFAULT_DST) if point == "g1_hash"
+         else getattr(e.curve, point))
+    check = {"g1": g1_subgroup_check, "g2": g2_subgroup_check}[group]
+    delta, length, kinds, trace_sha = SUBGROUP_CONTRACT[group]
+    sink = []
+    before = e.counter.snapshot()
+    with e.tracing(sink):
+        assert check(p)
+    got = e.counter.delta(before)
+    assert got == OpCounter(**delta)
+    assert got.m1_equivalent() == {"g1": 1229, "g2": 1630}[group]
+    assert len(sink) == length
+    assert collections.Counter(sink) == kinds
+    if trace_sha:
+        assert hashlib.sha256(" ".join(sink).encode()).hexdigest() == trace_sha
 
 
 def test_ladder_trace_is_scalar_independent(engine, rng):
