@@ -1,9 +1,9 @@
 """Operation counters.
 
-Every field object carries one OpCounter; each arithmetic primitive bumps the
-matching field exactly once, unconditionally, so counter traces double as a
-constant-time regression check: two runs of the same routine on different
-secrets must produce identical traces.
+Each engine holds one OpCounter. RawOps.apply charges it from an op's record,
+the same for any operands, and nothing is charged under engine.uncounted(),
+so op traces double as a constant-time regression check: two runs of the
+same routine on different secrets must produce identical traces.
 """
 
 # Fixed costs of the Fermat inversion chains, used by the m1 weighting.

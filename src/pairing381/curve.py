@@ -386,12 +386,10 @@ def plain_mul(point, n: int):
 
 
 def g1_subgroup_check(point: G1Point) -> bool:
-    """Fast check: sigma(P) = -u^2*P where sigma scales x by a cube root of 1."""
+    """Fast check: -sigma(P) = u^2*P, sigma scaling x by a cube root of 1."""
     if point.is_identity():
         return True
-    ctx = point.engine.curve
-    sig = G1Point(point.x * ctx.omega, point.y, point.z)
-    return sig == -plain_mul(point, params.U_SQ)
+    return point.times_u_sq() == plain_mul(point, params.U_SQ)
 
 def g2_subgroup_check(point: G2Point) -> bool:
     """Fast check: phi(P) = u*P (u negative, so compare against -(|u|P))."""

@@ -1,7 +1,7 @@
 """tools/ab_layers.py runs end to end: HEAD against the working tree, one
-round, two cases, in its layer mode and in its --compile mode. Each test
-checks the layout of what the tool writes and that every figure is finite;
-it asserts no speed."""
+round, in its layer mode on two cases and in its --compile mode on two ops
+and on the fresh-process rows. Each test checks the layout of what the tool
+writes and that every figure is finite; it asserts no speed."""
 
 import json
 import math
@@ -14,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ("dbl_step", "pairing")
 OPS = ("mul2", "fp12_mul")
+PROCESS = ("import", "words_curve", "cli_verify")
 
 
 def _run(tmp_path, *argv) -> dict:
@@ -62,3 +63,18 @@ def test_ab_layers_compile_smoke(tmp_path):
         assert verify[side]["ms"] > 0 and verify[side]["compiles"] > 0
         assert verify[side]["walks"] >= verify[side]["compiles"]
     assert math.isfinite(verify["ratio"]) and verify["ratio"] > 0
+
+
+def test_ab_layers_fresh_process_smoke(tmp_path):
+    rows = _run(tmp_path, "--compile", "--cases", *PROCESS)["compile"]["rows"]
+    assert tuple(rows) == ("verify_from_bytes", *PROCESS)
+    for name in PROCESS:
+        assert set(rows[name]) == {"source", "bytecode"}
+        for row in rows[name].values():
+            assert set(row) == {"parent", "change", "ratio", "pair_ratio"}
+            for part in ("parent", "change", "pair_ratio"):
+                assert set(row[part]) == {"median", "q1", "q3", "runs"}
+                assert len(row[part]["runs"]) == 1
+                assert all(math.isfinite(row[part][k]) and row[part][k] > 0
+                           for k in ("median", "q1", "q3"))
+            assert math.isfinite(row["ratio"]) and row["ratio"] > 0

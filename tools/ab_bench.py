@@ -95,7 +95,9 @@ def run_side(side: str, root: Path, workload: str, seed: int, seconds: int,
 
 
 def summary(runs: list) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    """Median, quartiles and sorted runs; one run is its own quartiles."""
+    q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                 if len(runs) > 1 else runs * 3)
     return {"median": statistics.median(runs), "q1": q1, "q3": q3,
             "runs": sorted(runs)}
 

@@ -41,24 +41,35 @@ The "layers" key of --out gets, per load order and case, each side's median
 over the rounds, and the ratio of the medians, change over parent, with the
 host and the bytecode state. Other keys already in the file are kept.
 
-With --compile, the tool times the cold work of a first counted use instead,
-under the "compile" key, and each measurement runs in a fresh process on one
-side's tree (PYTHONDONTWRITEBYTECODE=1, so the package imports from source,
-untimed), whose stores start empty. Per round, which side goes first
-alternates. Rows, each side's median over the rounds:
-  * each registered kernel by its op name (the --cases, default all), and
-    all_ops, every one of them that the side registers, in one process
-    (a side registering none reports null): per backend, walk_ms, the
-    walks alone (fields._walk), then first_use_ms, the records' first
-    counted use (walk, compile and install on bigint; walk and record on
-    words) after the store is emptied again, and, of that first use,
-    compile_ms (inside compile()), compiles and lines (the compiled
-    source's);
-  * verify_from_bytes: a first verify, key and signature decoded from bytes,
-    in a fresh bigint process (Engine() included): ms, with the compile
-    figures and the walks made.
-Each row also gets the ratio of the sides' first_use_ms (ms for verify),
-change over parent.
+With --compile, the tool times the cold work of a first use instead, under
+the "compile" key, each measurement in a fresh process on one side's tree,
+whose stores start empty. Per round, which side goes first alternates. Rows
+(the --cases, default all), in milliseconds:
+  * each registered kernel by its op name, and all_ops, every selected one
+    that the side registers, in one process (a side registering none reports
+    null): per backend, walk_ms, the walks alone (fields._walk), then
+    first_use_ms, the records' first counted use (walk, compile and install
+    on bigint; walk and record on words) after the store is emptied again,
+    and, of that first use, compile_ms (inside compile()), compiles and lines
+    (the compiled source's);
+  * verify_from_bytes, always: a first verify, key and signature decoded
+    from bytes, in a fresh bigint process (Engine() included): ms, with the
+    compile figures and the walks made;
+  * import: `import pairing381; pairing381.Engine().curve`, and words_curve:
+    a first `Engine(backend="words").curve` after the import, each timed
+    inside the process; cli_verify: the wall time of a whole `pairing381
+    verify` process (cli.main) on key and signature files.
+The key and the signature, on MSG, are made once by the change's tree. The
+op rows and verify_from_bytes get each side's median over the rounds and
+the ratio of the sides' first_use_ms (ms for verify), change over parent.
+import, words_curve and cli_verify get a source and a bytecode sub-row:
+each side's runs, median and quartiles, the ratio of the medians, and the
+median and quartiles of the per-round ratios, which a drift in host load
+moves less. All but the bytecode sub-rows run with PYTHONDONTWRITEBYTECODE=1
+and no __pycache__ in either tree, so the package compiles from source in
+every process. The bytecode sub-rows then read the bytecode written by one
+untimed run per side and probe. The standard library loads from its
+installed bytecode in both states.
 """
 
 import argparse
@@ -76,7 +87,7 @@ from functools import cached_property, partial
 from pathlib import Path
 from types import SimpleNamespace
 
-from ab_bench import copy_tree, export
+from ab_bench import copy_tree, export, summary
 
 MSG = b"layer harness"
 SIDES = ("parent", "change")
@@ -216,11 +227,25 @@ CASES = {   # name -> (calls per round, build(side) -> callable)
 }
 
 
-# One fresh process's cold work on its side's tree; prints a JSON object.
-COLD = """import json, sys, time
+# One fresh process's cold work on its side's tree; prints a JSON value.
+COLD = """import sys, time
+mode, *args = sys.argv[1:]
+t0 = time.perf_counter()
 import pairing381
+if mode == "import":
+    pairing381.Engine().curve
+if mode == "words_curve":
+    t0 = time.perf_counter()
+    pairing381.Engine(backend="words").curve
+if mode in ("import", "words_curve"):
+    print((time.perf_counter() - t0) * 1e3)
+    raise SystemExit
+import json
 from pairing381 import fields
 import pairing381.jubjub, pairing381.pairing  # register every kernel
+if mode == "kernels":
+    print(json.dumps(list(fields.KERNELS)))
+    raise SystemExit
 compiled = []
 
 
@@ -238,7 +263,6 @@ def figures(**seconds):
 
 
 fields.compile = spy
-mode, *args = sys.argv[1:]
 if mode == "verify":
     pkb, sigb, msg = map(bytes.fromhex, args)
     t0 = time.perf_counter()
@@ -271,28 +295,60 @@ for spec, op in zip(specs, ops):
 print(json.dumps(figures(first_use_ms=time.perf_counter() - t0,
                          walk_ms=walk)))
 """
+FIXTURES = f"""from pairing381 import CsprngState, Engine, keygen, sign
+e = Engine()
+sk, pk = keygen(e, CsprngState(bytes(32)))
+print(pk.to_bytes().hex(), sign(e, sk, {MSG!r}).to_bytes().hex())
+"""
+CLI = "import sys; from pairing381.cli import main; sys.exit(main())"
+PROCESS = ("import", "words_curve", "cli_verify")   # rows in both states
 
 
-def cold(src: Path, *argv: str):
-    """What one fresh COLD process on src prints, parsed."""
+def cold(side: str, src: Path, argv: list, bytecode=False) -> tuple:
+    """Wall seconds and stdout of one fresh interpreter on src, running
+    argv, which writes bytecode only if asked. A process that crashes has
+    its side, arguments and stderr tail printed, then re-raises."""
     env = {**os.environ, "PYTHONPATH": str(src),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-c", COLD, *argv], env=env,
-                          cwd=src.parent, capture_output=True, text=True,
-                          check=True)
-    return json.loads(done.stdout)
+    if bytecode:
+        del env["PYTHONDONTWRITEBYTECODE"]
+    t0 = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, *argv], env=env,
+                              cwd=src.parent, capture_output=True, text=True,
+                              check=True)
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.splitlines()[-20:])
+        print(f"# {side} {argv[2:]} exited {exc.returncode}:\n{tail}",
+              file=sys.stderr)
+        raise
+    return time.perf_counter() - t0, done.stdout
 
 
-def cold_fixtures(src: Path) -> tuple:
-    """The hex bytes of a key, a signature on MSG, made with src, and MSG."""
-    code = ("from pairing381 import CsprngState, Engine, keygen, sign\n"
-            "e = Engine()\n"
-            "sk, pk = keygen(e, CsprngState(bytes(32)))\n"
-            f"print(pk.to_bytes().hex(), sign(e, sk, {MSG!r}).to_bytes().hex())")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return tuple(subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True,
-                                check=True).stdout.split()) + (MSG.hex(),)
+def fixtures(src: Path, dest: Path) -> tuple:
+    """A key and a signature on MSG, made with src: verify_from_bytes's
+    arguments (their hex bytes and MSG's), and cli_verify's argv, which
+    reads them from files written into dest."""
+    pkb, sigb = cold("change", src, ["-c", FIXTURES])[1].split()
+    pk, sig = dest / "pk.bin", dest / "sig.bin"
+    pk.write_bytes(bytes.fromhex(pkb))
+    sig.write_bytes(bytes.fromhex(sigb))
+    return (["-c", COLD, "verify", pkb, sigb, MSG.hex()],
+            ["-c", CLI, "verify", "--pk", str(pk), "--sig", str(sig),
+             "--msg", MSG.decode()])
+
+
+def _rounds(srcs: dict, probes: dict, rounds: int, bytecode=False) -> dict:
+    """Per probe and side, its figure in each round: the whole process's
+    wall ms for cli_verify, what it prints for the others."""
+    runs = {(key, side): [] for key in probes for side in SIDES}
+    for r in range(rounds):
+        for key, argv in probes.items():
+            for side in SIDES[::-1] if r % 2 else SIDES:
+                wall, out = cold(side, srcs[side], argv, bytecode)
+                runs[key, side].append(wall * 1e3 if key[0] == "cli_verify"
+                                       else json.loads(out))
+    return runs
 
 
 def _medians(runs: list):
@@ -308,33 +364,44 @@ def _ratio(row: dict, key: str):
     return round(c[key] / p[key], 3) if p and c and p[key] else None
 
 
-def compile_table(srcs: dict, rounds: int, cases) -> dict:
+def compile_table(srcs: dict, rounds: int, cases, tmp: Path) -> dict:
     """The "compile" rows: per op and all_ops, per backend and side, and
-    verify_from_bytes, per side, each figure's median over rounds."""
+    verify_from_bytes, per side, each figure's median over rounds; import,
+    words_curve and cli_verify with their runs, per state."""
     if cases is None:
-        code = ("import pairing381.jubjub, pairing381.pairing\n"
-                "from pairing381.fields import KERNELS\nprint(*KERNELS)")
-        cases = sorted(set().union(*(subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": str(src)}
-        ).stdout.split() for src in srcs.values())))
-    probes = {(op, backend): ("ops", backend, op)
-              for op in cases for backend in ("bigint", "words")}
-    probes.update({("all_ops", backend): ("ops", backend, *cases)
-                   for backend in ("bigint", "words")})
-    probes["verify_from_bytes", None] = ("verify",
-                                        *cold_fixtures(srcs["change"]))
-    runs = {(key, side): [] for key in probes for side in SIDES}
-    for r in range(rounds):
-        for key, argv in probes.items():
-            for side in SIDES[::-1] if r % 2 else SIDES:
-                runs[key, side].append(cold(srcs[side], *argv))
+        cases = sorted(set().union(*(
+            json.loads(cold(side, src, ["-c", COLD, "kernels"])[1])
+            for side, src in srcs.items()))) + list(PROCESS)
+    ops = [c for c in cases if c not in PROCESS]
+    verify, cli = fixtures(srcs["change"], tmp)
+    argvs = {"import": ["-c", COLD, "import"],
+             "words_curve": ["-c", COLD, "words_curve"], "cli_verify": cli}
+    probes = {(op, backend): ["-c", COLD, "ops", backend, op]
+              for op in ops for backend in ("bigint", "words")}
+    if ops:
+        probes.update({("all_ops", backend): ["-c", COLD, "ops", backend,
+                                              *ops]
+                       for backend in ("bigint", "words")})
+    probes["verify_from_bytes", None] = verify
+    process = [c for c in cases if c in PROCESS]
+    probes.update({(name, "source"): argvs[name] for name in process})
+    runs = _rounds(srcs, probes, rounds)
+    assert not [c for src in srcs.values() for c in src.rglob("__pycache__")]
+    warm = {(name, "bytecode"): argvs[name] for name in process}
+    _rounds(srcs, warm, 1, bytecode=True)   # writes the bytecode, untimed
+    runs.update(_rounds(srcs, warm, rounds, bytecode=True))
     rows = {}
-    for (name, backend) in probes:
-        row = {side: _medians(runs[(name, backend), side]) for side in SIDES}
-        row["ratio"] = _ratio(row, "first_use_ms" if backend else "ms")
-        if backend:
-            rows.setdefault(name, {})[backend] = row
+    for name, sub in {**probes, **warm}:
+        p, c = (runs[(name, sub), side] for side in SIDES)
+        if name in PROCESS:
+            row = {"parent": summary(p), "change": summary(c),
+                   "ratio": statistics.median(c) / statistics.median(p),
+                   "pair_ratio": summary([y / x for x, y in zip(p, c)])}
+        else:
+            row = {"parent": _medians(p), "change": _medians(c)}
+            row["ratio"] = _ratio(row, "first_use_ms" if sub else "ms")
+        if sub:
+            rows.setdefault(name, {})[sub] = row
         else:
             rows[name] = row
     return rows
@@ -400,7 +467,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--rounds", type=int, default=15)
     ap.add_argument("--cases", nargs="+", metavar="CASE",
-                    help="kernel names or " + ", ".join(CASES))
+                    help="kernel names or " + ", ".join(CASES)
+                    + "; with --compile, kernel names or " + ", ".join(PROCESS))
     ap.add_argument("--compile", action="store_true",
                     help="time walks and compiles in fresh processes")
     ap.add_argument("--run", nargs=3, help=argparse.SUPPRESS,
@@ -427,8 +495,11 @@ def main(argv=None) -> int:
                           "which side runs first, medians (rows in the "
                           "tool's docstring)",
                 "bytecode": "both trees without __pycache__, each process "
-                            "imports from source (PYTHONDONTWRITEBYTECODE=1)",
-                "rows": compile_table(srcs, args.rounds, args.cases)}
+                            "imports from source (PYTHONDONTWRITEBYTECODE=1), "
+                            "but in the bytecode sub-rows, which read the "
+                            "bytecode of one untimed run per side and probe",
+                "rows": compile_table(srcs, args.rounds, args.cases,
+                                      Path(tmp))}
         else:
             key, body = "layers", {
                 "method": f"tools/ab_layers.py: parent {sha[:7]} against the "
