@@ -3,7 +3,8 @@
 Each report comes from a fresh engine on the word-array execution path, so
 the word_mul/word_add fields are measured rather than modeled. Its inputs are
 drawn and prepared first on a bigint engine, which computes the same values
-faster, and moved over by limb conversion (uncounted boundary work). Then
+faster, and moved over by the words engine's conversion of each residue
+(uncounted boundary work). Then
 exactly one operation runs, and its counter delta is the report. Counter
 fields are therefore deterministic for a fixed seed; only wall_time varies.
 Engine constants are built before the clock starts.
@@ -18,7 +19,6 @@ import os
 import time
 from typing import Callable, NamedTuple
 
-from .cios import to_limbs
 from .counters import FP2_INV_M1, FP_INV_MULS, OpCounter
 from .curve import ecsm, g2_ecsm_split
 from .fields import Engine
@@ -67,7 +67,8 @@ _REPORTED = ("m1", "s1", "a1", "i1", "m2", "s2", "a2", "i2",
 
 class _Draw:
     """One report's inputs, drawn in order from its seed's stream on the
-    bigint engine prep and moved to its words engine by limb conversion."""
+    bigint engine prep, whose raw values are residues, and moved to its
+    words engine by that engine's conversion of each."""
 
     def __init__(self, engine, rng):
         self.engine = engine
@@ -76,11 +77,11 @@ class _Draw:
 
     def words(self, x):
         """x, an element or point of prep, as one of engine."""
-        spec = x.o.spec
+        spec, e = x.o.spec, self.engine
 
-        def limbs(v):
-            return to_limbs(v, spec) if type(v) is int else tuple(map(limbs, v))
-        return type(x)._wrap(self.engine._ops[spec], limbs(x.val))
+        def raw(v):
+            return e._raw(spec, v) if type(v) is int else tuple(map(raw, v))
+        return type(x)._wrap(e._ops[spec], raw(x.val))
 
     def g1(self, prep=False):
         p = ecsm(self.k(), self.prep.curve.g1_gen)

@@ -92,7 +92,7 @@ class ProjectivePoint(_Value, part=FieldElement, names=("x", "y", "z")):
 
 def _select(m, a, b):
     """a if m = -1, b if m = 0, for two raw values of one shape: bit logic on
-    every int (a Montgomery value on bigint, a limb on words), uncounted."""
+    every int (a residue on bigint, a limb on words), uncounted."""
     if type(a) is tuple:
         return tuple(_select(m, x, y) for x, y in zip(a, b))
     return (a & m) | (b & ~m)

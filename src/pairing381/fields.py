@@ -1,9 +1,11 @@
 """Prime-field engine for Fp and Fq with intrusive operation counting.
 
 An Engine owns the parameters, the counter state, and an optional trace sink.
-Two backends produce bit-identical values and counter streams: "bigint" does
-Montgomery reduction on Python integers and charges the word counters from the
-CIOS law, "words" executes the instrumented word-array loops in cios.py.
+Two backends produce the same values and counter streams: "bigint" holds an Fp
+value as its plain residue in [0, n), one % per product, and charges the word
+counters from the CIOS law; "words" holds it in Montgomery form, a·R mod n as
+limbs, and executes the instrumented word-array loops in cios.py. The raw
+values of the two agree through that fixed map v -> v·R mod n.
 
 Counting rules (the whole artifact depends on these):
   * every counted operation, from an Fp add to a Miller step or a point
@@ -18,9 +20,9 @@ Counting rules (the whole artifact depends on these):
     bigint function; a named constant of the field (CONSTANTS, such as
     Jubjub's d) is a name the function binds. Every registered op the body
     calls is walked inline, so each function is its op's whole Fp program
-    and calls no other kernel. The lines leave values unreduced: the walk
-    bounds each value by a multiple of the modulus and adds a reduction
-    line, no step, only where a product or an output needs one, so outputs
+    and calls no other kernel. A product line reduces by one %; a sum,
+    difference or negation is left wide (unreduced, maybe negative), and a
+    reduction line, no step, takes each wide output to [0, n), so outputs
     are canonical and equal the body's. One store per field spec
     (RawOps.store) keeps the walks. Each RawOps takes the record at its own
     first counted use of the op; until then the body runs as a call tree.
@@ -42,7 +44,7 @@ Counting rules (the whole artifact depends on these):
     (RawOps.pow: an inversion's Fermat chain, a square root's chain) is
     charged step by step as pow_raw's squarings and multiplies, and is one
     line of its op; words runs that chain on its primitives, bigint computes
-    it by CPython's pow and one Montgomery product;
+    it by CPython's pow;
   * multiplications inside an inversion's exponentiation chain go to
     inv_m1/inv_mq, never to m1/mq, so an inversion's full fixed cost is
     carried by its i-counter exactly once;
@@ -52,8 +54,8 @@ Counting rules (the whole artifact depends on these):
     trace names both m1, ...;
   * under uncounted() a tally does nothing and the word loops charge a scratch
     counter;
-  * conversions into and out of Montgomery form are I/O boundary work and are
-    not counted;
+  * conversions between ints and raw values (Engine._raw, Engine._int) are
+    I/O boundary work and are not counted;
   * constant-time selects are bit logic on raw values, (a & m) | (b & ~m)
     with m = -bit (curve._select), not arithmetic, and are not counted.
 """
@@ -71,12 +73,10 @@ from .params import system_params
 
 
 class _Symbol:
-    """A placeholder raw value, named by its variable in compiled code, with
-    k, the bound its bigint line gives it: 0 <= value < k * modulus."""
+    """A placeholder raw value, named by its variable in compiled code."""
 
-    def __init__(self, name="", k=1):
+    def __init__(self, name=""):
         self.name = name
-        self.k = k
 
     def __bool__(self, *other):
         raise TypeError("kernel branched on a value")
@@ -86,33 +86,26 @@ class _Symbol:
 
 X1 = _Symbol()     # placeholder shape of one raw Fp value
 
-# One bigint line per Fp primitive step (a squaring is mul with b = a), a
-# branch-free Montgomery form without its final correction: add a + b, sub
-# a - b plus the multiple {kn} of n that bounds b, neg that multiple of a's
-# bound minus a, mul the REDC without its final subtraction. _Walker tracks
-# a bound for each value and emits a _REDUCE line only where a product or
-# an output needs one. The bigint primitives are these lines,
-# each followed by the conditional subtraction, so every primitive's value
-# is in [0, n). Words compiles nothing: its kernels run their bodies.
+# One bigint line per Fp primitive step (a squaring is mul with b = a), on
+# plain residues: mul, pow and inv land in [0, n); add, sub and neg (_WIDE)
+# leave their value wide, unreduced and maybe negative, which a product, a
+# power or an inversion reads as it is. Python ints are unbounded, so no
+# value needs a bound: _Walker emits one _REDUCE line at each wide output.
+# The bigint primitives are these lines, a wide one followed by _REDUCE.
+# Words compiles nothing: its kernels run their bodies.
 _TEMPLATES = {
-    "mul": "{r} = {a} * {b}; {r} = ({r} + (({r} & mask) * np_full & mask)"
-           " * n) >> rbits",
-    "add": "{r} = {a} + {b}",
-    "sub": "{r} = {a} - {b} + {kn}",
-    "neg": "{r} = {kn} - {a}",
-    "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b})"}
-# a bigint value below 2n, then one of any size, taken in place to [0, n)
-_REDUCE = ("{r} = {r} - n * ({r} >= n)", "{r} %= n")
-_BIND = (   # what a compiled function reads from its RawOps
-    "s = o.spec; n, mask, np_full, rbits = s.modulus, "
-    "s.full_mask, s.np_full, s.rbits; inv, pow = o.inv, o.pow")
+    "mul": "{r} = {a} * {b} % n", "add": "{r} = {a} + {b}",
+    "sub": "{r} = {a} - {b}", "neg": "{r} = -{a}",
+    "inv": "{r} = inv({a})", "pow": "{r} = pow({a}, {b}, n)"}
+_WIDE = {"add", "sub", "neg"}
+_REDUCE = "{r} %= n"
+_BIND = "n, inv = o.spec.line_modulus, o.inv"  # what a function reads from o
 
 
 def _factory(op, params, lines, out, binds=()):
-    """Compile make(o), which binds o's constants and primitives and each
-    (name, expression) of binds (named constants, multiples of the
-    modulus), and returns the straight-line bigint function op(params) of
-    lines."""
+    """Compile make(o), which binds o's modulus and inversion and each
+    (name, expression) of binds (the named constants), and returns the
+    straight-line bigint function op(params) of lines."""
     bind = "".join(f"    {name} = {value}\n" for name, value in sorted(binds))
     body = "".join(f"        {line}\n" for line in lines)
     src = (f"def make(o):\n    {_BIND}\n{bind}    def {op}({params}):"
@@ -156,30 +149,18 @@ class _Walker:
     marker when entered; a named constant it reads is a placeholder of that
     name. .code is (params, lines, result, binds) of the op's straight-line
     bigint function, one _TEMPLATES line per step; binds holds the (name,
-    expression) pairs make(o) binds: the named constants and the multiples
-    of the modulus that sub and neg lines read.
-
-    Each value has a bound k (see _Symbol): 1 for an operand, a constant and
-    the result of inv or pow; ka + kb for add and sub; ka + 1 for neg (-0 is
-    ka*n itself); 2 for mul, whose REDC lands below 2n when a*b < R*n, so
-    when ka*kb <= limit = floor(R/n) (9 for Fp, 2 for Fq). A spec whose n'
-    is not -1/n mod R (inject_fault()) has limit 1: there REDC is no
-    reduction mod n, so each product keeps canonical operands and the
-    function still computes what the body does. A _REDUCE line takes a value
-    in place to bound 1: the larger operand of a product over the limit
-    (then the other) and each output, so outputs stay canonical and bigint
-    equals words bit for bit."""
+    expression) pairs make(o) binds, the named constants. .wide names the
+    values of _WIDE lines not yet reduced: a _REDUCE line follows the body
+    for each one among the outputs, so outputs are canonical."""
 
     def __init__(self, spec, op):
-        self.spec, self.binds = spec, set()
+        self.spec, self.binds, self.wide = spec, set(), set()
         self.f = f = "1" if spec.name == "fp" else "q"
         mul = (spec.words_per_mul, spec.word_adds_per_mul)
         sub = (0, spec.word_adds_per_modsub)
         self.law = {"mul": mul, "inv": mul, "pow": mul, "sub": sub,
                     "neg": sub, "add": (0, spec.word_adds_per_modadd)}
         self.chain = _chain(spec.modulus - 2, f)
-        n, r = spec.modulus, 1 << spec.rbits
-        self.limit = r // n if (n * spec.np_full + 1) % r == 0 else 1
         self.mul = lambda a, b: self._step("m", "mul", a, b)
         self.sqr = lambda a: self._step("s", "mul", a)
         self.add = lambda a, b: self._step("a", "add", a, b)
@@ -204,14 +185,13 @@ class _Walker:
         return tuple(map(self._bind, shape))
 
     def _reduce(self, v):
-        """A _REDUCE line for each placeholder in v of bound k > 1: one
-        conditional subtraction for k = 2, % above; its bound is then 1."""
+        """A _REDUCE line for each wide placeholder in v, once each."""
         if isinstance(v, tuple):
             for x in v:
                 self._reduce(x)
-        elif v.k > 1:
-            self.lines.append(_REDUCE[v.k > 2].format(r=v.name))
-            v.k = 1
+        elif v.name in self.wide:
+            self.lines.append(_REDUCE.format(r=v.name))
+            self.wide.discard(v.name)
 
     def _enter(self, op, args):
         fn, marker = KERNELS[op][:2]
@@ -233,19 +213,11 @@ class _Walker:
             raise AttributeError(name)
         return lambda *args: self._enter(name, args)
 
-    def _multiple(self, k) -> str:
-        """The name of k*n in the function: n, or nk, which make(o) binds."""
-        if k == 1:
-            return "n"
-        self.binds.add((f"n{k}", f"{k} * n"))
-        return f"n{k}"
-
     def _step(self, kind, prim, a, b=None):
         """One line of prim's template, and its steps: one of kind or, for a
         fixed power a^b (b a public int), pow_raw's chain, each squaring and
         multiply one step. An inversion's Fermat chain follows its i step,
-        charged to inv_m. On bigint a product first reduces operands until
-        ka*kb <= limit; it refuses to compile if that cannot hold."""
+        charged to inv_m."""
         steps = _chain(b, self.f) if prim == "pow" else (kind + self.f,)
         self.incs.update(s + self.nested[-1] for s in steps)
         reps = len(steps)
@@ -257,23 +229,11 @@ class _Walker:
         self.incs["word_mul"] += reps * self.law[prim][0]
         self.incs["word_add"] += reps * self.law[prim][1]
         if prim != "pow":
-            b = a if b is None else b
-        k = kn = 1
-        if prim == "mul":
-            for x in sorted((a, b), key=attrgetter("k"), reverse=True):
-                if a.k * b.k > self.limit:
-                    self._reduce(x)
-            if a.k * b.k > self.limit:
-                raise ArithmeticError(f"a product's operand bounds exceed "
-                                      f"REDC's limit {self.limit}")
-            k = 2
-        elif prim in ("add", "sub", "neg"):
-            kn = b.k                              # neg: b is a
-            k = a.k + (1 if prim == "neg" else kn)
-        r = _Symbol(next(self.names), k)
-        self.lines.append(_TEMPLATES[prim].format(
-            r=r.name, a=a.name, b=b if prim == "pow" else b.name,
-            kn=self._multiple(kn)))
+            b = (a if b is None else b).name
+        r = _Symbol(next(self.names))
+        if prim in _WIDE:
+            self.wide.add(r.name)
+        self.lines.append(_TEMPLATES[prim].format(r=r.name, a=a.name, b=b))
         return r
 
 
@@ -340,9 +300,10 @@ for _op, _n in _PRIMITIVES.items():     # an Fp op is its primitive alone
         lambda o, *a, _op=_op: getattr(o, _op)(*a))
     if _op != "inv":
         _line = _TEMPLATES["mul" if _op == "sqr" else _op].format(
-            r="r", a="a", b="ab"[_n - 1], kn="n")
-        _BIG[_op] = _factory(_op, ", ".join("ab"[:_n]),
-                             [_line + "; " + _REDUCE[0].format(r="r")], "r")
+            r="r", a="a", b="ab"[_n - 1])
+        if _op in _WIDE:
+            _line += "; " + _REDUCE.format(r="r")
+        _BIG[_op] = _factory(_op, ", ".join("ab"[:_n]), [_line], "r")
 
 
 _val = attrgetter("val")
@@ -350,8 +311,8 @@ _new = object.__new__
 
 
 def _is_zero(v) -> bool:
-    """Whether a raw value is zero: every int in it (a Montgomery value on
-    bigint, a limb on words, nested in tuples above Fp) is 0."""
+    """Whether a raw value is zero: every int in it (a residue on bigint, a
+    limb on words, nested in tuples above Fp) is 0."""
     return not v if type(v) is int else all(map(_is_zero, v))
 
 
@@ -450,7 +411,8 @@ def _method(op, inverse=False):
 
 
 class FieldElement(_Value):
-    """An element of Fp or Fq in Montgomery form, made by Engine.fp/fq."""
+    """An element of Fp or Fq, made by Engine.fp/fq: on bigint its raw value
+    is the residue itself, on words the limbs of its Montgomery form."""
 
     __slots__ = ()
 
@@ -466,7 +428,7 @@ class FieldElement(_Value):
     inverse = _method("inv", inverse=True)
 
     def to_int(self) -> int:
-        return self.engine.from_mont(self)
+        return self.o.engine._int(self.o.spec, self.val)
 
     def to_bytes(self) -> bytes:
         return self.to_int().to_bytes(self.spec.byte_len, "big")
@@ -499,18 +461,18 @@ def pow_public(x, exp: int):
 
 
 class RawOps:
-    """One engine's arithmetic over one field spec, on raw Montgomery values.
+    """One engine's arithmetic over one field spec, on raw values.
 
-    mul, sqr, add, sub, neg and inv are the Fp primitives (ints on bigint,
-    limb tuples on words, where the cios.py loops charge their word
-    operations as they run). Every other registered kernel is a method, and
+    mul, sqr, add, sub, neg and inv are the Fp primitives: on bigint over
+    plain residues, each reduced by the spec's line modulus; on words over
+    Montgomery limb tuples, where the cios.py loops charge their word
+    operations as they run. Every other registered kernel is a method, and
     on bigint its compiled function, once built, an instance attribute that
     shadows it; a named constant of the field (CONSTANTS) is an attribute
     too. Only apply tallies: it charges the op's record, then runs the kernel.
 
     store holds what depends only on the field spec object, while the spec
-    lives: each op's walk and bigint factory, bigint's fix-up constant of
-    each fixed power, keyed by its exponent, and -G2's prepared lines per
+    lives: each op's walk and bigint factory, and -G2's prepared lines per
     backend (pairing.prepared_neg_g2). inject_fault() or a word size makes
     a new spec.
     """
@@ -523,8 +485,7 @@ class RawOps:
         words = engine.backend == "words"
         for (field, name), value in CONSTANTS.items():   # as raw values
             if field == spec.name:
-                mont = value * spec.r1 % spec.modulus
-                setattr(self, name, to_limbs(mont, spec) if words else mont)
+                setattr(self, name, engine._raw(spec, value))
         if not words:
             for p, make in _BIG.items():
                 setattr(self, p, make(self))
@@ -540,15 +501,9 @@ class RawOps:
     def pow(self, a, exp: int):
         """a^exp on a raw value for a fixed public exp >= 1, whose record is
         pow_raw's chain (see _Walker). Words runs that chain on its
-        primitives. Bigint computes pow(a, exp, n), which is a^exp R^exp for
-        a = a R, and takes it to the Montgomery form a^exp R by one product
-        with the public constant R^(2-exp), made once per spec, through its
-        own mul line, so a corrupted n' still corrupts the result."""
-        spec = self.spec
-        fix = self.store.get(exp)
-        if fix is None:
-            fix = self.store[exp] = pow(spec.r1, 2 - exp, spec.modulus)
-        return self.mul(pow(a, exp, spec.modulus), fix)
+        primitives; bigint computes pow(a, exp, n) with the line modulus, as
+        its pow lines do."""
+        return pow(a, exp, self.spec.line_modulus)
 
     def inv(self, a):
         """a^(modulus-2) on a raw nonzero value: the fixed Fermat chain,
@@ -594,17 +549,25 @@ class Engine:
     def fq(self, value: int) -> FieldElement:
         return self._make(self.fq_spec, value)
 
-    def from_mont(self, x: FieldElement) -> int:
-        v = from_limbs(x.val, x.spec) if self.backend == "words" else x.val
-        return v * x.spec.rinv % x.spec.modulus
+    def _raw(self, spec, value: int):
+        """value mod spec's modulus as a raw value of this engine: the residue
+        on bigint, the limbs of its Montgomery form value·R on words. The
+        one map into raw values; _int is its inverse."""
+        if self.backend == "words":
+            return to_limbs(value * spec.r1 % spec.modulus, spec)
+        return value % spec.modulus
+
+    def _int(self, spec, raw) -> int:
+        """The residue in [0, n) of a raw value of this engine."""
+        if self.backend == "words":
+            return from_limbs(raw, spec) * spec.rinv % spec.modulus
+        return raw
 
     def _make(self, spec, value: int) -> FieldElement:
-        """value mod spec's modulus as an element: its RawOps and its raw
-        Montgomery value."""
-        mont = value * spec.r1 % spec.modulus
+        """value mod spec's modulus as an element: its RawOps and raw value."""
         x = _new(FieldElement)      # _wrap inlined: every constant starts here
         x.o = self._ops[spec]
-        x.val = to_limbs(mont, spec) if self.backend == "words" else mont
+        x.val = self._raw(spec, value)
         return x
 
     # ----- counter plumbing -----
@@ -659,7 +622,10 @@ class Engine:
     # ----- self-test hooks -----
 
     def inject_fault(self) -> None:
-        """Flip one bit of the Fp Montgomery constant n' (self-test hook).
+        """Flip bit 7 of the Fp constants the arithmetic reads (self-test
+        hook): n'_0, which the words loops read, and the line modulus, which
+        bigint's products and powers reduce by. The conversions read the
+        true modulus, so a faulted engine's values come out wrong.
 
         The shared parameter cache must stay pristine, so the corrupted spec
         is a private copy.
@@ -667,15 +633,15 @@ class Engine:
         import copy
 
         spec = copy.copy(self.fp_spec)
-        spec.np_full ^= 1 << 7
-        spec.np0 = spec.np_full & spec.word_mask
+        spec.np0 ^= 1 << 7
+        spec.line_modulus ^= 1 << 7
         self.fp_spec = spec
         self._ops[spec] = RawOps(self, spec)
         self.__dict__.pop("tower", None)    # rebuilt on spec's RawOps
         self.__dict__.pop("curve", None)
 
     def montgomery_sane(self) -> bool:
-        """Cheap invariant: to/from Montgomery round-trip and 1*1 == 1."""
+        """Cheap invariant: to/from raw round-trip, 1*1 == 1 and 3/3 == 1."""
         try:
             one = self.fp(1)
             if (one * one).to_int() != 1:

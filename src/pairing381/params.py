@@ -138,23 +138,23 @@ def cios_cost_model(word_size: int) -> tuple[int, int]:
 
 
 class FieldSpec:
-    """Montgomery parameters for one prime field at one word size."""
+    """One prime field at one word size: the Montgomery parameters of the
+    words loops (r1 = R mod n, its inverse rinv, np0 = -1/n mod 2^w), and
+    line_modulus, the modulus bigint's product and power lines reduce by
+    (Engine.inject_fault corrupts it; the conversions read modulus)."""
 
     def __init__(self, name: str, modulus: int, rbits: int, word_size: int):
         if word_size not in EXECUTABLE_WORD_SIZES:
             raise ValueError(f"unsupported word size {word_size}")
         self.name = name
-        self.modulus = modulus
+        self.modulus = self.line_modulus = modulus
         self.byte_len = rbits // 8
-        self.rbits = rbits
         self.word_size = word_size
         self.limbs = rbits // word_size
         self.word_mask = (1 << word_size) - 1
-        self.full_mask = (1 << rbits) - 1
         self.r1 = (1 << rbits) % modulus
         self.rinv = pow(self.r1, -1, modulus)
-        self.np_full = (-pow(modulus, -1, 1 << rbits)) % (1 << rbits)
-        self.np0 = self.np_full & self.word_mask
+        self.np0 = -pow(modulus, -1, 1 << word_size) % (1 << word_size)
         self.mod_limbs = tuple(
             (modulus >> (i * word_size)) & self.word_mask for i in range(self.limbs)
         )

@@ -89,8 +89,10 @@ def _raw(e):
 
 
 def _limbs(v, spec):
-    return to_limbs(v, spec) if type(v) is int else tuple(
-        _limbs(x, spec) for x in v)
+    """Words' limbs of a bigint raw value: each residue v as v R mod n."""
+    if type(v) is int:
+        return to_limbs(v * spec.r1 % spec.modulus, spec)
+    return tuple(_limbs(x, spec) for x in v)
 
 
 def test_every_engine_gets_the_constants_as_values_of_its_own(twin_engines):

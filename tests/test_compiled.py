@@ -5,9 +5,11 @@ on named placeholders, which builds the op's record and emits one bigint
 function per op and field spec; words compiles nothing and runs the kernel
 body, whose cios.py loops charge the word law. These tests hold every
 registered kernel to three things, on bigint, on words and on engines whose
-Montgomery constant was corrupted by inject_fault(): the function an engine
+arithmetic constants were corrupted by inject_fault(): the function an engine
 runs computes what the body computes on a RawOps (and bigint what the words
-loops compute), an uncounted call charges nothing, and the emitted steps,
+loops compute, through the map v -> v R mod n from a bigint residue to the
+Montgomery int words holds), an uncounted call charges nothing, and the
+emitted steps,
 counted by kind from the source text alone, add up to the record's Fp-level
 totals. Every called op is inlined: no function calls another kernel. The
 bigint source text is pinned by its digest.
@@ -64,6 +66,23 @@ def _shape(v):
     return X1 if type(v) is int else tuple(map(_shape, v))
 
 
+def _mont(v, spec):
+    """The Montgomery int v R mod n that words holds for a bigint residue v
+    (wide or not)."""
+    return v * spec.r1 % spec.modulus
+
+
+def _words_raw(v, spec):
+    """The words operand of the value of a bigint residue."""
+    return to_limbs(_mont(v, spec), spec)
+
+
+def _as_words(body, shape, backend, spec):
+    """An output of either backend as the Montgomery ints words holds."""
+    return _convert(body, shape, (lambda v: _mont(v, spec)) if
+                    backend == "bigint" else (lambda v: from_limbs(v, spec)))
+
+
 def _spec(e, op):
     return e.fq_spec if op.startswith("jubjub") else e.fp_spec
 
@@ -83,22 +102,21 @@ def _emitted(o, op):
     def template(t):
         return re.compile(re.sub(r"\\\{\w+\\\}", r"\\w+", re.escape(t)))
     pattern = {prim: template(t) for prim, t in _TEMPLATES.items()}
-    reduce = [template(t) for t in fields._REDUCE]
+    reduce = template(fields._REDUCE)
     unpack = re.compile(r".* = a\d+")
     call = re.compile(r"\(.*\) = (\w+)\(.*")
     counts = {"m": 0, "a": 0, "i": 0}
     for line in _Walker(o.spec, op).code[1]:
         hits = [p for p, rx in pattern.items() if rx.fullmatch(line)]
         if hits == ["pow"]:   # a fixed power: pow_raw's squarings, multiplies
-            exp = int(re.fullmatch(r".*, (\d+)\)", line)[1])
+            exp = int(re.fullmatch(r".*, (\d+), n\)", line)[1])
             counts["m"] += exp.bit_length() + exp.bit_count() - 2
         elif hits:
             assert len(hits) == 1, line
             counts[KIND[hits[0]]] += 1
         else:
             assert not call.fullmatch(line), line
-            assert unpack.fullmatch(line) or any(
-                rx.fullmatch(line) for rx in reduce), line
+            assert unpack.fullmatch(line) or reduce.fullmatch(line), line
     return counts
 
 
@@ -112,7 +130,7 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
     for (backend, faulted), e in engines.items():
         spec = _spec(e, op)
         raw = args if backend == "bigint" else [
-            _convert(a, s, lambda v: to_limbs(v, spec))
+            _convert(a, s, lambda v: _words_raw(v, spec))
             for a, s in zip(args, shapes)]
         o = e.raw_ops(e.fq(1) if spec is e.fq_spec else e.fp(1))
         record = o.records[op]     # builds the record, compiles op on bigint
@@ -134,8 +152,8 @@ def test_compiled_kernel_matches_body_and_record(engines, op):
         assert (incs, steps) == record
         f = "1" if spec is e.fp_spec else "q"
         assert _emitted(o, op) == _totals(record, f)
-        got[backend, faulted] = body if backend == "bigint" else _convert(
-            body, _shape(got["bigint", False]), lambda v: from_limbs(v, spec))
+        shape = _shape(body) if backend == "bigint" else shape
+        got[backend, faulted] = _as_words(body, shape, backend, spec)
 
     # the words loops are the reference for the bigint lines; a corrupted n'
     # changes every product (differently on the two backends)
@@ -171,16 +189,15 @@ def test_compiled_kernel_matches_body_at_edge_operands(engines, op):
         for (backend, faulted), e in engines.items():
             spec = _spec(e, op)
             raw = args if backend == "bigint" else [
-                _convert(a, s, lambda v: to_limbs(v, spec))
+                _convert(a, s, lambda v: _words_raw(v, spec))
                 for a, s in zip(args, shapes)]
             o = e.raw_ops(e.fq(1) if spec is e.fq_spec else e.fp(1))
             o.records[op]      # builds the record, compiles op on bigint
             with e.uncounted():
                 body = fn(RawOps(e, spec), *raw)
                 assert getattr(o, op)(*raw) == body, (backend, faulted, args)
-            got[backend, faulted] = body if backend == "bigint" else _convert(
-                body, _shape(got["bigint", False]),
-                lambda v: from_limbs(v, spec))
+            shape = _shape(body) if backend == "bigint" else shape
+            got[backend, faulted] = _as_words(body, shape, backend, spec)
         assert got["bigint", False] == got["words", False], args
 
 
@@ -288,14 +305,14 @@ def test_words_reads_the_bigint_walks(monkeypatch):
 
 
 BIGINT_SOURCE_SHA256 = (
-    "3d0d666a3c80a773d73a752454b7b77d4d78cbd8f10c4e32b8c7314568cd3817")
+    "d247cb9a22c4530698f027e8ad74459635c52e68d3cc7bd624e050411fc2c8d3")
 # The kernels that call an Fp6 or Fp12 op. The digest over every other
 # kernel is pinned on its own: it does not depend on how a walk treats a
 # called op wider than Fp2.
 CALLED_WIDE_OPS = {"fp12_add", "fp12_sub", "fp12_neg", "fp12_conj", "fp12_mul",
                    "fp12_sqr", "fp12_inv", "sparse_mul"}
 BIGINT_SOURCE_SHA256_NO_WIDE_CALLS = (
-    "6c858a99800f5925d75fa85e5b69591a612faefc7ce8e93dbe80710826d802f5")
+    "2f8b3146a5d218525df4d4742324fcee4012ca61c700d258284e4a2a6fa122f8")
 
 
 def _bigint_source_digest(monkeypatch, ops) -> str:
@@ -346,9 +363,8 @@ def test_compiled_functions_call_no_other_kernel(monkeypatch, field):
 
 def test_named_constants_are_bound_by_name_and_field():
     """A kernel reads a named constant of its field as o.name: the walk binds
-    it in make(o) by name, as it binds the multiples of the modulus, the
-    RawOps supplies the raw value, and another name, or a constant of the
-    other field, is AttributeError."""
+    it in make(o) by name, the RawOps supplies the raw value, and another
+    name, or a constant of the other field, is AttributeError."""
     e = Engine()
     fp, fq = e._ops[e.fp_spec], e._ops[e.fq_spec]
     assert {(name, value) for name, value in _Walker(fq.spec, "jubjub_add"
@@ -363,18 +379,58 @@ def test_named_constants_are_bound_by_name_and_field():
 
 
 def test_template_lines_at_the_reduction_edges(engines):
-    """Sums and differences that land on 0 or on the modulus, where a wrong
-    comparison in a bigint line would leave a value unreduced: the bigint
-    primitives, built from the lines the kernels inline, against the words
-    loops."""
+    """Sums and differences that land on 0, on the modulus or below 0, and
+    products of the wide values that sum, sub and neg lines leave: the bigint
+    primitives, built from the lines the kernels inline, land in [0, n) and
+    agree with the words loops on the values' residues."""
     big, words = engines["bigint", False], engines["words", False]
     spec = big.fp_spec
     n, a = spec.modulus, 0x1234567890ABCDEF << 300
     ob, ow = big.raw_ops(big.fp(1)), words.raw_ops(words.fp(1))
     for op, *xs in (("add", a, n - a), ("add", 0, 0), ("add", n - 1, 1),
                     ("add", n - 1, n - 1), ("sub", a, a), ("sub", 0, n - 1),
-                    ("neg", 0), ("neg", n - 1), ("mul", 0, a), ("sqr", 1)):
+                    ("neg", 0), ("neg", n - 1), ("mul", 0, a), ("sqr", 1),
+                    ("mul", 0 - (n - 1), a), ("mul", -a, -a),
+                    ("mul", (n - 1) + (n - 1), n - 1), ("sqr", 0 - (n - 1))):
         with words.uncounted():
-            want = from_limbs(getattr(ow, op)(*(to_limbs(x, spec) for x in xs)),
-                              spec)
-        assert getattr(ob, op)(*xs) == want < n, (op, xs)
+            want = from_limbs(getattr(ow, op)(*(_words_raw(x, spec)
+                                                for x in xs)), spec)
+        got = getattr(ob, op)(*xs)
+        assert 0 <= got < n and _mont(got, spec) == want, (op, xs)
+
+
+WIDTH_MARGIN = 8   # bits above the modulus a wide intermediate may reach
+
+
+@pytest.mark.parametrize("op", sorted(KERNELS.keys() - _PRIMITIVES))
+def test_compiled_lines_stay_narrow_and_outputs_canonical(engines, op):
+    """Each compiled bigint function run line by line, on seeded and on edge
+    operands: every value a line assigns has |v| < 2^(bits(n) + 8), and
+    every output is in [0, n). Equality, hashing and the zero tests read raw
+    values, so outputs must be canonical; a product line left unreduced
+    computes the right value slowly, and fails here on its width alone."""
+    e = engines["bigint", False]
+    spec = _spec(e, op)
+    o, n = e._ops[spec], spec.modulus
+    params, lines, out, binds = _Walker(spec, op).code
+    shapes = KERNELS[op][2]
+    codes = [(compile(line, op, "exec"),
+              re.findall(r"v\d+", line.split("=")[0])) for line in lines]
+    rng = random.Random("width " + op)
+    trials = [[_operand(rng, s, n) for s in shapes] for _ in range(2)]
+    trials += [[_edge_operand(rng, s, n) for s in shapes] for _ in range(4)]
+    trials += [[_convert(_edge_operand(rng, s, n), s, lambda v: edge)
+                for s in shapes] for edge in (0, n - 1)]
+    limit = 1 << (n.bit_length() + WIDTH_MARGIN)
+    for args in trials:
+        ns = {"n": spec.line_modulus, "inv": o.inv}
+        ns.update((name, eval(value, {"o": o})) for name, value in binds)
+        ns.update((f"a{i}", a) for i, a in enumerate(args))
+        for code, targets in codes:
+            exec(code, ns)
+            for name in targets:
+                assert abs(ns[name]) < limit, (op, name, ns[name].bit_length())
+        result, ints = eval(out, ns), []
+        _convert(result, _shape(result), ints.append)
+        assert all(0 <= v < n for v in ints), op
+        assert result == getattr(o, op)(*args)

@@ -25,7 +25,8 @@ from pairing381.pairing import (miller_loop, multi_miller_loop, multi_pairing,
 from pairing381.protocol import PublicKey, Signature, keygen, sign, verify
 
 MSG = b"prepared lines"
-# SHA-256 of repr() of the 12 Montgomery ints of verify's Miller value
+# SHA-256 of repr() of the 12 Montgomery ints of verify's Miller value, the
+# ints words holds: v R mod p of each bigint residue v
 MILLER_SHA256 = (
     "d6f65da65c5c5d8b12146ebc6253b06550243050adf7bb20ae433ffd1862afd5")
 
@@ -56,9 +57,11 @@ def _spy(monkeypatch) -> list:
 
 def _digest(f) -> str:
     """The digest of an Fp12 value's 12 Montgomery ints, limbs joined."""
-    ints = [x for half in f.val for c in half for x in c]
+    ints, spec = [x for half in f.val for c in half for x in c], f.o.spec
     if f.engine.backend == "words":
-        ints = [from_limbs(x, f.engine.fp_spec) for x in ints]
+        ints = [from_limbs(x, spec) for x in ints]
+    else:
+        ints = [x * spec.r1 % spec.modulus for x in ints]
     return hashlib.sha256(repr(ints).encode()).hexdigest()
 
 
@@ -137,7 +140,8 @@ def test_words_lines_equal_bigint_lines_limb_for_limb(twin_engines):
     spec = words.fp_spec
     lines = [prepared_neg_g2(e).lines for e in twin_engines]
     assert len(lines[0]) == 68
-    assert [[[to_limbs(x, spec) for x in c] for c in line]
+    assert [[[to_limbs(x * spec.r1 % spec.modulus, spec) for x in c]
+             for c in line]
             for line in lines[0]] == [[list(c) for c in line]
                                       for line in lines[1]]
 
