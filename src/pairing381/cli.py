@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", parents=[common],
                        help="run the invariant suites")
     p.add_argument("--inject-fault", action="store_true",
-                   help="flip one Montgomery constant bit first")
+                   help="flip one bit of the Fp arithmetic constants first")
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("bench", parents=[common],
